@@ -9,9 +9,9 @@ evaluation. All gradients are hand-written and checked against a central
 finite-difference oracle.
 """
 
-from .numerics import Rng, finite_difference_gradient, pad_to_multiple, seeded_fill_uniform
+from .numerics import Rng, finite_difference_gradient, pad_to_multiple
 from .layers import (Activation, Conv1d, Conv2d, Deconv2d, InstanceNorm2d,
-                     Parameter, activation_apply, spectral_normalize_weights)
+                     Parameter, spectral_normalize_weights)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .lifting import (BlockSpec, LiftingConfig, LiftingTransform,
                       coupling_forward, coupling_inverse,
@@ -20,7 +20,7 @@ from .lifting import (BlockSpec, LiftingConfig, LiftingTransform,
 from .stft import (Spectrogram, StftConfig, canonical_dual_window, hann_window,
                    istft, log_magnitude_feature, stft_forward)
 from .masking import (BinaryMaskSpec, EnhancementPipeline, MaskEstimator,
-                      apply_mask, binary_mask_generate, estimate_mask)
+                      binary_mask_generate)
 from .objective import (LossConfig, MetricReport, clip, sdr, sdr_loss,
                         sdr_loss_and_grad, si_sdr, si_sdr_improvement)
 from .optim import Adam, TrainConfig, TrainHistory, TrainingDiverged, train

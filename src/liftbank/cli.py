@@ -230,26 +230,19 @@ def cmd_enhance(args):
     if args.checkpoint:
         pipeline.load_state_dict(load_checkpoint(args.checkpoint))
     clip = wav_read(args.input)
-    s_hat, _ = pipeline.enhance(clip.samples)
+    if args.export_mask:
+        s_hat, cache = pipeline.enhance_training(clip.samples)
+    else:
+        s_hat, _ = pipeline.enhance(clip.samples)
     if s_hat.shape != clip.samples.shape:
         raise ConfigError("internal length mismatch in enhancement")
     wav_write(WavClip(s_hat, clip.sample_rate), args.output)
     if args.export_mask:
-        mask = _pipeline_mask(pipeline, clip.samples)
-        np.savetxt(args.export_mask, mask, delimiter=",")
+        np.savetxt(args.export_mask, cache.mask, delimiter=",")
         print(f"wrote mask {args.export_mask}")
     print(f"enhanced {args.input} -> {args.output} "
           f"({clip.samples.size} samples @ {clip.sample_rate} Hz)")
     return EXIT_OK
-
-
-def _pipeline_mask(pipeline, x):
-    # cache layout per EnhancementPipeline.enhance_training: the applied mask
-    # sits at index 5 (lifting) / index 3 (stft)
-    _, cache = pipeline.enhance_training(x)
-    if cache[0] == "lifting":
-        return np.asarray(cache[5], dtype=np.float64)
-    return np.asarray(cache[3], dtype=np.float64)
 
 
 def cmd_check(args):
@@ -283,12 +276,10 @@ def _eval_one(pipeline, clean_path, noisy_path, oracle, export_dir, stft_cfg):
         s_hat = clean.samples
     else:
         s_hat, _ = pipeline.enhance(noisy.samples)
-    report = MetricReport(
-        utterance_id=name,
-        si_sdr_in=si_sdr(clean.samples, noisy.samples),
-        si_sdr_out=si_sdr(clean.samples, s_hat),
-        improvement=si_sdr(clean.samples, s_hat) - si_sdr(clean.samples, noisy.samples),
-    )
+    si_in = si_sdr(clean.samples, noisy.samples)
+    si_out = si_sdr(clean.samples, s_hat)
+    report = MetricReport(utterance_id=name, si_sdr_in=si_in, si_sdr_out=si_out,
+                          improvement=si_out - si_in)
     if export_dir:
         export_dir = Path(export_dir)
         export_dir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,6 @@ from .numerics import Rng
 __all__ = [
     "Parameter",
     "Activation",
-    "activation_apply",
     "Conv1d",
     "Conv2d",
     "Deconv2d",
@@ -100,12 +99,6 @@ class Activation:
         return grad_out * cache * (1.0 - cache)
 
 
-def activation_apply(kind, x, slope=0.2):
-    """Functional form of Activation.forward."""
-    y, _ = Activation(kind, slope).forward(x)
-    return y
-
-
 # ---------------------------------------------------------------------------
 # spectral normalization
 # ---------------------------------------------------------------------------
@@ -168,26 +161,24 @@ def _unit_vector(rng, n):
     return v / np.linalg.norm(v)
 
 
-class Conv1d:
-    """1-D convolution, stride 1, odd kernel, zero "same" padding.
+class _Conv:
+    """Weight, bias and spectral-norm state shared by the convolutions.
 
-    Output length always equals input length, which is what lets the lifting
-    predictors keep both coupling branches shape-compatible.
+    The weight is (C_out, C_in, *kernel); with spectral normalization the
+    forward pass divides it by the largest singular value of its
+    (C_out, rest) matrix, estimated from the persistent vector ``sn_u``.
+    Initialization draws weight, then bias, then ``sn_u`` from ``rng``.
     """
 
-    def __init__(self, in_channels, out_channels, kernel_size=3, bias=True,
-                 spectral_norm=False, rng=None):
-        if kernel_size % 2 == 0:
-            raise ValueError("kernel size must be odd for symmetric same padding")
+    def __init__(self, in_channels, out_channels, kernel, bias, spectral_norm, rng):
         rng = rng if rng is not None else Rng(0)
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
-        self.kernel_size = int(kernel_size)
-        fan_in = in_channels * kernel_size
+        fan_in = self.in_channels * int(np.prod(kernel))
         self.weight = Parameter(_init_weight(
-            rng, (out_channels, in_channels, kernel_size), fan_in))
-        self.bias = Parameter(_init_weight(rng, (out_channels,), fan_in)) if bias else None
-        self.sn_u = _unit_vector(rng, out_channels) if spectral_norm else None
+            rng, (self.out_channels, self.in_channels) + tuple(kernel), fan_in))
+        self.bias = Parameter(_init_weight(rng, (self.out_channels,), fan_in)) if bias else None
+        self.sn_u = _unit_vector(rng, self.out_channels) if spectral_norm else None
 
     def _effective_weight(self):
         if self.sn_u is None:
@@ -202,6 +193,31 @@ class Conv1d:
         if self.sn_u is not None:
             power_iteration(self.weight.data.reshape(self.out_channels, -1),
                             self.sn_u, iters)
+
+    def named_parameters(self, prefix):
+        yield f"{prefix}/weight", self.weight
+        if self.bias is not None:
+            yield f"{prefix}/bias", self.bias
+
+    def named_state(self, prefix):
+        if self.sn_u is not None:
+            yield f"{prefix}/sn_u", self.sn_u
+
+
+class Conv1d(_Conv):
+    """1-D convolution, stride 1, odd kernel, zero "same" padding.
+
+    Output length always equals input length, which is what lets the lifting
+    predictors keep both coupling branches shape-compatible.
+    """
+
+    def __init__(self, in_channels, out_channels, kernel_size=3, bias=True,
+                 spectral_norm=False, rng=None):
+        if kernel_size % 2 == 0:
+            raise ValueError("kernel size must be odd for symmetric same padding")
+        self.kernel_size = int(kernel_size)
+        super().__init__(in_channels, out_channels, (self.kernel_size,), bias,
+                         spectral_norm, rng)
 
     def forward_cf(self, x3):
         """Channels-first core: x3 is contiguous (C_in, B, L); returns same layout.
@@ -272,15 +288,6 @@ class Conv1d:
         gx = np.ascontiguousarray(np.moveaxis(gx3, 0, 1))
         return _restore_batch(gx, lead)
 
-    def named_parameters(self, prefix):
-        yield f"{prefix}/weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}/bias", self.bias
-
-    def named_state(self, prefix):
-        if self.sn_u is not None:
-            yield f"{prefix}/sn_u", self.sn_u
-
 
 def _pair(v):
     if np.isscalar(v):
@@ -289,37 +296,16 @@ def _pair(v):
     return int(a), int(b)
 
 
-class Conv2d:
+class Conv2d(_Conv):
     """2-D convolution with per-axis stride and zero padding."""
 
     def __init__(self, in_channels, out_channels, kernel_size=3, stride=1,
                  padding=0, bias=True, spectral_norm=False, rng=None):
-        rng = rng if rng is not None else Rng(0)
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
         self.kernel = _pair(kernel_size)
         self.stride = _pair(stride)
         self.padding = _pair(padding)
-        kh, kw = self.kernel
-        fan_in = in_channels * kh * kw
-        self.weight = Parameter(_init_weight(
-            rng, (out_channels, in_channels, kh, kw), fan_in))
-        self.bias = Parameter(_init_weight(rng, (out_channels,), fan_in)) if bias else None
-        self.sn_u = _unit_vector(rng, out_channels) if spectral_norm else None
-
-    def _effective_weight(self):
-        if self.sn_u is None:
-            return self.weight.data, 1.0
-        w2d = self.weight.data.reshape(self.out_channels, -1)
-        sigma = spectral_sigma(w2d, self.sn_u)
-        if sigma <= _SIGMA_FLOOR:
-            return self.weight.data, 1.0
-        return self.weight.data / sigma, sigma
-
-    def update_spectral_state(self, iters=1):
-        if self.sn_u is not None:
-            power_iteration(self.weight.data.reshape(self.out_channels, -1),
-                            self.sn_u, iters)
+        super().__init__(in_channels, out_channels, self.kernel, bias,
+                         spectral_norm, rng)
 
     def out_shape(self, h, w):
         kh, kw = self.kernel
@@ -371,17 +357,8 @@ class Conv2d:
                 gxp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += gwin[:, :, :, :, u, v]
         return _restore_batch(gxp[:, :, ph:ph + h, pw:pw + w], lead)
 
-    def named_parameters(self, prefix):
-        yield f"{prefix}/weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}/bias", self.bias
 
-    def named_state(self, prefix):
-        if self.sn_u is not None:
-            yield f"{prefix}/sn_u", self.sn_u
-
-
-class Deconv2d:
+class Deconv2d(_Conv):
     """Transposed 2-D convolution; exact shape inverse of Conv2d.
 
     For matching kernel/stride/padding the output spatial size is
@@ -391,32 +368,11 @@ class Deconv2d:
 
     def __init__(self, in_channels, out_channels, kernel_size=4, stride=2,
                  padding=1, bias=True, spectral_norm=False, rng=None):
-        rng = rng if rng is not None else Rng(0)
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
         self.kernel = _pair(kernel_size)
         self.stride = _pair(stride)
         self.padding = _pair(padding)
-        kh, kw = self.kernel
-        fan_in = in_channels * kh * kw
-        self.weight = Parameter(_init_weight(
-            rng, (out_channels, in_channels, kh, kw), fan_in))
-        self.bias = Parameter(_init_weight(rng, (out_channels,), fan_in)) if bias else None
-        self.sn_u = _unit_vector(rng, out_channels) if spectral_norm else None
-
-    def _effective_weight(self):
-        if self.sn_u is None:
-            return self.weight.data, 1.0
-        w2d = self.weight.data.reshape(self.out_channels, -1)
-        sigma = spectral_sigma(w2d, self.sn_u)
-        if sigma <= _SIGMA_FLOOR:
-            return self.weight.data, 1.0
-        return self.weight.data / sigma, sigma
-
-    def update_spectral_state(self, iters=1):
-        if self.sn_u is not None:
-            power_iteration(self.weight.data.reshape(self.out_channels, -1),
-                            self.sn_u, iters)
+        super().__init__(in_channels, out_channels, self.kernel, bias,
+                         spectral_norm, rng)
 
     def out_shape(self, h, w):
         kh, kw = self.kernel
@@ -469,15 +425,6 @@ class Deconv2d:
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2, 3))
         return _restore_batch(gx, lead)
-
-    def named_parameters(self, prefix):
-        yield f"{prefix}/weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}/bias", self.bias
-
-    def named_state(self, prefix):
-        if self.sn_u is not None:
-            yield f"{prefix}/sn_u", self.sn_u
 
 
 # ---------------------------------------------------------------------------

@@ -90,64 +90,66 @@ class LiftingConfig:
 # ---------------------------------------------------------------------------
 
 def split(x, n_channels):
-    """Polyphase split of (..., T) into two (..., n_channels, T/2) branches.
+    """Polyphase split of (..., T) into two (n_channels, ..., T/2) branches.
 
-    Channel 0 of branch a holds the even-index samples, channel 0 of branch b
-    the odd-index samples; the remaining channels are zero padding that gives
-    the couplings room to work in.
+    Branches use the transform's channels-first (C, ..., L) layout. Channel 0
+    of branch a holds the even-index samples, channel 0 of branch b the
+    odd-index samples; the remaining channels are zero padding that gives the
+    couplings room to work in.
     """
     x = np.asarray(x, dtype=np.float64)
     t = x.shape[-1]
     if t < 2 or t % 2 != 0:
         raise ValueError("length not even")
-    shape = x.shape[:-1] + (int(n_channels), t // 2)
+    shape = (int(n_channels),) + x.shape[:-1] + (t // 2,)
     a = np.zeros(shape)
     b = np.zeros(shape)
-    a[..., 0, :] = x[..., 0::2]
-    b[..., 0, :] = x[..., 1::2]
+    a[0] = x[..., 0::2]
+    b[0] = x[..., 1::2]
     return a, b
 
 
 def split_inverse(a, b):
-    """Interleave channel 0 of both branches back into a waveform."""
+    """Interleave channel 0 of two (C, ..., L) branches into a (..., 2L) waveform."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"branch shapes differ: {a.shape} vs {b.shape}")
-    half = a.shape[-1]
-    x = np.empty(a.shape[:-2] + (2 * half,))
-    x[..., 0::2] = a[..., 0, :]
-    x[..., 1::2] = b[..., 0, :]
+    x = np.empty(a.shape[1:-1] + (2 * a.shape[-1],))
+    x[..., 0::2] = a[0]
+    x[..., 1::2] = b[0]
     return x
 
 
 def invertible_downsample(x):
-    """Lossless reshape (..., C, L) -> (..., 2C, L/2).
+    """Lossless reshape (C, ..., L) -> (2C, ..., L/2).
 
-    out[2c][t] = x[c][2t] and out[2c+1][t] = x[c][2t+1]; no arithmetic.
+    out[2c][..., t] = x[c][..., 2t] and out[2c+1][..., t] = x[c][..., 2t+1];
+    no arithmetic.
     """
     x = np.asarray(x, dtype=np.float64)
-    c, length = x.shape[-2], x.shape[-1]
+    c, mid, length = x.shape[0], x.shape[1:-1], x.shape[-1]
     if length % 2 != 0:
         raise ValueError("time length must be even to down-sample")
-    y = x.reshape(x.shape[:-2] + (c, length // 2, 2))
-    y = np.swapaxes(y, -1, -2)
-    return np.ascontiguousarray(y).reshape(x.shape[:-2] + (2 * c, length // 2))
+    y = np.moveaxis(x.reshape((c,) + mid + (length // 2, 2)), -1, 1)
+    return np.ascontiguousarray(y).reshape((2 * c,) + mid + (length // 2,))
 
 
 def invertible_upsample(x):
-    """Exact inverse of invertible_downsample: (..., 2C, L) -> (..., C, 2L)."""
+    """Exact inverse of invertible_downsample: (2C, ..., L) -> (C, ..., 2L)."""
     x = np.asarray(x, dtype=np.float64)
-    c2, length = x.shape[-2], x.shape[-1]
+    c2, mid, length = x.shape[0], x.shape[1:-1], x.shape[-1]
     if c2 % 2 != 0:
         raise ValueError("channel count must be even to up-sample")
-    y = x.reshape(x.shape[:-2] + (c2 // 2, 2, length))
-    y = np.swapaxes(y, -1, -2)
-    return np.ascontiguousarray(y).reshape(x.shape[:-2] + (c2 // 2, 2 * length))
+    y = np.moveaxis(x.reshape((c2 // 2, 2) + mid + (length,)), 1, -1)
+    return np.ascontiguousarray(y).reshape((c2 // 2,) + mid + (2 * length,))
 
 
 def coupling_forward(a, b, predictor):
-    """Additive coupling step: (a, b) -> (b, a + predictor(b))."""
+    """Additive coupling step: (a, b) -> (b, a + predictor(b)).
+
+    Layout-agnostic; the transform calls it on (C, B, L) branches.
+    """
     t = predictor(b)
     if np.shape(t) != np.shape(b):
         raise ValueError(f"predictor changed shape {np.shape(b)} -> {np.shape(t)}")
@@ -213,18 +215,18 @@ class CouplingBlock:
             conv.update_spectral_state(iters)
 
 
-def _down_cf(x):
-    """(C, B, L) -> (2C, B, L/2), channels-first twin of invertible_downsample."""
-    c, b, l = x.shape
-    y = np.moveaxis(x.reshape(c, b, l // 2, 2), 3, 1)
-    return np.ascontiguousarray(y).reshape(2 * c, b, l // 2)
+def _predictor(block, caches):
+    """``block`` as a coupling predictor.
 
-
-def _up_cf(x):
-    """(2C, B, L) -> (C, B, 2L), exact inverse of _down_cf."""
-    c2, b, l = x.shape
-    y = np.moveaxis(x.reshape(c2 // 2, 2, b, l), 1, 3)
-    return np.ascontiguousarray(y).reshape(c2 // 2, b, 2 * l)
+    Each evaluation's layer caches are appended to ``caches``, or dropped at
+    once when ``caches`` is None (inference keeps no training state).
+    """
+    def predict(v):
+        y, cache = block.forward(v)
+        if caches is not None:
+            caches.append(cache)
+        return y
+    return predict
 
 
 class LiftingTransform:
@@ -256,104 +258,89 @@ class LiftingTransform:
         self.check_length(t)
         return self.config.merged_channels, t // self.config.time_divisor
 
-    # -- forward / inverse ------------------------------------------------
+    def _merge(self, a, b, lead):
+        """(C, B, M) branches -> (..., 2C, M) channels-second feature."""
+        phi = np.ascontiguousarray(np.moveaxis(np.concatenate([a, b], axis=0), 0, 1))
+        return phi.reshape(lead + phi.shape[1:])
 
-    def forward_with_cache(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        self.check_length(x.shape[-1])
-        lead = x.shape[:-1]
-        xb = x.reshape(-1, x.shape[-1])
-        shape = (self.config.base_channels, xb.shape[0], xb.shape[1] // 2)
-        a = np.zeros(shape)
-        b = np.zeros(shape)
-        a[0] = xb[:, 0::2]
-        b[0] = xb[:, 1::2]
-        caches = []
-        for j, block in enumerate(self.blocks, start=1):
-            if j >= 2:
-                a = _down_cf(a)
-                b = _down_cf(b)
-            t, c = block.forward(b)
-            caches.append(c)
-            a, b = b, a + t
-        phi_cf = np.concatenate([a, b], axis=0)
-        phi = np.ascontiguousarray(np.moveaxis(phi_cf, 0, 1))
-        return phi.reshape(lead + phi.shape[1:]), caches
-
-    def forward(self, x):
-        phi, _ = self.forward_with_cache(x)
-        return phi
-
-    def inverse_with_cache(self, phi):
+    def _unmerge(self, phi):
+        """(..., 2C, M) feature -> (C, B, M) branch views and the lead shape."""
         phi = np.asarray(phi, dtype=np.float64)
         c = phi.shape[-2]
         if c != self.config.merged_channels:
             raise ValueError(
                 f"feature has {c} channels, transform expects {self.config.merged_channels}")
-        lead = phi.shape[:-2]
         pb = phi.reshape((-1,) + phi.shape[-2:])
         phi_cf = np.ascontiguousarray(np.moveaxis(pb, 1, 0))
-        half = c // 2
-        a = phi_cf[:half]
-        b = phi_cf[half:]
-        caches = [None] * len(self.blocks)
-        for j in range(len(self.blocks), 0, -1):
-            t, bc = self.blocks[j - 1].forward(a)
-            caches[j - 1] = bc
-            a, b = b - t, a
+        return phi_cf[:c // 2], phi_cf[c // 2:], phi.shape[:-2]
+
+    # -- forward / inverse ------------------------------------------------
+
+    def _analysis(self, x, caches):
+        x = np.asarray(x, dtype=np.float64)
+        self.check_length(x.shape[-1])
+        a, b = split(x.reshape(-1, x.shape[-1]), self.config.base_channels)
+        for j, block in enumerate(self.blocks, start=1):
             if j >= 2:
-                a = _up_cf(a)
-                b = _up_cf(b)
-        x = np.empty((a.shape[1], 2 * a.shape[2]))
-        x[:, 0::2] = a[0]
-        x[:, 1::2] = b[0]
-        return x.reshape(lead + x.shape[1:]), caches
+                a, b = invertible_downsample(a), invertible_downsample(b)
+            a, b = coupling_forward(a, b, _predictor(block, caches))
+        return self._merge(a, b, x.shape[:-1])
+
+    def forward_with_cache(self, x):
+        """Feature plus the per-stage predictor caches the VJPs need."""
+        caches = []
+        return self._analysis(x, caches), caches
+
+    def forward(self, x):
+        return self._analysis(x, None)
+
+    def _synthesis(self, phi, caches):
+        a, b, lead = self._unmerge(phi)
+        for j in range(len(self.blocks), 0, -1):
+            a, b = coupling_inverse(a, b, _predictor(self.blocks[j - 1], caches))
+            if j >= 2:
+                a, b = invertible_upsample(a), invertible_upsample(b)
+        x = split_inverse(a, b)
+        return x.reshape(lead + x.shape[1:])
+
+    def inverse_with_cache(self, phi):
+        """Waveform plus the per-stage predictor caches, indexed by stage."""
+        caches = []
+        x = self._synthesis(phi, caches)
+        return x, caches[::-1]
 
     def inverse(self, phi):
-        x, _ = self.inverse_with_cache(phi)
-        return x
+        return self._synthesis(phi, None)
 
     # -- vector-Jacobian products ------------------------------------------
-    # Parameter gradients accumulate into the conv Parameters; both VJPs can
-    # run in one step (shared predictors) and their contributions add up.
+    # The transpose of an additive coupling is again an additive coupling,
+    # with the predictor's VJP in place of the predictor, so the VJPs walk
+    # the stages backwards through the same structural helpers. Parameter
+    # gradients accumulate into the conv Parameters; both VJPs can run in one
+    # step (shared predictors) and their contributions add up.
 
     def forward_vjp(self, caches, grad_phi):
-        grad_phi = np.asarray(grad_phi, dtype=np.float64)
-        lead = grad_phi.shape[:-2]
-        gp = grad_phi.reshape((-1,) + grad_phi.shape[-2:])
-        g_cf = np.ascontiguousarray(np.moveaxis(gp, 1, 0))
-        half = self.config.merged_channels // 2
-        ga = g_cf[:half]
-        gb = g_cf[half:]
+        ga, gb, lead = self._unmerge(grad_phi)
         for j in range(len(self.blocks), 0, -1):
             # stage output was (a', b') = (b, a + F(b))
-            ga, gb = gb, ga + self.blocks[j - 1].backward(caches[j - 1], gb)
+            block, cache = self.blocks[j - 1], caches[j - 1]
+            ga, gb = coupling_forward(ga, gb, lambda g: block.backward(cache, g))
             if j >= 2:
-                ga = _up_cf(ga)
-                gb = _up_cf(gb)
-        gx = np.empty((ga.shape[1], 2 * ga.shape[2]))
-        gx[:, 0::2] = ga[0]
-        gx[:, 1::2] = gb[0]
+                ga, gb = invertible_upsample(ga), invertible_upsample(gb)
+        gx = split_inverse(ga, gb)
         return gx.reshape(lead + gx.shape[1:])
 
     def inverse_vjp(self, caches, grad_x):
         grad_x = np.asarray(grad_x, dtype=np.float64)
-        lead = grad_x.shape[:-1]
-        gb2 = grad_x.reshape(-1, grad_x.shape[-1])
-        shape = (self.config.base_channels, gb2.shape[0], gb2.shape[1] // 2)
-        ga = np.zeros(shape)
-        gb = np.zeros(shape)
-        ga[0] = gb2[:, 0::2]
-        gb[0] = gb2[:, 1::2]
+        ga, gb = split(grad_x.reshape(-1, grad_x.shape[-1]), self.config.base_channels)
         for j in range(1, len(self.blocks) + 1):
             if j >= 2:
-                ga = _down_cf(ga)
-                gb = _down_cf(gb)
-            # stage output was (a, b) = (b' - F(a'), a')
-            ga, gb = gb + self.blocks[j - 1].backward(caches[j - 1], -ga), ga
-        g_cf = np.concatenate([ga, gb], axis=0)
-        gphi = np.ascontiguousarray(np.moveaxis(g_cf, 0, 1))
-        return gphi.reshape(lead + gphi.shape[1:])
+                ga, gb = invertible_downsample(ga), invertible_downsample(gb)
+            # stage output was (a, b) = (b' - F(a'), a'); F's output entered
+            # negated, so its parameter gradients are taken at -g
+            block, cache = self.blocks[j - 1], caches[j - 1]
+            ga, gb = coupling_inverse(ga, gb, lambda g: -block.backward(cache, -g))
+        return self._merge(ga, gb, grad_x.shape[:-1])
 
     # -- parameter plumbing -------------------------------------------------
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .layers import Activation, Conv2d, Deconv2d, InstanceNorm2d
 from .numerics import Rng, pad_to_multiple
-from .objective import si_sdr_improvement
 from .stft import (Spectrogram, istft, istft_vjp, log_magnitude_feature,
                    stft_forward)
 
@@ -24,9 +23,9 @@ __all__ = [
     "BinaryMaskSpec",
     "binary_mask_generate",
     "MaskEstimator",
-    "estimate_mask",
-    "apply_mask",
+    "EstimatorCache",
     "EnhancementPipeline",
+    "EnhanceCache",
 ]
 
 NORM_KINDS = ("none", "instance", "spectral")
@@ -63,18 +62,22 @@ def binary_mask_generate(spec, n_frames):
     return mask
 
 
-def apply_mask(feature, mask):
-    """Elementwise product of equal-shape arrays."""
-    feature = np.asarray(feature, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if feature.shape != mask.shape:
-        raise ValueError(f"shape mismatch: feature {feature.shape}, mask {mask.shape}")
-    return feature * mask
-
-
 # ---------------------------------------------------------------------------
 # mask estimator
 # ---------------------------------------------------------------------------
+
+@dataclass
+class EstimatorCache:
+    """Layer caches of one MaskEstimator.forward_with_cache call."""
+
+    encoder: list        # per encoder stage: (conv, norm, activation) caches
+    decoder: list        # per decoder stage, in run order
+    head: tuple
+    sigmoid: np.ndarray
+    cat_channels: dict   # decoder index -> channels before its skip concat
+    out_shape: tuple     # (H, W) of the unpadded feature
+    img_shape: tuple     # shape of the padded one-channel image
+
 
 class MaskEstimator:
     """Strided-conv encoder / mirrored deconv decoder with skip concatenation.
@@ -127,7 +130,26 @@ class MaskEstimator:
     def total_stride(self):
         return 2 ** self.depth
 
-    def forward_with_cache(self, feature):
+    def _stage(self, conv, nrm, h, caches):
+        """conv -> optional norm -> leaky ReLU; appends the three layer caches
+        to ``caches``, or drops them when it is None."""
+        h, c1 = conv.forward(h)
+        c2 = None
+        if nrm is not None:
+            h, c2 = nrm.forward(h)
+        h, c3 = self.act.forward(h)
+        if caches is not None:
+            caches.append((c1, c2, c3))
+        return h
+
+    def _stage_backward(self, conv, nrm, caches, g):
+        c1, c2, c3 = caches
+        g = self.act.backward(c3, g)
+        if nrm is not None:
+            g = nrm.backward(c2, g)
+        return conv.backward(c1, g)
+
+    def _run(self, feature, keep):
         feature = np.asarray(feature, dtype=np.float64)
         h0, w0 = feature.shape[-2], feature.shape[-1]
         img = feature[..., None, :, :]
@@ -136,28 +158,18 @@ class MaskEstimator:
         img, _ = pad_to_multiple(img, self.total_stride)
         img = np.moveaxis(img, -1, -2)
 
+        enc_caches = [] if keep else None
+        dec_caches = [] if keep else None
         h = img
-        enc_caches = []
         skips = []
         for conv, nrm in zip(self.enc_convs, self.enc_norms):
-            h, c1 = conv.forward(h)
-            c2 = None
-            if nrm is not None:
-                h, c2 = nrm.forward(h)
-            h, c3 = self.act.forward(h)
-            enc_caches.append((c1, c2, c3))
+            h = self._stage(conv, nrm, h, enc_caches)
             skips.append(h)
 
-        dec_caches = []
         cat_channels = {}
         for idx, (conv, nrm) in enumerate(zip(self.dec_convs, self.dec_norms)):
             stage = self.depth - 1 - idx
-            h, c1 = conv.forward(h)
-            c2 = None
-            if nrm is not None:
-                h, c2 = nrm.forward(h)
-            h, c3 = self.act.forward(h)
-            dec_caches.append((c1, c2, c3))
+            h = self._stage(conv, nrm, h, dec_caches)
             if stage >= 1:
                 cat_channels[idx] = h.shape[-3]
                 h = np.concatenate([h, skips[stage - 1]], axis=-3)
@@ -165,47 +177,44 @@ class MaskEstimator:
         h, head_cache = self.head.forward(h)
         mask_img, sig_cache = self.sigmoid.forward(h)
         mask = mask_img[..., 0, :h0, :w0]
-        cache = (enc_caches, dec_caches, head_cache, sig_cache,
-                 cat_channels, (h0, w0), img.shape)
-        return mask, cache
+        if not keep:
+            return mask, None
+        return mask, EstimatorCache(enc_caches, dec_caches, head_cache, sig_cache,
+                                    cat_channels, (h0, w0), img.shape)
+
+    def forward_with_cache(self, feature):
+        """Mask plus the EstimatorCache that ``backward`` needs."""
+        return self._run(feature, keep=True)
 
     def forward(self, feature):
-        mask, _ = self.forward_with_cache(feature)
+        """Same-shape mask in (0, 1); keeps no training caches."""
+        mask, _ = self._run(feature, keep=False)
         return mask
 
     def backward(self, cache, grad_mask):
-        (enc_caches, dec_caches, head_cache, sig_cache,
-         cat_channels, (h0, w0), img_shape) = cache
+        h0, w0 = cache.out_shape
         grad_mask = np.asarray(grad_mask, dtype=np.float64)
-        g_img = np.zeros(grad_mask.shape[:-2] + (1,) + img_shape[-2:])
+        g_img = np.zeros(grad_mask.shape[:-2] + (1,) + cache.img_shape[-2:])
         g_img[..., 0, :h0, :w0] = grad_mask
 
-        g = self.sigmoid.backward(sig_cache, g_img)
-        g = self.head.backward(head_cache, g)
+        g = self.sigmoid.backward(cache.sigmoid, g_img)
+        g = self.head.backward(cache.head, g)
 
         skip_grads = [None] * self.depth
         for idx in range(self.depth - 1, -1, -1):
             stage = self.depth - 1 - idx
-            conv, nrm = self.dec_convs[idx], self.dec_norms[idx]
-            c1, c2, c3 = dec_caches[idx]
             if stage >= 1:
-                nc = cat_channels[idx]
+                nc = cache.cat_channels[idx]
                 skip_grads[stage - 1] = g[..., nc:, :, :]
                 g = g[..., :nc, :, :]
-            g = self.act.backward(c3, g)
-            if nrm is not None:
-                g = nrm.backward(c2, g)
-            g = conv.backward(c1, g)
+            g = self._stage_backward(self.dec_convs[idx], self.dec_norms[idx],
+                                     cache.decoder[idx], g)
 
         for stage in range(self.depth - 1, -1, -1):
-            conv, nrm = self.enc_convs[stage], self.enc_norms[stage]
-            c1, c2, c3 = enc_caches[stage]
             if skip_grads[stage] is not None:
                 g = g + skip_grads[stage]
-            g = self.act.backward(c3, g)
-            if nrm is not None:
-                g = nrm.backward(c2, g)
-            g = conv.backward(c1, g)
+            g = self._stage_backward(self.enc_convs[stage], self.enc_norms[stage],
+                                     cache.encoder[stage], g)
 
         return g[..., 0, :h0, :w0]
 
@@ -236,16 +245,24 @@ class MaskEstimator:
             conv.update_spectral_state(iters)
 
 
-def estimate_mask(net, feature):
-    """Run the estimator; output shape equals input shape, values in (0, 1)."""
-    return net.forward(feature)
-
-
 # ---------------------------------------------------------------------------
 # end-to-end pipelines
 # ---------------------------------------------------------------------------
 
 MASK_SOURCES = ("binary", "estimator", "ones")
+
+
+@dataclass
+class EnhanceCache:
+    """What EnhancementPipeline.backward needs from one enhance_training call."""
+
+    mask: np.ndarray          # the applied mask, feature-shaped
+    feature: object           # lifting feature phi, or the STFT Spectrogram
+    length: int               # input length before any padding
+    estimator: EstimatorCache = None   # set when the mask is estimated
+    forward: list = None      # lifting: per-stage analysis caches
+    inverse: list = None      # lifting: per-stage synthesis caches
+    padded_shape: tuple = None  # lifting: input shape after time_divisor padding
 
 
 class EnhancementPipeline:
@@ -283,72 +300,81 @@ class EnhancementPipeline:
 
     def enhance(self, x):
         """Estimate the target and the residual; both match x in length."""
-        s_hat, _ = self.enhance_training(x)
         x = np.asarray(x, dtype=np.float64)
+        s_hat, _ = self._run(x, keep=False)
         return s_hat, x - s_hat
 
     def enhance_training(self, x):
+        """Estimated target plus the EnhanceCache that ``backward`` needs."""
+        return self._run(x, keep=True)
+
+    def _run(self, x, keep):
         x = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite input signal")
         if self.kind == "lifting":
-            return self._enhance_lifting(x)
-        return self._enhance_stft(x)
+            return self._enhance_lifting(x, keep)
+        return self._enhance_stft(x, keep)
 
     def _mask_2d(self, n_channels, n_frames):
         if self.mask_source == "ones":
             return np.ones((n_channels, n_frames))
         return binary_mask_generate(self.binary_spec, n_frames)
 
-    def _enhance_lifting(self, x):
-        padded, t0 = pad_to_multiple(x, self.transform.config.time_divisor)
-        phi, fwd_cache = self.transform.forward_with_cache(padded)
+    def _estimate(self, feature, keep):
+        net = self.estimator
+        return net.forward_with_cache(feature) if keep else (net.forward(feature), None)
+
+    def _enhance_lifting(self, x, keep):
+        tf = self.transform
+        padded, t0 = pad_to_multiple(x, tf.config.time_divisor)
+        phi, fwd_cache = tf.forward_with_cache(padded) if keep else (tf.forward(padded), None)
         est_cache = None
         if self.mask_source == "estimator":
-            mask, est_cache = self.estimator.forward_with_cache(phi)
+            mask, est_cache = self._estimate(phi, keep)
         else:
             mask = self._mask_2d(phi.shape[-2], phi.shape[-1])
         masked = phi * mask
-        y, inv_cache = self.transform.inverse_with_cache(masked)
+        y, inv_cache = tf.inverse_with_cache(masked) if keep else (tf.inverse(masked), None)
         s_hat = y[..., :t0]
-        cache = ("lifting", fwd_cache, inv_cache, est_cache, phi, mask,
-                 padded.shape, t0)
-        return s_hat, cache
+        if not keep:
+            return s_hat, None
+        return s_hat, EnhanceCache(mask, phi, t0, est_cache, fwd_cache, inv_cache,
+                                   padded.shape)
 
-    def _enhance_stft(self, x):
+    def _enhance_stft(self, x, keep):
         t0 = x.shape[-1]
         spec = stft_forward(x, self.stft_config)
         est_cache = None
         if self.mask_source == "estimator":
-            psi = log_magnitude_feature(spec)
-            mask, est_cache = self.estimator.forward_with_cache(psi)
+            mask, est_cache = self._estimate(log_magnitude_feature(spec), keep)
         else:
             mask = self._mask_2d(self.stft_config.n_bins, spec.n_frames)
         masked = Spectrogram(spec.real * mask, spec.imag * mask)
         s_hat = istft(masked, self.stft_config, t0)
-        cache = ("stft", spec, est_cache, mask, t0)
-        return s_hat, cache
+        if not keep:
+            return s_hat, None
+        return s_hat, EnhanceCache(mask, spec, t0, est_cache)
 
     # -- training backward ----------------------------------------------------
 
     def backward(self, cache, grad_s_hat):
         """Accumulate parameter gradients for d(loss)/d(s_hat)."""
-        if cache[0] == "lifting":
-            _, fwd_cache, inv_cache, est_cache, phi, mask, padded_shape, t0 = cache
-            grad_y = np.zeros(padded_shape)
-            grad_y[..., :t0] = grad_s_hat
-            grad_masked = self.transform.inverse_vjp(inv_cache, grad_y)
-            grad_phi = mask * grad_masked
-            if est_cache is not None:
-                grad_mask = phi * grad_masked
-                grad_phi = grad_phi + self.estimator.backward(est_cache, grad_mask)
-            self.transform.forward_vjp(fwd_cache, grad_phi)
+        if self.kind == "lifting":
+            grad_y = np.zeros(cache.padded_shape)
+            grad_y[..., :cache.length] = grad_s_hat
+            grad_masked = self.transform.inverse_vjp(cache.inverse, grad_y)
+            grad_phi = cache.mask * grad_masked
+            if cache.estimator is not None:
+                grad_mask = cache.feature * grad_masked
+                grad_phi = grad_phi + self.estimator.backward(cache.estimator, grad_mask)
+            self.transform.forward_vjp(cache.forward, grad_phi)
             return
-        _, spec, est_cache, mask, t0 = cache
-        gspec = istft_vjp(grad_s_hat, self.stft_config, spec.n_frames, t0)
-        if est_cache is not None:
+        spec = cache.feature
+        gspec = istft_vjp(grad_s_hat, self.stft_config, spec.n_frames, cache.length)
+        if cache.estimator is not None:
             grad_mask = gspec.real * spec.real + gspec.imag * spec.imag
-            self.estimator.backward(est_cache, grad_mask)
+            self.estimator.backward(cache.estimator, grad_mask)
 
     # -- parameter plumbing ----------------------------------------------------
 
@@ -393,14 +419,3 @@ class EnhancementPipeline:
                 raise ValueError(f"checkpoint shape mismatch for {name}: "
                                  f"{incoming.shape} vs {arr.shape}")
             arr[...] = incoming
-
-    # -- evaluation helper -------------------------------------------------
-
-    def metric_improvement(self, clean, mixture):
-        """Mean SI-SDR improvement of this pipeline over given pairs."""
-        s_hat, _ = self.enhance(mixture)
-        if mixture.ndim == 1:
-            return si_sdr_improvement(clean, s_hat, mixture)
-        vals = [si_sdr_improvement(clean[i], s_hat[i], mixture[i])
-                for i in range(mixture.shape[0])]
-        return float(np.mean(vals))

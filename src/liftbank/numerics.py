@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "Rng",
-    "seeded_fill_uniform",
     "finite_difference_gradient",
     "pad_to_multiple",
 ]
@@ -72,20 +71,6 @@ class Rng:
     def fork(self):
         """Independent child stream seeded from this one."""
         return Rng(int(self.raw(1)[0]))
-
-
-def seeded_fill_uniform(rng, shape, lo, hi):
-    """Fill a tensor of the given shape with uniform draws from [lo, hi).
-
-    The stream is fully determined by the rng state, so identical seeds give
-    identical tensors.
-    """
-    shape = tuple(int(d) for d in np.atleast_1d(shape))
-    if len(shape) == 0 or any(d <= 0 for d in shape):
-        raise ValueError("zero-size tensor")
-    if not lo < hi:
-        raise ValueError(f"empty range [{lo}, {hi})")
-    return rng.uniform(shape, lo, hi)
 
 
 def finite_difference_gradient(f, x, h=1e-5):

@@ -83,6 +83,22 @@ def _term_stats(u, v, eps):
     return db, num, den
 
 
+def _residual_term(s_hat, x, n, beta, eps):
+    """The loss's residual term: tanh(SDR(x - s_hat, n) / beta) per sample,
+    and the gradient of its clipped SDR with respect to the residual x - s_hat.
+
+    The loss is -0.5 times the mean of the clipped terms, so this gradient
+    enters d(loss)/d(s_hat) negated and d(loss)/d(x) as it is.
+    """
+    resid = x - s_hat
+    t2, num2, den2 = _term_stats(resid, n, eps)
+    th2 = np.tanh(t2 / beta)
+    c = 20.0 / _LOG10
+    grad = (1.0 - th2 * th2)[..., None] * (
+        c * (resid / num2[..., None] - (resid - n) / den2[..., None]))
+    return th2, grad
+
+
 def sdr_loss(s_hat, s, x, n, cfg=None):
     """Negated clipped two-term SDR quality score, averaged over the batch."""
     loss, _ = sdr_loss_and_grad(s_hat, s, x, n, cfg)
@@ -115,21 +131,17 @@ def sdr_loss_and_grad(s_hat, s, x, n, cfg=None):
     # loss, so the intermediate overflow warnings are just noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t1, num1, den1 = _term_stats(s_hat, s, eps)
-        resid = x - s_hat
-        t2, num2, den2 = _term_stats(resid, n, eps)
-
         th1 = np.tanh(t1 / beta)
-        th2 = np.tanh(t2 / beta)
+        th2, grad_resid = _residual_term(s_hat, x, n, beta, eps)
         per_sample = -0.5 * (beta * th1 + beta * th2)
         count = per_sample.size
         loss = float(per_sample.mean())
 
         c = 20.0 / _LOG10
         dt1 = c * (s_hat / num1[..., None] - (s_hat - s) / den1[..., None])
-        dt2 = -c * (resid / num2[..., None] - (resid - n) / den2[..., None])
         g1 = (1.0 - th1 * th1)[..., None] * dt1
-        g2 = (1.0 - th2 * th2)[..., None] * dt2
-        grad = -0.5 * (g1 + g2) / count
+        # the residual x - s_hat falls as s_hat rises
+        grad = -0.5 * (g1 - grad_resid) / count
     return loss, grad
 
 

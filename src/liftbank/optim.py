@@ -39,10 +39,6 @@ class Adam:
         self._m = [np.zeros_like(p.data) for _, p in self.params]
         self._v = [np.zeros_like(p.data) for _, p in self.params]
 
-    def zero_grad(self):
-        for _, p in self.params:
-            p.zero_grad()
-
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
@@ -109,7 +105,7 @@ def _evaluate(pipeline, triples, loss_cfg):
     losses = []
     improvements = []
     for triple in triples:
-        s_hat, _ = pipeline.enhance_training(triple.mixture)
+        s_hat, _ = pipeline.enhance(triple.mixture)
         loss, _ = sdr_loss_and_grad(s_hat, triple.clean, triple.mixture,
                                     triple.noise, loss_cfg)
         losses.append(loss)

@@ -12,7 +12,7 @@ import numpy as np
 from .lifting import LiftingConfig, LiftingTransform
 from .masking import EnhancementPipeline
 from .numerics import Rng
-from .objective import LossConfig, sdr_loss_and_grad
+from .objective import LossConfig, _residual_term, sdr_loss_and_grad
 from .stft import StftConfig, istft, stft_forward
 
 __all__ = [
@@ -114,31 +114,18 @@ def gradient_suite(seed=0, corrupt=False, h=1e-5, include_input=True):
             numeric[i] = (fp - fm) / (2.0 * h)
         pipeline.zero_grad()
         s_hat, cache = pipeline.enhance_training(mixture)
-        loss, grad_out = sdr_loss_and_grad(s_hat, clean, mixture, noise, loss_cfg)
+        _, grad_out = sdr_loss_and_grad(s_hat, clean, mixture, noise, loss_cfg)
         # d loss / d mixture has a direct term (x enters the loss residual)
         # plus the path through the transform
-        _, fwd_cache, inv_cache, _, _, mask, padded_shape, t0 = cache
-        grad_y = np.zeros(padded_shape)
-        grad_y[..., :t0] = grad_out
-        grad_masked = transform.inverse_vjp(inv_cache, grad_y)
-        analytic = transform.forward_vjp(fwd_cache, mask * grad_masked)[..., :t0]
-        analytic = analytic + _loss_direct_mixture_grad(
-            s_hat, clean, mixture, noise, loss_cfg)
+        grad_y = np.zeros(cache.padded_shape)
+        grad_y[..., :cache.length] = grad_out
+        grad_masked = transform.inverse_vjp(cache.inverse, grad_y)
+        analytic = transform.forward_vjp(cache.forward, cache.mask * grad_masked)
+        th2, grad_resid = _residual_term(s_hat, mixture, noise, loss_cfg.beta_clip,
+                                         loss_cfg.eps)
+        analytic = analytic[..., :cache.length] - 0.5 * grad_resid / th2.size
         worst = max(worst, relative_error(analytic, numeric))
     return worst
-
-
-def _loss_direct_mixture_grad(s_hat, clean, mixture, noise, cfg):
-    """Partial derivative of the loss in its explicit mixture argument."""
-    beta, eps = cfg.beta_clip, cfg.eps
-    resid = mixture - s_hat
-    num = np.sum(resid * resid, axis=-1) + eps
-    den = np.sum((resid - noise) ** 2, axis=-1) + eps
-    t2 = (10.0 / np.log(10.0)) * (np.log(num) - np.log(den))
-    th2 = np.tanh(t2 / beta)
-    dt2 = (20.0 / np.log(10.0)) * (resid / num - (resid - noise) / den)
-    count = int(np.asarray(t2).size)
-    return -0.5 * (1.0 - th2 * th2) * dt2 / count
 
 
 def stft_reconstruction_suite(cfg=None, lengths=(129, 512, 2048, 16000), seed=0,

@@ -149,6 +149,11 @@ class TestEnhanceCommand:
         mask = np.loadtxt(mask_csv, delimiter=",")
         assert mask.shape[0] == 64  # merged channels for 4 stages: 2 * 4 * 2**3
         assert set(np.unique(mask)) <= {0.0, 1.0}
+        # exporting the mask does not change the enhanced audio
+        assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "plain.wav"),
+                     "--config", str(cfg),
+                     "--checkpoint", str(tmp_path / "run" / "checkpoint_best.ckpt")]) == 0
+        assert (tmp_path / "out.wav").read_bytes() == (tmp_path / "plain.wav").read_bytes()
 
 
 class TestCheckCommand:

@@ -1,11 +1,13 @@
 """Masks, the estimator network, and the end-to-end pipelines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from liftbank.lifting import LiftingConfig, LiftingTransform
 from liftbank.masking import (BinaryMaskSpec, EnhancementPipeline, MaskEstimator,
-                              apply_mask, binary_mask_generate, estimate_mask)
+                              binary_mask_generate)
 from liftbank.numerics import Rng
 from liftbank.objective import LossConfig, sdr_loss, sdr_loss_and_grad
 from liftbank.stft import StftConfig
@@ -47,27 +49,25 @@ class TestBinaryMask:
 
 
 class TestApplyMask:
+    """Mask application is the elementwise product ``feature * mask``."""
+
     def test_ones_identity(self):
         feat = Rng(0).normal((4, 5))
-        np.testing.assert_array_equal(apply_mask(feat, np.ones((4, 5))), feat)
+        np.testing.assert_array_equal(feat * np.ones((4, 5)), feat)
 
     def test_zeros(self):
         feat = Rng(1).normal((4, 5))
-        assert np.all(apply_mask(feat, np.zeros((4, 5))) == 0.0)
+        assert np.all(feat * np.zeros((4, 5)) == 0.0)
 
     def test_elementwise(self):
-        out = apply_mask(np.array([[2.0, 3.0]]), np.array([[0.0, 1.0]]))
+        out = np.array([[2.0, 3.0]]) * np.array([[0.0, 1.0]])
         np.testing.assert_array_equal(out, [[0.0, 3.0]])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            apply_mask(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 class TestMaskEstimator:
     def test_output_in_open_unit_interval(self):
         net = MaskEstimator(depth=3, base_channels=4, rng=Rng(2))
-        mask = estimate_mask(net, Rng(3).normal((40, 24)))
+        mask = net.forward(Rng(3).normal((40, 24)))
         assert np.all(mask > 0.0) and np.all(mask < 1.0)
 
     def test_shape_preserved_awkward_sizes(self):
@@ -217,7 +217,7 @@ class TestEnhancementPipeline:
         pipe = lifting_pipeline("estimator", seed=30, num_stages=3)
         x = Rng(31).normal((256,))
         _, cache = pipe.enhance_training(x)
-        mask = cache[5]
+        mask = cache.mask
         assert np.all(mask > 0.0) and np.all(mask < 1.0)
 
     def test_binary_on_stft_needs_explicit_spec(self):
@@ -245,6 +245,52 @@ class TestEnhancementPipeline:
         bad[first] = np.zeros((1, 1))
         with pytest.raises(ValueError, match="shape"):
             pipe.load_state_dict(bad)
+
+    @pytest.mark.parametrize("kind,mask_source", [
+        ("lifting", "binary"), ("lifting", "estimator"),
+        ("stft", "estimator"), ("stft", "ones")])
+    def test_enhance_matches_training_path_bitwise(self, kind, mask_source):
+        if kind == "lifting":
+            pipe = lifting_pipeline(mask_source, seed=34, num_stages=4)
+        else:
+            estimator = (MaskEstimator(depth=2, base_channels=4, rng=Rng(35))
+                         if mask_source == "estimator" else None)
+            pipe = EnhancementPipeline(stft_config=StftConfig(), mask_source=mask_source,
+                                       estimator=estimator)
+        if pipe.estimator is not None:
+            # a non-zero head, so the mask depends on every estimator layer
+            head = pipe.estimator.head
+            head.weight.data[...] = Rng(36).uniform(head.weight.shape, -1.0, 1.0)
+            head.bias.data[...] = 0.25
+        x = Rng(37).normal((2, 1000))
+        s_hat, _ = pipe.enhance(x)
+        s_train, _ = pipe.enhance_training(x)
+        np.testing.assert_array_equal(s_hat, s_train)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes allocated while fn runs, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestInferenceMemory:
+    def test_enhance_builds_no_training_caches(self):
+        """Inference on the lifting/estimator pipeline keeps no layer caches:
+        its peak stays well below the training path's on a 2 s input."""
+        pipe = EnhancementPipeline(transform=LiftingTransform(LiftingConfig(), Rng(38)),
+                                   mask_source="estimator",
+                                   estimator=MaskEstimator(rng=Rng(39)))
+        x = Rng(40).normal((32000,))
+        peak_enhance = _traced_peak(pipe.enhance, x)
+        peak_training = _traced_peak(pipe.enhance_training, x)
+        assert peak_enhance < 0.75 * peak_training
 
 
 class TestPipelineTrainingGradients:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from liftbank.layers import Activation, Conv1d
-from liftbank.numerics import (Rng, finite_difference_gradient, pad_to_multiple,
-                               seeded_fill_uniform)
+from liftbank.numerics import Rng, finite_difference_gradient, pad_to_multiple
 
 
 def _splitmix64_reference(seed, n):
@@ -62,31 +61,23 @@ class TestRng:
 
 
 class TestSeededFillUniform:
+    """Seeded uniform fills, drawn through Rng.uniform."""
+
     def test_same_seed_identical(self):
-        a = seeded_fill_uniform(Rng(7), [2, 2], 0.0, 1.0)
-        b = seeded_fill_uniform(Rng(7), [2, 2], 0.0, 1.0)
+        a = Rng(7).uniform([2, 2], 0.0, 1.0)
+        b = Rng(7).uniform([2, 2], 0.0, 1.0)
         np.testing.assert_array_equal(a, b)
 
     def test_range_bound(self):
         eps = 1e-6
-        a = seeded_fill_uniform(Rng(7), [4], 0.0, eps)
+        a = Rng(7).uniform([4], 0.0, eps)
         assert np.all(a < eps)
         assert np.all(a >= 0.0)
 
     def test_different_seeds_differ(self):
-        a = seeded_fill_uniform(Rng(7), [64], 0.0, 1.0)
-        b = seeded_fill_uniform(Rng(8), [64], 0.0, 1.0)
+        a = Rng(7).uniform([64], 0.0, 1.0)
+        b = Rng(8).uniform([64], 0.0, 1.0)
         assert np.any(a != b)
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ValueError, match="zero-size tensor"):
-            seeded_fill_uniform(Rng(1), [], 0.0, 1.0)
-        with pytest.raises(ValueError, match="zero-size tensor"):
-            seeded_fill_uniform(Rng(1), [2, 0], 0.0, 1.0)
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError):
-            seeded_fill_uniform(Rng(1), [3], 1.0, 1.0)
 
 
 class TestFiniteDifferenceGradient:
