@@ -58,7 +58,7 @@ def wav_read(path):
                 raise ValueError(f"{path}: 16-bit PCM required")
             rate = fh.getframerate()
             raw = fh.readframes(fh.getnframes())
-    except wave.Error as exc:
+    except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a readable WAV file ({exc})") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM_SCALE
     return WavClip(samples, rate)

@@ -17,6 +17,7 @@ so identical state always serializes to identical bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -27,21 +28,31 @@ __all__ = ["MAGIC", "save_checkpoint", "load_checkpoint"]
 
 
 def save_checkpoint(path, arrays):
-    """Write a mapping of name -> float array to ``path``."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            raw = name.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ValueError(f"parameter name too long: {name!r}")
-            a = np.ascontiguousarray(arr, dtype="<f8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", a.ndim))
-            if a.ndim:
-                fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            fh.write(a.tobytes())
+    """Write a mapping of name -> float array to ``path``.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; a save that fails leaves any earlier file untouched.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                raw = name.encode("utf-8")
+                if len(raw) > 0xFFFF:
+                    raise ValueError(f"parameter name too long: {name!r}")
+                a = np.ascontiguousarray(arr, dtype="<f8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<B", a.ndim))
+                if a.ndim:
+                    fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
+                fh.write(a.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

@@ -223,12 +223,17 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_enhance(args):
+def _load_pipeline(args):
+    """Config and pipeline named by enhance/eval arguments, checkpoint loaded."""
     cfg = load_config(args.config)
-    mask_override = "ones" if args.ones_mask else None
-    pipeline = build_pipeline(cfg, mask_override=mask_override)
+    pipeline = build_pipeline(cfg, mask_override="ones" if args.ones_mask else None)
     if args.checkpoint:
         pipeline.load_state_dict(load_checkpoint(args.checkpoint))
+    return cfg, pipeline
+
+
+def cmd_enhance(args):
+    _, pipeline = _load_pipeline(args)
     clip = wav_read(args.input)
     if args.export_mask:
         s_hat, cache = pipeline.enhance_training(clip.samples)
@@ -267,10 +272,14 @@ def cmd_check(args):
 
 
 def _eval_one(pipeline, clean_path, noisy_path, oracle, export_dir, stft_cfg):
-    clean = wav_read(clean_path)
-    noisy = wav_read(noisy_path)
+    """Score one pair: a MetricReport, or the reason the pair was skipped."""
+    try:
+        clean = wav_read(clean_path)
+        noisy = wav_read(noisy_path)
+    except (ValueError, OSError) as exc:
+        return f"unreadable pair {clean_path} / {noisy_path}: {exc}"
     if clean.samples.shape != noisy.samples.shape:
-        return None
+        return f"length-mismatched pair {clean_path} / {noisy_path}"
     name = Path(noisy_path).stem
     if oracle:
         s_hat = clean.samples
@@ -290,11 +299,7 @@ def _eval_one(pipeline, clean_path, noisy_path, oracle, export_dir, stft_cfg):
 
 
 def cmd_eval(args):
-    cfg = load_config(args.config)
-    mask_override = "ones" if args.ones_mask else None
-    pipeline = build_pipeline(cfg, mask_override=mask_override)
-    if args.checkpoint:
-        pipeline.load_state_dict(load_checkpoint(args.checkpoint))
+    cfg, pipeline = _load_pipeline(args)
     pairs = read_manifest(args.manifest)
     if not pairs:
         raise ConfigError(f"{args.manifest}: empty manifest")
@@ -307,12 +312,11 @@ def cmd_eval(args):
                                    args.export_spectrogram, stft_cfg),
             pairs))
 
-    reports = [r for r in results if r is not None]
+    reports = [r for r in results if isinstance(r, MetricReport)]
     skipped = len(results) - len(reports)
-    for (clean_path, noisy_path), result in zip(pairs, results):
-        if result is None:
-            print(f"warning: skipped length-mismatched pair "
-                  f"{clean_path} / {noisy_path}", file=sys.stderr)
+    for result in results:
+        if not isinstance(result, MetricReport):
+            print(f"warning: skipped {result}", file=sys.stderr)
     with open(args.out, "w") as fh:
         fh.write(MetricReport.CSV_HEADER + "\n")
         for report in reports:

@@ -7,7 +7,9 @@ step (the lifting transform reuses its predictors on the forward and the
 inverse path) sums all contributions; call ``zero_grad`` between steps.
 
 Data is channels-first with arbitrary leading batch axes: 1-D signals are
-``(..., C, L)``, 2-D feature maps ``(..., C, H, W)``.
+``(..., C, L)``, 2-D feature maps ``(..., C, H, W)``. The 2-D layers share one
+strided correlation, ``_correlate``, and its adjoints: Conv2d is the correlation
+and Deconv2d is its input adjoint, ``_correlate_input_adjoint``.
 """
 
 from __future__ import annotations
@@ -296,6 +298,49 @@ def _pair(v):
     return int(a), int(b)
 
 
+def _patches(image, kernel, stride):
+    """im2col of one padded (C, Hp, Wp) image: (Ho * Wo, C * kh * kw)."""
+    win = sliding_window_view(image, kernel, axis=(1, 2))[:, ::stride[0], ::stride[1]]
+    c, ho, wo, kh, kw = win.shape
+    return np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, c * kh * kw)
+
+
+def _correlate(xp, w, stride):
+    """Strided correlation of padded (B, C_in, Hp, Wp) with w (C_out, C_in, kh, kw);
+    im2col one image at a time, so the patches never hold a whole batch."""
+    cout, kernel = w.shape[0], w.shape[2:]
+    ho, wo = ((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
+    w2 = w.reshape(cout, -1)
+    y = np.empty((xp.shape[0], cout, ho * wo))
+    for b, image in enumerate(xp):
+        y[b] = (_patches(image, kernel, stride) @ w2.T).T
+    return y.reshape(-1, cout, ho, wo)
+
+
+def _correlate_weight_adjoint(xp, g, kernel, stride):
+    """Weight gradient (C_out, C_in, kh, kw) of ``_correlate`` for output gradient g."""
+    gw = np.zeros((g.shape[1], xp.shape[1] * kernel[0] * kernel[1]))
+    for image, gb in zip(xp, g):
+        gw += gb.reshape(g.shape[1], -1) @ _patches(image, kernel, stride)
+    return gw.reshape((g.shape[1], xp.shape[1]) + tuple(kernel))
+
+
+def _correlate_input_adjoint(g, w, stride, padding, out_hw):
+    """Input gradient (B, C_in, *out_hw) of ``_correlate`` for output gradient g,
+    with the padding cropped off; one channels-last GEMM and scatter per tap."""
+    cout, cin, kh, kw = w.shape
+    batch, _, ho, wo = g.shape
+    (sh, sw), (ph, pw), (h, wd) = stride, padding, out_hw
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
+    full = np.zeros((batch, h + 2 * ph, wd + 2 * pw, cin))
+    for u in range(kh):
+        for v in range(kw):
+            full[:, u:u + sh * ho:sh, v:v + sw * wo:sw] += (
+                (g2 @ w[:, :, u, v]).reshape(batch, ho, wo, cin))
+    del g2      # release it before the output copy below
+    return np.ascontiguousarray(full[:, ph:ph + h, pw:pw + wd].transpose(0, 3, 1, 2))
+
+
 class Conv2d(_Conv):
     """2-D convolution with per-axis stride and zero padding."""
 
@@ -307,63 +352,39 @@ class Conv2d(_Conv):
         super().__init__(in_channels, out_channels, self.kernel, bias,
                          spectral_norm, rng)
 
-    def out_shape(self, h, w):
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
-        return (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
-
     def forward(self, x):
         xb, lead = _flatten_batch(x, 3)
-        batch, cin, h, w = xb.shape
+        _, cin, h, w = xb.shape
         if cin != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {cin}")
         kh, kw = self.kernel
-        sh, sw = self.stride
         ph, pw = self.padding
         if h + 2 * ph < kh or w + 2 * pw < kw:
             raise ValueError("input smaller than kernel")
         weight, sigma = self._effective_weight()
         xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        ho, wo = win.shape[2], win.shape[3]
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-            batch * ho * wo, cin * kh * kw)
-        y = cols @ weight.reshape(self.out_channels, -1).T
+        y = _correlate(xp, weight, self.stride)
         if self.bias is not None:
-            y += self.bias.data
-        y = y.reshape(batch, ho, wo, self.out_channels).transpose(0, 3, 1, 2)
-        cache = (cols, sigma, lead, batch, (h, w), (ho, wo))
-        return _restore_batch(np.ascontiguousarray(y), lead), cache
+            y += self.bias.data[:, None, None]
+        return _restore_batch(y, lead), (xp, sigma, lead, (h, w))
 
     def backward(self, cache, grad_out):
-        cols, sigma, lead, batch, (h, w), (ho, wo) = cache
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
+        xp, sigma, lead, hw = cache
         g, _ = _flatten_batch(grad_out, 3)
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(
-            batch * ho * wo, self.out_channels)
-        self.weight.grad += (g2.T @ cols).reshape(self.weight.shape) / sigma
+        self.weight.grad += _correlate_weight_adjoint(xp, g, self.kernel, self.stride) / sigma
         if self.bias is not None:
-            self.bias.grad += g2.sum(axis=0)
+            self.bias.grad += g.sum(axis=(0, 2, 3))
         weight, _ = self._effective_weight()
-        gcols = g2 @ weight.reshape(self.out_channels, -1)
-        gwin = gcols.reshape(batch, ho, wo, self.in_channels, kh, kw)
-        gwin = gwin.transpose(0, 3, 1, 2, 4, 5)              # (B, C, Ho, Wo, kh, kw)
-        gxp = np.zeros((batch, self.in_channels, h + 2 * ph, w + 2 * pw))
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += gwin[:, :, :, :, u, v]
-        return _restore_batch(gxp[:, :, ph:ph + h, pw:pw + w], lead)
+        gx = _correlate_input_adjoint(g, weight, self.stride, self.padding, hw)
+        return _restore_batch(gx, lead)
 
 
 class Deconv2d(_Conv):
-    """Transposed 2-D convolution; exact shape inverse of Conv2d.
+    """Transposed 2-D convolution: Conv2d's input adjoint, channel axes swapped.
 
-    For matching kernel/stride/padding the output spatial size is
-    (in - 1) * stride - 2 * pad + kernel, which undoes the Conv2d shape map
-    and gives the encoder/decoder mirror symmetry the mask estimator needs.
+    With matching kernel/stride/padding the output size (in - 1) * stride -
+    2 * pad + kernel undoes the Conv2d shape map, the encoder/decoder mirror
+    symmetry the mask estimator needs.
     """
 
     def __init__(self, in_channels, out_channels, kernel_size=4, stride=2,
@@ -382,49 +403,30 @@ class Deconv2d(_Conv):
 
     def forward(self, x):
         xb, lead = _flatten_batch(x, 3)
-        batch, cin, h, w = xb.shape
+        _, cin, h, w = xb.shape
         if cin != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {cin}")
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
         ho, wo = self.out_shape(h, w)
         if ho < 1 or wo < 1:
             raise ValueError("deconv output would be empty")
         weight, sigma = self._effective_weight()
-        full = np.zeros((batch, self.out_channels, (h - 1) * sh + kh, (w - 1) * sw + kw))
-        for u in range(kh):
-            for v in range(kw):
-                # out[:, o, u + s*h, v + s*w] += sum_i w[o, i, u, v] x[:, i, h, w]
-                contrib = np.tensordot(xb, weight[:, :, u, v], axes=([1], [1]))
-                full[:, :, u:u + sh * h:sh, v:v + sw * w:sw] += contrib.transpose(0, 3, 1, 2)
-        y = full[:, :, ph:ph + ho, pw:pw + wo]
+        y = _correlate_input_adjoint(xb, weight.transpose(1, 0, 2, 3), self.stride,
+                                     self.padding, (ho, wo))
         if self.bias is not None:
-            y = y + self.bias.data[:, None, None]
-        cache = (xb, sigma, lead, (h, w), (ho, wo))
-        return _restore_batch(np.ascontiguousarray(y), lead), cache
+            y += self.bias.data[:, None, None]
+        return _restore_batch(y, lead), (xb, sigma, lead)
 
     def backward(self, cache, grad_out):
-        xb, sigma, lead, (h, w), (ho, wo) = cache
-        kh, kw = self.kernel
-        sh, sw = self.stride
+        xb, sigma, lead = cache
         ph, pw = self.padding
-        batch = xb.shape[0]
         g, _ = _flatten_batch(grad_out, 3)
-        gfull = np.zeros((batch, self.out_channels, (h - 1) * sh + kh, (w - 1) * sw + kw))
-        gfull[:, :, ph:ph + ho, pw:pw + wo] = g
-        weight, _ = self._effective_weight()
-        gx = np.zeros_like(xb)
-        gw = np.zeros_like(self.weight.data)
-        for u in range(kh):
-            for v in range(kw):
-                sl = gfull[:, :, u:u + sh * h:sh, v:v + sw * w:sw]   # (B, C_out, H, W)
-                gx += np.tensordot(sl, weight[:, :, u, v], axes=([1], [0])).transpose(0, 3, 1, 2)
-                gw[:, :, u, v] = np.tensordot(sl, xb, axes=([0, 2, 3], [0, 2, 3]))
-        self.weight.grad += gw / sigma
+        gp = np.pad(g, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        gw = _correlate_weight_adjoint(gp, xb, self.kernel, self.stride)
+        self.weight.grad += gw.transpose(1, 0, 2, 3) / sigma
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2, 3))
-        return _restore_batch(gx, lead)
+        weight, _ = self._effective_weight()
+        return _restore_batch(_correlate(gp, weight.transpose(1, 0, 2, 3), self.stride), lead)
 
 
 # ---------------------------------------------------------------------------

@@ -359,7 +359,8 @@ class EnhancementPipeline:
     # -- training backward ----------------------------------------------------
 
     def backward(self, cache, grad_s_hat):
-        """Accumulate parameter gradients for d(loss)/d(s_hat)."""
+        """Accumulate parameter gradients for d(loss)/d(s_hat) and return
+        d(loss)/d(x); the STFT path has no input VJP and returns None."""
         if self.kind == "lifting":
             grad_y = np.zeros(cache.padded_shape)
             grad_y[..., :cache.length] = grad_s_hat
@@ -368,13 +369,14 @@ class EnhancementPipeline:
             if cache.estimator is not None:
                 grad_mask = cache.feature * grad_masked
                 grad_phi = grad_phi + self.estimator.backward(cache.estimator, grad_mask)
-            self.transform.forward_vjp(cache.forward, grad_phi)
-            return
+            grad_x = self.transform.forward_vjp(cache.forward, grad_phi)
+            return grad_x[..., :cache.length]
         spec = cache.feature
         gspec = istft_vjp(grad_s_hat, self.stft_config, spec.n_frames, cache.length)
         if cache.estimator is not None:
             grad_mask = gspec.real * spec.real + gspec.imag * spec.imag
             self.estimator.backward(cache.estimator, grad_mask)
+        return None
 
     # -- parameter plumbing ----------------------------------------------------
 

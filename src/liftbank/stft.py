@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "StftConfig",
@@ -113,8 +114,23 @@ def frame_count(t, hop):
     return t // hop + 1
 
 
-def _frame_starts(n_frames, hop):
-    return np.arange(n_frames) * hop
+def _analysis(x, n_frames, window, cfg):
+    """One-sided DFT (..., F, M) of the windowed frames of x; frame m starts at m * hop."""
+    frames = sliding_window_view(x, cfg.window_length, axis=-1)
+    frames = frames[..., :(n_frames - 1) * cfg.hop + 1:cfg.hop, :] * window   # (..., M, wl)
+    return np.moveaxis(np.fft.rfft(frames, n=cfg.dft_length, axis=-1), -1, -2)
+
+
+def _overlap_add(frames, cfg, length):
+    """Adjoint of the framing into ``length`` samples, one step per window phase;
+    phases run backwards so every sample sums its frames in time order."""
+    m, hop = frames.shape[-2], cfg.hop
+    phases = cfg.window_length // hop
+    y = np.zeros(frames.shape[:-2] + (length,))
+    blocks = y[..., :(m + phases - 1) * hop].reshape(y.shape[:-1] + (m + phases - 1, hop))
+    for p in reversed(range(phases)):
+        blocks[..., p:p + m, :] += frames[..., p * hop:(p + 1) * hop]
+    return y
 
 
 def stft_forward(x, cfg):
@@ -131,40 +147,32 @@ def stft_forward(x, cfg):
     wl = cfg.window_length
     pad = wl // 2
     xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, wl - pad)])
-    m = frame_count(t, cfg.hop)
-    idx = _frame_starts(m, cfg.hop)[:, None] + np.arange(wl)[None, :]
-    frames = xp[..., idx] * cfg.window           # (..., M, wl)
-    spec = np.fft.rfft(frames, n=cfg.dft_length, axis=-1)
-    spec = np.moveaxis(spec, -1, -2)             # (..., F, M)
+    spec = _analysis(xp, frame_count(t, cfg.hop), cfg.window, cfg)
     return Spectrogram(spec.real.copy(), spec.imag.copy())
 
 
-def _coverage(m, cfg):
-    """Realized overlap-add of w * d over the frame set; 1 in the interior."""
+def _synthesis_window(cfg, n_frames, out_length):
+    """Dual window, and the realized overlap-add of w * d over the synthesis
+    buffer (1 in the interior and past the last frame)."""
     wl, hop = cfg.window_length, cfg.hop
-    wd = cfg.window * canonical_dual_window(cfg.window, hop)
-    cov = np.zeros((m - 1) * hop + wl)
-    for i in range(m):
-        cov[i * hop:i * hop + wl] += wd
-    return cov
+    dual = canonical_dual_window(cfg.window, hop)
+    span = (n_frames - 1) * hop + wl
+    cov = _overlap_add(np.broadcast_to(cfg.window * dual, (n_frames, wl)), cfg,
+                       max(span, wl // 2 + out_length))
+    cov[span:] = 1.0
+    return dual, np.maximum(cov, _TINY)
 
 
 def istft(spec, cfg, out_length):
     """Synthesis: inverse DFT per frame, dual window, overlap-add, trim."""
-    wl, hop = cfg.window_length, cfg.hop
+    wl = cfg.window_length
     real = np.asarray(spec.real, dtype=np.float64)
     imag = np.asarray(spec.imag, dtype=np.float64)
-    m = real.shape[-1]
-    dual = canonical_dual_window(cfg.window, hop)
+    dual, cov = _synthesis_window(cfg, real.shape[-1], out_length)
     frames = np.fft.irfft(np.moveaxis(real + 1j * imag, -2, -1),
                           n=cfg.dft_length, axis=-1)[..., :wl]
-    full_len = max((m - 1) * hop + wl, wl // 2 + out_length)
-    y = np.zeros(real.shape[:-2] + (full_len,))
-    for i in range(m):
-        y[..., i * hop:i * hop + wl] += frames[..., i, :] * dual
-    cov = np.ones(full_len)
-    cov[:(m - 1) * hop + wl] = np.maximum(_coverage(m, cfg), _TINY)
-    y = y / cov
+    frames *= dual
+    y = _overlap_add(frames, cfg, cov.size) / cov
     pad = wl // 2
     return y[..., pad:pad + out_length]
 
@@ -175,28 +183,18 @@ def istft_vjp(grad_y, cfg, n_frames, out_length):
     Needed to push training gradients from the waveform back onto a masked
     spectrogram.
     """
-    wl, hop, nfft = cfg.window_length, cfg.hop, cfg.dft_length
+    wl, nfft = cfg.window_length, cfg.dft_length
     grad_y = np.asarray(grad_y, dtype=np.float64)
-    m = n_frames
-    dual = canonical_dual_window(cfg.window, hop)
-    full_len = max((m - 1) * hop + wl, wl // 2 + out_length)
-    gy = np.zeros(grad_y.shape[:-1] + (full_len,))
+    dual, cov = _synthesis_window(cfg, n_frames, out_length)
+    gy = np.zeros(grad_y.shape[:-1] + (cov.size,))
     pad = wl // 2
     gy[..., pad:pad + out_length] = grad_y
-    cov = np.ones(full_len)
-    cov[:(m - 1) * hop + wl] = np.maximum(_coverage(m, cfg), _TINY)
-    gy = gy / cov
-    gframes = np.zeros(grad_y.shape[:-1] + (m, nfft))
-    for i in range(m):
-        gframes[..., i, :wl] = gy[..., i * hop:i * hop + wl] * dual
-    # adjoint of the one-sided inverse real DFT
-    f = np.fft.rfft(gframes, n=nfft, axis=-1)
+    # adjoint of the one-sided inverse real DFT: analysis with the dual window
     scale = np.full(nfft // 2 + 1, 2.0 / nfft)
     scale[0] = 1.0 / nfft
     if nfft % 2 == 0:
         scale[-1] = 1.0 / nfft
-    g = f * scale
-    g = np.moveaxis(g, -1, -2)
+    g = _analysis(gy / cov, n_frames, dual, cfg) * scale[:, None]
     return Spectrogram(g.real.copy(), g.imag.copy())
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .lifting import LiftingConfig, LiftingTransform
 from .masking import EnhancementPipeline
-from .numerics import Rng
+from .numerics import Rng, finite_difference_gradient
 from .objective import LossConfig, _residual_term, sdr_loss_and_grad
 from .stft import StftConfig, istft, stft_forward
 
@@ -57,12 +57,6 @@ def reconstruction_suite(config=None, trials=100, length=None, seed=0,
     return worst
 
 
-def _pipeline_loss(pipeline, clean, noise, mixture, loss_cfg):
-    s_hat, _ = pipeline.enhance_training(mixture)
-    loss, _ = sdr_loss_and_grad(s_hat, clean, mixture, noise, loss_cfg)
-    return loss
-
-
 def gradient_suite(seed=0, corrupt=False, h=1e-5, include_input=True):
     """Finite-difference check of the full training gradient.
 
@@ -79,51 +73,37 @@ def gradient_suite(seed=0, corrupt=False, h=1e-5, include_input=True):
     noise = 0.3 * rng.normal((32,))
     mixture = clean + noise
 
+    def loss_of_input(x):
+        s_hat, _ = pipeline.enhance_training(x)
+        return sdr_loss_and_grad(s_hat, clean, x, noise, loss_cfg)[0]
+
     pipeline.zero_grad()
     s_hat, cache = pipeline.enhance_training(mixture)
     _, grad_out = sdr_loss_and_grad(s_hat, clean, mixture, noise, loss_cfg)
-    pipeline.backward(cache, grad_out)
+    grad_input = pipeline.backward(cache, grad_out)
 
     worst = 0.0
     for _, p in pipeline.named_parameters("both"):
         analytic = p.grad.copy()
         if corrupt:
             analytic = 2.0 * analytic + 0.01
-        numeric = np.zeros_like(analytic)
-        for idx in np.ndindex(*p.data.shape):
-            orig = p.data[idx]
-            p.data[idx] = orig + h
-            fp = _pipeline_loss(pipeline, clean, noise, mixture, loss_cfg)
-            p.data[idx] = orig - h
-            fm = _pipeline_loss(pipeline, clean, noise, mixture, loss_cfg)
-            p.data[idx] = orig
-            numeric[idx] = (fp - fm) / (2.0 * h)
+        orig = p.data.copy()
+
+        def loss_of_param(v, p=p):
+            p.data[...] = v
+            return loss_of_input(mixture)
+
+        numeric = finite_difference_gradient(loss_of_param, orig, h)
+        p.data[...] = orig
         worst = max(worst, relative_error(analytic, numeric))
 
     if include_input:
-        def loss_of_input(x):
-            return _pipeline_loss(pipeline, clean, noise, x, loss_cfg)
-
-        numeric = np.zeros_like(mixture)
-        for i in range(mixture.size):
-            xp = mixture.copy()
-            xp[i] += h
-            fp = loss_of_input(xp)
-            xp[i] -= 2 * h
-            fm = loss_of_input(xp)
-            numeric[i] = (fp - fm) / (2.0 * h)
-        pipeline.zero_grad()
-        s_hat, cache = pipeline.enhance_training(mixture)
-        _, grad_out = sdr_loss_and_grad(s_hat, clean, mixture, noise, loss_cfg)
-        # d loss / d mixture has a direct term (x enters the loss residual)
-        # plus the path through the transform
-        grad_y = np.zeros(cache.padded_shape)
-        grad_y[..., :cache.length] = grad_out
-        grad_masked = transform.inverse_vjp(cache.inverse, grad_y)
-        analytic = transform.forward_vjp(cache.forward, cache.mask * grad_masked)
+        # d loss / d mixture is the path through the transform plus a direct
+        # term, since the mixture also enters the loss residual
         th2, grad_resid = _residual_term(s_hat, mixture, noise, loss_cfg.beta_clip,
                                          loss_cfg.eps)
-        analytic = analytic[..., :cache.length] - 0.5 * grad_resid / th2.size
+        analytic = grad_input - 0.5 * grad_resid / th2.size
+        numeric = finite_difference_gradient(loss_of_input, mixture, h)
         worst = max(worst, relative_error(analytic, numeric))
     return worst
 

@@ -60,3 +60,12 @@ class TestCheckpoint:
         path = tmp_path / "empty.ckpt"
         save_checkpoint(path, {})
         assert load_checkpoint(path) == {}
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"x": Rng(3).normal((5,))})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="too long"):
+            save_checkpoint(path, {"a": np.ones(3), "x" * 70000: np.ones(2)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

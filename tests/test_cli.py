@@ -207,6 +207,19 @@ class TestEvalCommand:
         assert len(out_csv.read_text().splitlines()) == 3
         assert "skipped" in capsys.readouterr().err
 
+    def test_unreadable_wav_skips_and_exits_1(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, n_pairs=3)
+        (tmp_path / "noisy1.wav").write_bytes(b"RIFF\x00\x00\x00\x00WAVEjunk")
+        (tmp_path / "clean2.wav").write_bytes(b"")
+        out_csv = tmp_path / "metrics.csv"
+        code = main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
+                     "--ones-mask"])
+        assert code == 1
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["noisy0"]
+        err = capsys.readouterr().err
+        assert err.count("skipped unreadable pair") == 2
+
     def test_spectrogram_export(self, tmp_path):
         manifest = write_manifest(tmp_path, n_pairs=1)
         out_csv = tmp_path / "metrics.csv"

@@ -200,6 +200,54 @@ class TestLayerBackward:
             assert z.shape == (1, h, w)
 
 
+def loop_conv2d(x, w, b, stride, padding):
+    """Reference 2-D correlation of one (C_in, H, W) image, one output at a time."""
+    cout, _, kh, kw = w.shape
+    (sh, sw), (ph, pw) = stride, padding
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    ho, wo = (xp.shape[1] - kh) // sh + 1, (xp.shape[2] - kw) // sw + 1
+    y = np.zeros((cout, ho, wo))
+    for o in range(cout):
+        for i in range(ho):
+            for j in range(wo):
+                patch = xp[:, i * sh:i * sh + kh, j * sw:j * sw + kw]
+                y[o, i, j] = b[o] + np.sum(w[o] * patch)
+    return y
+
+
+class TestConv2dKernels:
+    @pytest.mark.parametrize("kernel", [3, 4])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
+    def test_forward_matches_loop_reference(self, stride, padding, kernel):
+        rng = Rng(16)
+        conv = Conv2d(2, 3, kernel_size=kernel, stride=stride, padding=padding,
+                      rng=rng.fork())
+        x = rng.normal((2, 2, 7, 9))
+        y, _ = conv.forward(x)
+        for i in range(x.shape[0]):
+            ref = loop_conv2d(x[i], conv.weight.data, conv.bias.data, stride,
+                              (padding, padding))
+            np.testing.assert_allclose(y[i], ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel, stride, padding, hw", [
+        (4, 2, 1, (8, 6)), (3, 1, 1, (5, 7)), (3, 2, 0, (7, 9)),
+        ((4, 3), (2, 1), (1, 0), (6, 5))])
+    def test_deconv_is_conv_adjoint(self, kernel, stride, padding, hw):
+        """<Conv2d_W(x), y> == <x, Deconv2d_W^T(y)> with the biases off."""
+        rng = Rng(17)
+        conv = Conv2d(2, 3, kernel, stride, padding, bias=False, rng=rng.fork())
+        deconv = Deconv2d(3, 2, kernel, stride, padding, bias=False, rng=rng.fork())
+        deconv.weight.data[...] = conv.weight.data.transpose(1, 0, 2, 3)
+        x = rng.normal((2, 2) + hw)
+        cx, _ = conv.forward(x)
+        y = rng.normal(cx.shape)
+        dy, _ = deconv.forward(y)
+        assert dy.shape == x.shape
+        assert float(np.sum(cx * y)) == pytest.approx(float(np.sum(x * dy)),
+                                                       rel=1e-12, abs=1e-12)
+
+
 class TestActivations:
     def test_leaky_relu_values(self):
         act = Activation("leaky_relu", 0.2)

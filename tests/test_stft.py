@@ -144,16 +144,22 @@ class TestIstft:
         y = istft(stft_forward(x, cfg), cfg, 3000)
         assert float(np.max(np.abs(y - x))) <= 1e-10
 
-    def test_adjoint_identity(self):
+    @pytest.mark.parametrize("wl, hop, nfft, lead", [
+        (32, 8, 32, ()), (32, 32, 32, ()), (48, 16, 64, ()), (32, 8, 32, (2,))],
+        ids=["32-8-32", "32-32-32", "48-16-64", "32-8-32-batched"])
+    def test_adjoint_identity(self, wl, hop, nfft, lead):
         """<istft(S), r> == <S, istft_vjp(r)> for one-sided spectra."""
-        cfg = StftConfig(window_length=32, hop=8, dft_length=32)
+        # without overlap, a Hann window's zero sample is covered by no frame
+        window = np.ones(wl) if hop == wl else None
+        cfg = StftConfig(window_length=wl, hop=hop, dft_length=nfft, window=window)
         rng = Rng(7)
         t = 90
         m = frame_count(t, cfg.hop)
-        spec = Spectrogram(rng.normal((17, m)), rng.normal((17, m)))
-        spec.imag[0] = 0.0
-        spec.imag[-1] = 0.0
-        r = rng.normal((t,))
+        shape = lead + (cfg.n_bins, m)
+        spec = Spectrogram(rng.normal(shape), rng.normal(shape))
+        spec.imag[..., 0, :] = 0.0
+        spec.imag[..., -1, :] = 0.0
+        r = rng.normal(lead + (t,))
         lhs = float(np.sum(istft(spec, cfg, t) * r))
         g = istft_vjp(r, cfg, m, t)
         rhs = float(np.sum(spec.real * g.real) + np.sum(spec.imag * g.imag))
