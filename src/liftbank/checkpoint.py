@@ -17,6 +17,7 @@ so identical state always serializes to identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -24,35 +25,43 @@ import numpy as np
 
 MAGIC = b"LBCKPT01"
 
-__all__ = ["MAGIC", "save_checkpoint", "load_checkpoint"]
+__all__ = ["MAGIC", "atomic_write", "save_checkpoint", "load_checkpoint"]
 
 
-def save_checkpoint(path, arrays):
-    """Write a mapping of name -> float array to ``path``.
+@contextlib.contextmanager
+def atomic_write(path, mode="w"):
+    """Open a temporary file next to ``path`` for writing.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``; a save that fails leaves any earlier file untouched.
+    When the block exits cleanly the file replaces ``path``; when it raises,
+    the temporary file is removed and any earlier file at ``path`` is left
+    untouched, so a reader never sees a half-written file.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays.items():
-                raw = name.encode("utf-8")
-                if len(raw) > 0xFFFF:
-                    raise ValueError(f"parameter name too long: {name!r}")
-                a = np.ascontiguousarray(arr, dtype="<f8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", a.ndim))
-                if a.ndim:
-                    fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-                fh.write(a.tobytes())
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_checkpoint(path, arrays):
+    """Write a mapping of name -> float array to ``path``, via ``atomic_write``."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            raw = name.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise ValueError(f"parameter name too long: {name!r}")
+            a = np.ascontiguousarray(arr, dtype="<f8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<B", a.ndim))
+            if a.ndim:
+                fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
+            fh.write(a.tobytes())
 
 
 def load_checkpoint(path):

@@ -19,7 +19,7 @@ import numpy as np
 from . import verify
 from .audio_data import (load_manifest_triples, read_manifest, synth_dataset,
                          wav_read, wav_write, WavClip)
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .lifting import BlockSpec, LiftingConfig, LiftingTransform
 from .masking import EnhancementPipeline, MaskEstimator
 from .numerics import Rng
@@ -205,7 +205,7 @@ def cmd_train(args):
     history = train(pipeline, dataset, train_cfg)
 
     log_path = out_dir / "training_log.csv"
-    with open(log_path, "w") as fh:
+    with atomic_write(log_path) as fh:
         fh.write("epoch,train_loss,val_loss,val_si_sdr_imp\n")
         for i, (tl, vl, vi) in enumerate(zip(history.train_loss, history.val_loss,
                                              history.val_improvement), start=1):
@@ -233,8 +233,11 @@ def _load_pipeline(args):
 
 
 def cmd_enhance(args):
-    _, pipeline = _load_pipeline(args)
+    cfg, pipeline = _load_pipeline(args)
     clip = wav_read(args.input)
+    if clip.sample_rate != cfg["data.sample_rate"]:
+        raise ConfigError(f"{args.input}: sample rate {clip.sample_rate} Hz differs from "
+                          f"the config's data.sample_rate = {cfg['data.sample_rate']} Hz")
     if args.export_mask:
         s_hat, cache = pipeline.enhance_training(clip.samples)
     else:
@@ -317,7 +320,7 @@ def cmd_eval(args):
     for result in results:
         if not isinstance(result, MetricReport):
             print(f"warning: skipped {result}", file=sys.stderr)
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         fh.write(MetricReport.CSV_HEADER + "\n")
         for report in reports:
             fh.write(report.csv_row() + "\n")

@@ -7,9 +7,12 @@ step (the lifting transform reuses its predictors on the forward and the
 inverse path) sums all contributions; call ``zero_grad`` between steps.
 
 Data is channels-first with arbitrary leading batch axes: 1-D signals are
-``(..., C, L)``, 2-D feature maps ``(..., C, H, W)``. The 2-D layers share one
-strided correlation, ``_correlate``, and its adjoints: Conv2d is the correlation
-and Deconv2d is its input adjoint, ``_correlate_input_adjoint``.
+``(..., C, L)``, 2-D feature maps ``(..., C, H, W)``. Conv1d computes on a
+zero-padded channels-first grid (C, B, L + 2P), one strided GEMM per tap; the
+lifting predictors chain their convolutions on that grid. The 2-D layers
+share one strided correlation, ``_correlate`` (with its weight adjoint from
+the same patches), and its input adjoint ``_correlate_input_adjoint``:
+Conv2d is the correlation and Deconv2d is the input adjoint.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from .numerics import Rng
 __all__ = [
     "Parameter",
     "Activation",
+    "leaky_relu",
+    "leaky_relu_grad",
     "Conv1d",
+    "to_grid",
+    "grid_valid",
+    "grid_interior",
+    "grid_scratch",
     "Conv2d",
     "Deconv2d",
     "InstanceNorm2d",
@@ -64,6 +73,28 @@ def _restore_batch(y, lead):
 # activations
 # ---------------------------------------------------------------------------
 
+def leaky_relu(x, slope, out, scratch):
+    """out = max(x, slope x), the leaky ReLU for 0 < slope < 1.
+
+    ``scratch`` (x's shape) receives slope x first; it may be ``out`` itself
+    when ``out`` is not x, and with out=x the activation runs in place.
+    """
+    np.multiply(x, slope, out=scratch)
+    return np.maximum(x, scratch, out=out)
+
+
+def leaky_relu_grad(g, y, slope, scratch):
+    """Leaky ReLU backward in place: g *= max(y >= 0, slope).
+
+    The factor is exactly 1 where the output y is non-negative and slope
+    elsewhere, without a data-dependent branch; with slope > 0, y has the
+    input's sign, so the input is not kept. ``scratch`` has g's shape.
+    """
+    np.greater_equal(y, 0.0, out=scratch)
+    np.maximum(scratch, slope, out=scratch)
+    return np.multiply(g, scratch, out=g)
+
+
 class Activation:
     """Elementwise activation: leaky_relu(slope), sigmoid, or identity."""
 
@@ -82,8 +113,8 @@ class Activation:
         if self.kind == "identity":
             return x, None
         if self.kind == "leaky_relu":
-            y = np.where(x >= 0.0, x, self.slope * x)
-            return y, x
+            y = np.empty_like(x)
+            return leaky_relu(x, self.slope, y, y), y
         # numerically stable logistic, clamped to the open unit interval
         y = np.empty_like(x)
         pos = x >= 0.0
@@ -97,7 +128,8 @@ class Activation:
         if self.kind == "identity":
             return np.asarray(grad_out, dtype=np.float64)
         if self.kind == "leaky_relu":
-            return np.where(cache >= 0.0, grad_out, self.slope * grad_out)
+            g = np.array(grad_out, dtype=np.float64)
+            return leaky_relu_grad(g, cache, self.slope, np.empty_like(g))
         return grad_out * cache * (1.0 - cache)
 
 
@@ -145,6 +177,73 @@ def spectral_normalize_weights(w, u, iters=1):
     if sigma <= _SIGMA_FLOOR:
         return w
     return w / sigma
+
+
+# ---------------------------------------------------------------------------
+# 1-D convolution on a zero-padded grid
+# ---------------------------------------------------------------------------
+# A batch of (C, B, L) signals lives on a contiguous grid (C, B, L + 2P):
+# every batch row carries P zero columns on each side. Flattened to (C, N),
+# N = B (L + 2P), a stride-1 "same" correlation of half-width p <= P is one
+# GEMM per tap over a shifted window of columns, written straight onto the
+# interior columns [P, N - P) of an output grid of the same shape; BLAS
+# reads the strided windows in place. The windows run across batch rows, so
+# afterwards the pad columns are zeroed again, and the output is the next
+# layer's padded input as it stands.
+
+def to_grid(x3, pad):
+    """Copy (C, B, L) into a new zero-padded grid (C, B, L + 2 pad)."""
+    c, batch, length = x3.shape
+    grid = np.empty((c, batch, length + 2 * pad))
+    grid[:, :, pad:pad + length] = x3
+    _zero_pad_columns(grid, pad)
+    return grid
+
+
+def grid_valid(grid, pad):
+    """The (C, B, L) view of a grid's signal columns."""
+    return grid[:, :, pad:grid.shape[2] - pad]
+
+
+def grid_interior(grid, pad):
+    """The (C, N - 2 pad) view of the flat grid that the tap GEMMs write."""
+    flat = grid.reshape(grid.shape[0], -1)
+    return flat[:, pad:flat.shape[1] - pad]
+
+
+def grid_scratch(grid, pad, channels):
+    """Tap-accumulation buffer for correlations on ``grid`` with up to
+    ``channels`` output channels."""
+    return np.empty((channels, grid[0].size - 2 * pad))
+
+
+def _zero_pad_columns(grid, pad):
+    grid[:, :, :pad] = 0.0
+    grid[:, :, grid.shape[2] - pad:] = 0.0
+
+
+def _correlate_grid(taps, grid, pad, scratch, bias=None, out=None):
+    """Stride-1 correlation of a padded (C_in, B, Lp) grid with taps (k, C_out, C_in).
+
+    Returns a (C_out, B, Lp) grid with zero pad columns, ``out`` or a new one:
+    ``out[:, P:N-P] = sum_t taps[t] @ flat[:, s_t : s_t + n] (+ bias)`` with
+    s_t = P - k // 2 + t; ``scratch`` holds at least C_out rows of n columns.
+    """
+    k, cout = taps.shape[:2]
+    flat = grid.reshape(grid.shape[0], -1)
+    n = flat.shape[1] - 2 * pad
+    if out is None:
+        out = np.empty((cout,) + grid.shape[1:])
+    acc = grid_interior(out, pad)
+    first = pad - k // 2
+    np.matmul(taps[0], flat[:, first:first + n], out=acc)
+    for t in range(1, k):
+        np.matmul(taps[t], flat[:, first + t:first + t + n], out=scratch[:cout])
+        acc += scratch[:cout]
+    if bias is not None:
+        acc += bias[:, None]
+    _zero_pad_columns(out, pad)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +309,10 @@ class Conv1d(_Conv):
     """1-D convolution, stride 1, odd kernel, zero "same" padding.
 
     Output length always equals input length, which is what lets the lifting
-    predictors keep both coupling branches shape-compatible.
+    predictors keep both coupling branches shape-compatible. The work happens
+    on the zero-padded grid (see ``to_grid``): ``forward_grid`` and
+    ``backward_grid`` take and return grids, and the public ``(..., C, L)``
+    ``forward`` / ``backward`` pad into one.
     """
 
     def __init__(self, in_channels, out_channels, kernel_size=3, bias=True,
@@ -221,73 +323,55 @@ class Conv1d(_Conv):
         super().__init__(in_channels, out_channels, (self.kernel_size,), bias,
                          spectral_norm, rng)
 
-    def forward_cf(self, x3):
-        """Channels-first core: x3 is contiguous (C_in, B, L); returns same layout.
-
-        Each kernel tap is one contiguous GEMM over the padded flat signal;
-        the lifting transform keeps its branches in this layout so no data
-        transposes happen in the training hot path.
-        """
-        cin, batch, length = x3.shape
-        if cin != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} channels, got {cin}")
+    def forward_grid(self, grid, pad, scratch):
+        """Output grid for an input grid of pad ``pad`` >= kernel_size // 2,
+        plus the spectral scale the backward pass needs."""
+        if grid.shape[0] != self.in_channels:
+            raise ValueError(f"expected {self.in_channels} channels, got {grid.shape[0]}")
         w, sigma = self._effective_weight()
-        k = self.kernel_size
-        pad = k // 2
-        taps = np.ascontiguousarray(np.moveaxis(w, 2, 0))     # (k, C_out, C_in)
-        xp = np.pad(x3, ((0, 0), (0, 0), (pad, pad)))
-        xpf = xp.reshape(cin, -1)
-        lp = length + 2 * pad
-        z = np.empty((self.out_channels, batch * lp))
-        z3 = z.reshape(self.out_channels, batch, lp)
-        y = np.empty((self.out_channels, batch, length))
-        for t in range(k):
-            np.matmul(taps[t], xpf, out=z)
-            if t == 0:
-                np.copyto(y, z3[:, :, 0:length])
-            else:
-                y += z3[:, :, t:t + length]
-        if self.bias is not None:
-            y += self.bias.data[:, None, None]
-        cache = (xpf, sigma, batch, length)
-        return y, cache
+        taps = np.ascontiguousarray(np.moveaxis(w, 2, 0))          # (k, C_out, C_in)
+        bias = self.bias.data if self.bias is not None else None
+        return _correlate_grid(taps, grid, pad, scratch, bias), sigma
 
-    def backward_cf(self, cache, g3):
-        xpf, sigma, batch, length = cache
+    def backward_grid(self, grid, sigma, grad, pad, scratch, out=None):
+        """Input-gradient grid for the output-gradient grid ``grad`` (zero pad
+        columns) of ``forward_grid(grid, pad)``, written into ``out`` when
+        given; accumulates parameter gradients.
+
+        The weight gradient is one GEMM per tap against the same strided
+        windows as the forward pass; the input gradient is the correlation
+        with the flipped, transposed kernel on the same grid.
+        """
         k = self.kernel_size
-        pad = k // 2
-        g3 = np.ascontiguousarray(g3)
-        gf = g3.reshape(self.out_channels, -1)
-        w, _ = self._effective_weight()
-        taps_t = np.ascontiguousarray(w.transpose(2, 1, 0))   # (k, C_in, C_out)
-        xp3 = xpf.reshape(self.in_channels, batch, length + 2 * pad)
-        gw = np.empty_like(self.weight.data)
-        gxp = np.zeros((self.in_channels, batch, length + 2 * pad))
-        z = np.empty((self.in_channels, batch * length))
-        z3 = z.reshape(self.in_channels, batch, length)
+        g = grid_interior(grad, pad)
+        flat = grid.reshape(self.in_channels, -1)
+        first = pad - k // 2
         for t in range(k):
-            gw[:, :, t] = np.tensordot(g3, xp3[:, :, t:t + length],
-                                       axes=([1, 2], [1, 2]))
-            np.matmul(taps_t[t], gf, out=z)
-            gxp[:, :, t:t + length] += z3
-        self.weight.grad += gw / sigma
+            window = flat[:, first + t:first + t + g.shape[1]]
+            self.weight.grad[:, :, t] += (g @ window.T) / sigma
         if self.bias is not None:
-            self.bias.grad += g3.sum(axis=(1, 2))
-        return np.ascontiguousarray(gxp[:, :, pad:pad + length])
+            self.bias.grad += g.sum(axis=1)
+        w, _ = self._effective_weight()
+        taps = np.ascontiguousarray(w[:, :, ::-1].transpose(2, 1, 0))  # (k, C_in, C_out)
+        return _correlate_grid(taps, grad, pad, scratch, out=out)
 
     def forward(self, x):
         xb, lead = _flatten_batch(x, 2)
-        x3 = np.ascontiguousarray(np.moveaxis(xb, 1, 0))
-        y3, cache = self.forward_cf(x3)
-        y = np.ascontiguousarray(np.moveaxis(y3, 0, 1))
-        return _restore_batch(y, lead), (cache, lead)
+        pad = self.kernel_size // 2
+        grid = to_grid(np.moveaxis(xb, 1, 0), pad)
+        scratch = grid_scratch(grid, pad, self.out_channels)
+        out, sigma = self.forward_grid(grid, pad, scratch)
+        y = np.ascontiguousarray(np.moveaxis(grid_valid(out, pad), 0, 1))
+        return _restore_batch(y, lead), (grid, sigma, lead)
 
     def backward(self, cache, grad_out):
-        core_cache, lead = cache
+        grid, sigma, lead = cache
         g, _ = _flatten_batch(grad_out, 2)
-        g3 = np.ascontiguousarray(np.moveaxis(g, 1, 0))
-        gx3 = self.backward_cf(core_cache, g3)
-        gx = np.ascontiguousarray(np.moveaxis(gx3, 0, 1))
+        pad = self.kernel_size // 2
+        grad = to_grid(np.moveaxis(g, 1, 0), pad)
+        scratch = grid_scratch(grad, pad, self.in_channels)
+        gx = self.backward_grid(grid, sigma, grad, pad, scratch)
+        gx = np.ascontiguousarray(np.moveaxis(grid_valid(gx, pad), 0, 1))
         return _restore_batch(gx, lead)
 
 
@@ -305,24 +389,27 @@ def _patches(image, kernel, stride):
     return np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, c * kh * kw)
 
 
-def _correlate(xp, w, stride):
-    """Strided correlation of padded (B, C_in, Hp, Wp) with w (C_out, C_in, kh, kw);
-    im2col one image at a time, so the patches never hold a whole batch."""
-    cout, kernel = w.shape[0], w.shape[2:]
+def _correlate(xp, kernel, stride, w=None, g=None):
+    """Strided correlation of padded (B, C_in, Hp, Wp) images and its weight adjoint.
+
+    Builds each image's patches once (im2col one image at a time, so they
+    never hold a whole batch) and returns ``(y, gw)``: y (B, C_out, Ho, Wo) is
+    the correlation with w (C_out, C_in, kh, kw), gw (C_g, C_in, kh, kw) the
+    weight gradient for the output gradient g (B, C_g, Ho, Wo); each is None
+    when its operand is.
+    """
     ho, wo = ((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
-    w2 = w.reshape(cout, -1)
-    y = np.empty((xp.shape[0], cout, ho * wo))
+    batch, cin = xp.shape[:2]
+    y = None if w is None else np.empty((batch, w.shape[0], ho * wo))
+    gw = None if g is None else np.zeros((g.shape[1], cin * kernel[0] * kernel[1]))
     for b, image in enumerate(xp):
-        y[b] = (_patches(image, kernel, stride) @ w2.T).T
-    return y.reshape(-1, cout, ho, wo)
-
-
-def _correlate_weight_adjoint(xp, g, kernel, stride):
-    """Weight gradient (C_out, C_in, kh, kw) of ``_correlate`` for output gradient g."""
-    gw = np.zeros((g.shape[1], xp.shape[1] * kernel[0] * kernel[1]))
-    for image, gb in zip(xp, g):
-        gw += gb.reshape(g.shape[1], -1) @ _patches(image, kernel, stride)
-    return gw.reshape((g.shape[1], xp.shape[1]) + tuple(kernel))
+        patches = _patches(image, kernel, stride)
+        if y is not None:
+            y[b] = (patches @ w.reshape(w.shape[0], -1).T).T
+        if gw is not None:
+            gw += g[b].reshape(g.shape[1], -1) @ patches
+    return (None if y is None else y.reshape(batch, -1, ho, wo),
+            None if gw is None else gw.reshape((g.shape[1], cin) + tuple(kernel)))
 
 
 def _correlate_input_adjoint(g, w, stride, padding, out_hw):
@@ -363,7 +450,7 @@ class Conv2d(_Conv):
             raise ValueError("input smaller than kernel")
         weight, sigma = self._effective_weight()
         xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        y = _correlate(xp, weight, self.stride)
+        y, _ = _correlate(xp, self.kernel, self.stride, w=weight)
         if self.bias is not None:
             y += self.bias.data[:, None, None]
         return _restore_batch(y, lead), (xp, sigma, lead, (h, w))
@@ -371,7 +458,8 @@ class Conv2d(_Conv):
     def backward(self, cache, grad_out):
         xp, sigma, lead, hw = cache
         g, _ = _flatten_batch(grad_out, 3)
-        self.weight.grad += _correlate_weight_adjoint(xp, g, self.kernel, self.stride) / sigma
+        _, gw = _correlate(xp, self.kernel, self.stride, g=g)
+        self.weight.grad += gw / sigma
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2, 3))
         weight, _ = self._effective_weight()
@@ -421,12 +509,13 @@ class Deconv2d(_Conv):
         ph, pw = self.padding
         g, _ = _flatten_batch(grad_out, 3)
         gp = np.pad(g, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        gw = _correlate_weight_adjoint(gp, xb, self.kernel, self.stride)
+        weight, _ = self._effective_weight()
+        gx, gw = _correlate(gp, self.kernel, self.stride,
+                            w=weight.transpose(1, 0, 2, 3), g=xb)
         self.weight.grad += gw.transpose(1, 0, 2, 3) / sigma
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2, 3))
-        weight, _ = self._effective_weight()
-        return _restore_batch(_correlate(gp, weight.transpose(1, 0, 2, 3), self.stride), lead)
+        return _restore_batch(gx, lead)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import Activation, Conv1d
+from .layers import (Conv1d, grid_interior, grid_scratch, grid_valid,
+                     leaky_relu, leaky_relu_grad, to_grid)
 from .numerics import Rng
 
 __all__ = [
@@ -48,6 +49,8 @@ class BlockSpec:
         for k in self.kernel_sizes:
             if k % 2 == 0 or k < 1:
                 raise ValueError("block kernel sizes must be odd and positive")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ValueError("leaky ReLU slope must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,12 @@ def invertible_upsample(x):
     c2, mid, length = x.shape[0], x.shape[1:-1], x.shape[-1]
     if c2 % 2 != 0:
         raise ValueError("channel count must be even to up-sample")
-    y = np.moveaxis(x.reshape((c2 // 2, 2) + mid + (length,)), 1, -1)
-    return np.ascontiguousarray(y).reshape((c2 // 2,) + mid + (2 * length,))
+    # one strided write per parity: a copy whose innermost axis is the
+    # length-2 interleave runs several times slower
+    y = np.empty((c2 // 2,) + mid + (length, 2))
+    y[..., 0] = x[0::2]
+    y[..., 1] = x[1::2]
+    return y.reshape((c2 // 2,) + mid + (2 * length,))
 
 
 def coupling_forward(a, b, predictor):
@@ -171,8 +178,13 @@ def coupling_inverse(a, b, predictor):
 class CouplingBlock:
     """Shape-preserving conv stack used as one stage's lifting predictor.
 
-    Operates on channels-first (C, B, L) arrays, the transform's internal
-    layout; the convolutions run their no-transpose fast path there.
+    Maps channels-first (C, B, L) to (C, B, L), the transform's internal
+    layout. The input is copied once onto a zero-padded grid
+    (C, B, L + 2P), P the widest conv's half-width; every conv and leaky
+    ReLU then reads and writes that layout (see ``layers.to_grid``), and the
+    output is a view of the last grid's signal columns. The cache is a list
+    of (input grid, spectral scale) pairs, one per conv; the leaky ReLU
+    backward reads the sign of the next conv's input grid.
     """
 
     def __init__(self, channels, spec, linear, rng):
@@ -183,24 +195,34 @@ class CouplingBlock:
                    spectral_norm=spec.spectral_norm, rng=rng)
             for k in spec.kernel_sizes
         ]
-        self.activation = None if linear else Activation("leaky_relu", spec.leaky_slope)
+        self.slope = None if linear else float(spec.leaky_slope)
+        self.pad = max(spec.kernel_sizes) // 2
 
     def forward(self, x):
-        caches = []
-        y = x
+        grid = to_grid(x, self.pad)
+        scratch = grid_scratch(grid, self.pad, self.channels)
+        cache = []
         for i, conv in enumerate(self.convs):
-            y, c = conv.forward_cf(y)
-            caches.append((conv.backward_cf, c))
-            if self.activation is not None and i < len(self.convs) - 1:
-                y, c = self.activation.forward(y)
-                caches.append((self.activation.backward, c))
-        return y, caches
+            out, sigma = conv.forward_grid(grid, self.pad, scratch)
+            cache.append((grid, sigma))
+            if self.slope is not None and i < len(self.convs) - 1:
+                interior = grid_interior(out, self.pad)
+                leaky_relu(interior, self.slope, interior, scratch)
+            grid = out
+        return grid_valid(grid, self.pad), cache
 
-    def backward(self, caches, grad_out):
-        g = grad_out
-        for backward_fn, c in reversed(caches):
-            g = backward_fn(c, g)
-        return g
+    def backward(self, cache, grad_out):
+        grad = to_grid(grad_out, self.pad)
+        scratch = grid_scratch(grad, self.pad, self.channels)
+        spare = None
+        for i in range(len(self.convs) - 1, -1, -1):
+            if self.slope is not None and i < len(self.convs) - 1:
+                leaky_relu_grad(grid_interior(grad, self.pad),
+                                grid_interior(cache[i + 1][0], self.pad), self.slope, scratch)
+            grid, sigma = cache[i]
+            spare, grad = grad, self.convs[i].backward_grid(grid, sigma, grad, self.pad,
+                                                            scratch, out=spare)
+        return grid_valid(grad, self.pad)
 
     def named_parameters(self, prefix):
         for i, conv in enumerate(self.convs):

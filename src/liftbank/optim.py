@@ -21,7 +21,7 @@ __all__ = ["Adam", "TrainConfig", "TrainHistory", "TrainingDiverged", "train"]
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or a gradient stops being finite."""
 
 
 class Adam:
@@ -147,7 +147,10 @@ def train(pipeline, dataset, cfg):
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at step {history.steps}")
             pipeline.backward(cache, grad)
-            optimizer.step()
+            try:
+                optimizer.step()
+            except ValueError as exc:       # a non-finite gradient
+                raise TrainingDiverged(f"{exc} at step {history.steps}") from exc
             pipeline.update_spectral_state(1)
             # sample-weighted epoch mean: invariant to the shuffle order
             loss_sum += loss * clean.shape[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from liftbank.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from liftbank.checkpoint import MAGIC, atomic_write, load_checkpoint, save_checkpoint
 from liftbank.numerics import Rng
 
 
@@ -69,3 +69,14 @@ class TestCheckpoint:
             save_checkpoint(path, {"a": np.ones(3), "x" * 70000: np.ones(2)})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_atomic_write_failure_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "log.csv"
+        with atomic_write(path) as fh:
+            fh.write("epoch,loss\n1,0.5\n")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with atomic_write(path) as fh:
+                fh.write("epoch,loss\n")
+                raise RuntimeError("mid-write")
+        assert path.read_text() == "epoch,loss\n1,0.5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]

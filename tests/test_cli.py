@@ -100,6 +100,21 @@ class TestTrainCommand:
         assert main(["train", str(cfg)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_finite_gradient_exits_3(self, tmp_path, capsys, monkeypatch):
+        """A finite loss with a NaN gradient is divergence, not a usage error."""
+        from liftbank import optim
+        loss_and_grad = optim.sdr_loss_and_grad
+
+        def nan_gradient(*args):
+            loss, grad = loss_and_grad(*args)
+            return loss, np.full_like(grad, np.nan)
+
+        monkeypatch.setattr(optim, "sdr_loss_and_grad", nan_gradient)
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n")
+        assert main(["train", str(cfg)]) == 3
+        assert "non-finite gradient for parameter lifting/" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint_last.ckpt").exists()
+
 
 class TestEnhanceCommand:
     def test_ones_mask_is_identity_up_to_quantization(self, tmp_path):
@@ -126,6 +141,14 @@ class TestEnhanceCommand:
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["enhance", str(tmp_path / "no.wav"),
                      str(tmp_path / "out.wav")]) == 2
+
+    def test_sample_rate_mismatch_exits_2(self, tmp_path, capsys):
+        wav_write(WavClip(0.1 * Rng(5).normal((1000,)), sample_rate=8000),
+                  tmp_path / "in.wav")
+        assert main(["enhance", str(tmp_path / "in.wav"),
+                     str(tmp_path / "out.wav")]) == 2
+        assert "sample rate 8000 Hz differs" in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
 
     def test_checkpoint_mismatch_exits_2(self, tmp_path):
         from liftbank.checkpoint import save_checkpoint

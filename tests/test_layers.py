@@ -109,6 +109,49 @@ class TestConv1dForward:
             np.testing.assert_allclose(y[i], yi, atol=1e-12)
 
 
+def loop_conv1d(x, w, b):
+    """Reference "same" correlation of one (C_in, L) signal, one output at a time."""
+    cout, _, k = w.shape
+    xp = np.pad(x, ((0, 0), (k // 2, k // 2)))
+    y = np.zeros((cout, x.shape[1]))
+    for o in range(cout):
+        for i in range(x.shape[1]):
+            y[o, i] = b[o] + np.sum(w[o] * xp[:, i:i + k])
+    return y
+
+
+class TestConv1dGrid:
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("length", [1, 4, 9])
+    def test_forward_matches_loop_reference(self, kernel, length):
+        rng = Rng(5)
+        conv = Conv1d(2, 3, kernel, rng=rng.fork())
+        x = rng.normal((2, 2, length))
+        y, _ = conv.forward(x)
+        for i in range(x.shape[0]):
+            ref = loop_conv1d(x[i], conv.weight.data, conv.bias.data)
+            np.testing.assert_allclose(y[i], ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_backward_is_adjoint(self, kernel):
+        """<W * x, g> == <x, backward(g)> and, the conv being linear in W,
+        <grad W, V> == <V * x, g> for any V (biases off)."""
+        rng = Rng(6)
+        conv = Conv1d(3, 2, kernel, bias=False, rng=rng.fork())
+        x = rng.normal((2, 3, 7))
+        g = rng.normal((2, 2, 7))
+        conv.weight.zero_grad()
+        y, cache = conv.forward(x)
+        gx = conv.backward(cache, g)
+        assert float(np.sum(y * g)) == pytest.approx(float(np.sum(x * gx)), rel=1e-12)
+        v = rng.normal(conv.weight.shape)
+        conv_v = Conv1d(3, 2, kernel, bias=False, rng=Rng(0))
+        conv_v.weight.data[...] = v
+        yv, _ = conv_v.forward(x)
+        assert float(np.sum(conv.weight.grad * v)) == pytest.approx(float(np.sum(yv * g)),
+                                                                    rel=1e-12)
+
+
 class TestLayerBackward:
     def test_identity_kernel_adjoint(self):
         conv = Conv1d(1, 1, 3, rng=Rng(0))

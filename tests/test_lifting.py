@@ -7,7 +7,9 @@ parameters at all, linear or not, to within 1e-9 in 64-bit.
 import numpy as np
 import pytest
 
-from liftbank.lifting import (BlockSpec, LiftingConfig, LiftingTransform,
+from liftbank.layers import (grid_interior, grid_scratch, grid_valid, leaky_relu,
+                             leaky_relu_grad, to_grid)
+from liftbank.lifting import (BlockSpec, CouplingBlock, LiftingConfig, LiftingTransform,
                               coupling_forward, coupling_inverse,
                               invertible_downsample, invertible_upsample,
                               split, split_inverse)
@@ -294,3 +296,154 @@ class TestTransform:
         tf = LiftingTransform(LiftingConfig(num_stages=2, linear_variant=True), Rng(23))
         names = [name for name, _ in tf.named_parameters()]
         assert all(name.endswith("/weight") for name in names)
+
+
+# ---------------------------------------------------------------------------
+# predictor block on the zero-padded grid
+# ---------------------------------------------------------------------------
+
+def loop_conv(x, w, b):
+    """Reference "same" correlation of (C_in, B, L), one output at a time."""
+    cout, _, k = w.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p)))
+    y = np.zeros((cout,) + x.shape[1:])
+    for o in range(cout):
+        for n in range(x.shape[1]):
+            for i in range(x.shape[2]):
+                y[o, n, i] = (0.0 if b is None else b[o]) + np.sum(w[o] * xp[:, n, i:i + k])
+    return y
+
+
+def loop_conv_input_grad(g, w):
+    """Reference input gradient of ``loop_conv``, one input position at a time."""
+    _, cin, k = w.shape
+    p = k // 2
+    length = g.shape[2]
+    gx = np.zeros((cin,) + g.shape[1:])
+    for c in range(cin):
+        for n in range(g.shape[1]):
+            for m in range(length):
+                for t in range(k):
+                    i = m - t + p          # output position that read input m at tap t
+                    if 0 <= i < length:
+                        gx[c, n, m] += np.dot(w[:, c, t], g[:, n, i])
+    return gx
+
+
+def effective_weights(block):
+    out = []
+    for conv in block.convs:
+        w = conv.weight.data
+        if conv.sn_u is not None:
+            w = w / float(np.linalg.norm(w.reshape(w.shape[0], -1).T @ conv.sn_u))
+        out.append((w, None if conv.bias is None else conv.bias.data))
+    return out
+
+
+def loop_block(block, x, g):
+    """Reference output and input gradient of a predictor block."""
+    slope = block.slope
+    params = effective_weights(block)
+    pre, y = [], x
+    for i, (w, b) in enumerate(params):
+        y = loop_conv(y, w, b)
+        if slope is not None and i < len(params) - 1:
+            pre.append(y)
+            y = np.where(y >= 0.0, y, slope * y)
+    out = y
+    for i in range(len(params) - 1, -1, -1):
+        if slope is not None and i < len(params) - 1:
+            g = np.where(pre[i] >= 0.0, g, slope * g)
+        g = loop_conv_input_grad(g, params[i][0])
+    return out, g
+
+
+def grid_pads(grid, pad):
+    return np.concatenate([grid[:, :, :pad], grid[:, :, grid.shape[2] - pad:]], axis=2)
+
+
+BLOCK_CASES = [
+    pytest.param(BlockSpec(kernel_sizes=(5, 3, 1)), False, id="k531"),
+    pytest.param(BlockSpec(kernel_sizes=(5, 3, 1)), True, id="k531-linear"),
+    pytest.param(BlockSpec(kernel_sizes=(3, 5), spectral_norm=True), False, id="k35-sn"),
+    pytest.param(BlockSpec(kernel_sizes=(1, 3), leaky_slope=0.3, spectral_norm=True), True,
+                 id="k13-sn-linear"),
+]
+
+
+class TestGridBlock:
+    @pytest.mark.parametrize("spec, linear", BLOCK_CASES)
+    @pytest.mark.parametrize("length", [1, 7, 9])
+    def test_matches_loop_reference(self, spec, linear, length):
+        rng = Rng(24)
+        block = CouplingBlock(3, spec, linear, rng.fork())
+        x = rng.normal((3, 2, length))
+        g = rng.normal((3, 2, length))
+        y, cache = block.forward(x)
+        gx = block.backward(cache, g)
+        y_ref, gx_ref = loop_block(block, x, g)
+        assert y.shape == gx.shape == x.shape
+        np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gx, gx_ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("spec, linear", [
+        (BlockSpec(kernel_sizes=(5, 3, 1)), False),
+        (BlockSpec(kernel_sizes=(5, 3, 1)), True),
+        (BlockSpec(kernel_sizes=(3, 5), leaky_slope=0.3), False)])
+    def test_parameter_gradients_match_finite_differences(self, spec, linear):
+        """Without spectral norm: with it, backward holds the spectral scale
+        constant for the step (pinned in test_layers), which finite
+        differences of the weight do not."""
+        rng = Rng(25)
+        block = CouplingBlock(2, spec, linear, rng.fork())
+        x = rng.normal((2, 2, 7))
+        r = rng.normal((2, 2, 7))
+        for _, p in block.named_parameters("b"):
+            p.zero_grad()
+        y, cache = block.forward(x)
+        block.backward(cache, r)
+        h = 1e-5
+        for name, p in block.named_parameters("b"):
+            numeric = np.zeros_like(p.data)
+            for idx in np.ndindex(*p.data.shape):
+                orig = p.data[idx]
+                p.data[idx] = orig + h
+                fp = float(np.sum(block.forward(x)[0] * r))
+                p.data[idx] = orig - h
+                fm = float(np.sum(block.forward(x)[0] * r))
+                p.data[idx] = orig
+                numeric[idx] = (fp - fm) / (2 * h)
+            denom = np.maximum(np.maximum(np.abs(p.grad), np.abs(numeric)), 1e-8)
+            assert float(np.max(np.abs(p.grad - numeric) / denom)) <= 1e-4, name
+
+    @pytest.mark.parametrize("spec, linear", BLOCK_CASES)
+    def test_pad_columns_stay_zero(self, spec, linear):
+        """Every conv and activation leaves the grid's pad columns exactly zero,
+        forward and backward, so each output is the next layer's padded input."""
+        rng = Rng(26)
+        block = CouplingBlock(3, spec, linear, rng.fork())
+        pad = block.pad
+        grid = to_grid(rng.normal((3, 4, 9)), pad)
+        scratch = grid_scratch(grid, pad, 3)
+        grids = [grid]
+        for i, conv in enumerate(block.convs):
+            out, _ = conv.forward_grid(grids[-1], pad, scratch)
+            assert np.all(grid_pads(out, pad) == 0.0)
+            if block.slope is not None and i < len(block.convs) - 1:
+                interior = grid_interior(out, pad)
+                leaky_relu(interior, block.slope, interior, scratch)
+                assert np.all(grid_pads(out, pad) == 0.0)
+            grids.append(out)
+        y, cache = block.forward(grid_valid(grid, pad))
+        np.testing.assert_array_equal(y, grid_valid(grids[-1], pad))
+        for (cached, _), expected in zip(cache, grids):
+            np.testing.assert_array_equal(cached, expected)
+        grad = to_grid(rng.normal((3, 4, 9)), pad)
+        for i in range(len(block.convs) - 1, -1, -1):
+            if block.slope is not None and i < len(block.convs) - 1:
+                leaky_relu_grad(grid_interior(grad, pad), grid_interior(grids[i + 1], pad),
+                                block.slope, scratch)
+                assert np.all(grid_pads(grad, pad) == 0.0)
+            grad = block.convs[i].backward_grid(grids[i], cache[i][1], grad, pad, scratch)
+            assert np.all(grid_pads(grad, pad) == 0.0)
