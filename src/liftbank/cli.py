@@ -274,13 +274,19 @@ def cmd_check(args):
     return EXIT_OK if worst <= tol else EXIT_PROPERTY_FAILURE
 
 
-def _eval_one(pipeline, clean_path, noisy_path, oracle, export_dir, stft_cfg):
+def _eval_one(pipeline, clean_path, noisy_path, oracle, export_dir, stft_cfg,
+              sample_rate):
     """Score one pair: a MetricReport, or the reason the pair was skipped."""
     try:
         clean = wav_read(clean_path)
         noisy = wav_read(noisy_path)
     except (ValueError, OSError) as exc:
         return f"unreadable pair {clean_path} / {noisy_path}: {exc}"
+    rates = {clean.sample_rate, noisy.sample_rate}
+    if rates != {sample_rate}:
+        return (f"pair {clean_path} / {noisy_path}: sample rate "
+                f"{' / '.join(str(r) for r in sorted(rates))} Hz differs from the "
+                f"config's data.sample_rate = {sample_rate} Hz")
     if clean.samples.shape != noisy.samples.shape:
         return f"length-mismatched pair {clean_path} / {noisy_path}"
     name = Path(noisy_path).stem
@@ -312,7 +318,8 @@ def cmd_eval(args):
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         results = list(pool.map(
             lambda pair: _eval_one(pipeline, pair[0], pair[1], args.oracle,
-                                   args.export_spectrogram, stft_cfg),
+                                   args.export_spectrogram, stft_cfg,
+                                   cfg["data.sample_rate"]),
             pairs))
 
     reports = [r for r in results if isinstance(r, MetricReport)]

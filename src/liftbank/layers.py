@@ -12,7 +12,13 @@ zero-padded channels-first grid (C, B, L + 2P), one strided GEMM per tap; the
 lifting predictors chain their convolutions on that grid. The 2-D layers
 share one strided correlation, ``_correlate`` (with its weight adjoint from
 the same patches), and its input adjoint ``_correlate_input_adjoint``:
-Conv2d is the correlation and Deconv2d is the input adjoint.
+Conv2d is the correlation and Deconv2d is the input adjoint. Both run
+channels-first. The correlation builds each image's patches as
+(C * kh * kw, Ho * Wo), so ``W @ P`` is the output image as it stands. The
+input adjoint splits its output into stride_h * stride_w sub-pixel phases,
+each a stride-1 correlation with a sub-kernel: one GEMM per tap from a
+strided window of the flat, zero-padded gradient grid, the same tap loop as
+Conv1d's, with no scatter-adds and no transpose.
 """
 
 from __future__ import annotations
@@ -95,6 +101,38 @@ def leaky_relu_grad(g, y, slope, scratch):
     return np.multiply(g, scratch, out=g)
 
 
+_ACT_BLOCK = 1 << 13     # elements per in-place activation block (64 KiB)
+
+
+def _leaky_relu_inplace(x, slope):
+    """x = max(x, slope x) in place on any strided x, one cache-sized block at
+    a time, so the only scratch is one block."""
+    scratch = np.empty(_ACT_BLOCK)
+    with np.nditer(x, flags=["external_loop"], op_flags=[["readwrite"]]) as runs:
+        for run in runs:
+            for i in range(0, run.size, _ACT_BLOCK):
+                part = run[i:i + _ACT_BLOCK]
+                leaky_relu(part, slope, part, scratch[:part.size])
+    return x
+
+
+def _sigmoid(x, out):
+    """Logistic exp(min(x, 0)) / (1 + exp(-|x|)) into ``out`` (may be x),
+    clamped to [1e-12, 1 - 1e-12].
+
+    The same value as 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below,
+    without a branch: both exponents are <= 0, so nothing overflows.
+    """
+    num = np.minimum(x, 0.0)
+    np.exp(num, out=num)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(num, out, out=out)
+    return np.clip(out, 1e-12, 1.0 - 1e-12, out=out)
+
+
 class Activation:
     """Elementwise activation: leaky_relu(slope), sigmoid, or identity."""
 
@@ -108,21 +146,21 @@ class Activation:
         self.kind = kind
         self.slope = float(slope)
 
-    def forward(self, x):
+    def forward(self, x, out=None):
+        """Output and cache. ``out`` receives the output when given; it may be
+        x itself, and the activation then runs in place."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "identity":
-            return x, None
+            if out is not None and out is not x:
+                out[...] = x
+            return (x if out is None else out), None
+        if out is None:
+            out = np.empty_like(x)
         if self.kind == "leaky_relu":
-            y = np.empty_like(x)
-            return leaky_relu(x, self.slope, y, y), y
-        # numerically stable logistic, clamped to the open unit interval
-        y = np.empty_like(x)
-        pos = x >= 0.0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
-        np.clip(y, 1e-12, 1.0 - 1e-12, out=y)
-        return y, y
+            if out is x:
+                return _leaky_relu_inplace(x, self.slope), x
+            return leaky_relu(x, self.slope, out, out), out
+        return _sigmoid(x, out), out
 
     def backward(self, cache, grad_out):
         if self.kind == "identity":
@@ -222,6 +260,20 @@ def _zero_pad_columns(grid, pad):
     grid[:, :, grid.shape[2] - pad:] = 0.0
 
 
+def _tap_gemms(taps, flat, offsets, acc, scratch):
+    """acc = sum_t taps[t] @ flat[:, o_t : o_t + n] for the column offsets o_t,
+    n = acc.shape[1]: one GEMM per tap straight from a strided column window of
+    the flat grid; ``scratch`` has acc's shape."""
+    n = acc.shape[1]
+    for t, off in enumerate(offsets):
+        if t == 0:
+            np.matmul(taps[0], flat[:, off:off + n], out=acc)
+        else:
+            np.matmul(taps[t], flat[:, off:off + n], out=scratch)
+            acc += scratch
+    return acc
+
+
 def _correlate_grid(taps, grid, pad, scratch, bias=None, out=None):
     """Stride-1 correlation of a padded (C_in, B, Lp) grid with taps (k, C_out, C_in).
 
@@ -230,16 +282,12 @@ def _correlate_grid(taps, grid, pad, scratch, bias=None, out=None):
     s_t = P - k // 2 + t; ``scratch`` holds at least C_out rows of n columns.
     """
     k, cout = taps.shape[:2]
-    flat = grid.reshape(grid.shape[0], -1)
-    n = flat.shape[1] - 2 * pad
     if out is None:
         out = np.empty((cout,) + grid.shape[1:])
     acc = grid_interior(out, pad)
     first = pad - k // 2
-    np.matmul(taps[0], flat[:, first:first + n], out=acc)
-    for t in range(1, k):
-        np.matmul(taps[t], flat[:, first + t:first + t + n], out=scratch[:cout])
-        acc += scratch[:cout]
+    _tap_gemms(taps, grid.reshape(grid.shape[0], -1), range(first, first + k), acc,
+               scratch[:cout])
     if bias is not None:
         acc += bias[:, None]
     _zero_pad_columns(out, pad)
@@ -383,10 +431,14 @@ def _pair(v):
 
 
 def _patches(image, kernel, stride):
-    """im2col of one padded (C, Hp, Wp) image: (Ho * Wo, C * kh * kw)."""
+    """im2col of one padded (C, Hp, Wp) image: (C * kh * kw, Ho * Wo).
+
+    Rows are (channel, tap) pairs in weight order, so ``W @ P`` is the image's
+    channels-first output; a 1x1 stride-1 kernel reads the image as it is.
+    """
     win = sliding_window_view(image, kernel, axis=(1, 2))[:, ::stride[0], ::stride[1]]
     c, ho, wo, kh, kw = win.shape
-    return np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, c * kh * kw)
+    return np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(c * kh * kw, ho * wo)
 
 
 def _correlate(xp, kernel, stride, w=None, g=None):
@@ -405,27 +457,90 @@ def _correlate(xp, kernel, stride, w=None, g=None):
     for b, image in enumerate(xp):
         patches = _patches(image, kernel, stride)
         if y is not None:
-            y[b] = (patches @ w.reshape(w.shape[0], -1).T).T
+            np.matmul(w.reshape(w.shape[0], -1), patches, out=y[b])
         if gw is not None:
-            gw += g[b].reshape(g.shape[1], -1) @ patches
+            gw += g[b].reshape(g.shape[1], -1) @ patches.T
     return (None if y is None else y.reshape(batch, -1, ho, wo),
             None if gw is None else gw.reshape((g.shape[1], cin) + tuple(kernel)))
 
 
-def _correlate_input_adjoint(g, w, stride, padding, out_hw):
+_ACC_BLOCK = 1 << 15   # elements of one phase-block accumulator (256 KiB)
+
+
+def _phase_axis(k, s, p, n):
+    """The sub-pixel phases of a stride-s transposed correlation along one axis.
+
+    Uncropped output index r = u + s i collects kernel taps u = r (mod s)
+    only. For each residue r: (first cropped output y0, output count, first
+    row m0 of the phase's stride-1 output, [(tap u, grid offset a)]); the
+    phase reads the gradient zero-padded by ``lead = ceil(k / s) - 1`` in
+    front, phase row m and tap u = r + s q at padded row m + lead - q.
+    """
+    lead = -(-k // s) - 1
+    phases = []
+    for r in range(s):
+        y0 = (r - p) % s
+        taps = [(u, lead - (u - r) // s) for u in range(r, k, s)]
+        phases.append((y0, len(range(y0, n, s)), (y0 + p - r) // s, taps))
+    return lead, phases
+
+
+def _correlate_input_adjoint(g, w, stride, padding, out_hw, bias=None, out=None):
     """Input gradient (B, C_in, *out_hw) of ``_correlate`` for output gradient g,
-    with the padding cropped off; one channels-last GEMM and scatter per tap."""
+    with the padding cropped off, plus ``bias`` when given; written into
+    ``out`` when given, else into a new array.
+
+    The output splits into stride_h * stride_w sub-pixel phases (a stride-s
+    transposed convolution is s^2 interleaved stride-1 ones; Shi et al. 2016,
+    arXiv 1609.07009). Each phase is a stride-1 correlation of the
+    zero-padded, channels-first gradient with the flipped sub-kernel of its
+    taps: one GEMM per tap from a strided column window of each image's flat
+    (C_out, Hg * Wg) grid (tap offset a Wg + b). Its rows go through in
+    blocks: the taps accumulate into one preallocated buffer small enough to
+    stay in cache, whose rows are Wg wide (the columns past the phase's are
+    discarded), and one strided copy writes the block into the phase's view
+    of the output. A phase with no taps (kernel smaller than stride) is zero.
+    """
     cout, cin, kh, kw = w.shape
     batch, _, ho, wo = g.shape
     (sh, sw), (ph, pw), (h, wd) = stride, padding, out_hw
-    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-    full = np.zeros((batch, h + 2 * ph, wd + 2 * pw, cin))
-    for u in range(kh):
-        for v in range(kw):
-            full[:, u:u + sh * ho:sh, v:v + sw * wo:sw] += (
-                (g2 @ w[:, :, u, v]).reshape(batch, ho, wo, cin))
-    del g2      # release it before the output copy below
-    return np.ascontiguousarray(full[:, ph:ph + h, pw:pw + wd].transpose(0, 3, 1, 2))
+    lead_h, rows = _phase_axis(kh, sh, ph, h)
+    lead_w, cols = _phase_axis(kw, sw, pw, wd)
+    # the grid holds every row and column a phase window reads
+    hg = max([ho + 2 * lead_h] + [m0 + nh + lead_h for _, nh, m0, _ in rows])
+    wg = max([wo + 2 * lead_w] + [n0 + nw + lead_w for _, nw, n0, _ in cols])
+    grid = np.zeros((batch, cout, hg, wg))
+    grid[:, :, lead_h:lead_h + ho, lead_w:lead_w + wo] = g
+    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))          # (kh, kw, C_in, C_out)
+    if out is None:
+        out = np.empty((batch, cin, h, wd))
+    # phase rows go through in blocks whose accumulator stays in cache
+    block = max(1, _ACC_BLOCK // (cin * wg))
+    acc_buf, scratch_buf = np.empty((cin, block * wg)), np.empty((cin, block * wg))
+    for b in range(batch):
+        flat = grid[b].reshape(cout, -1)
+        for y0, nh, m0, taps_h in rows:
+            for r0 in range(0, nh, block):
+                r = min(block, nh - r0)
+                # the column phases fill the same output rows one after another
+                for x0, nw, n0, taps_w in cols:
+                    if nw == 0:
+                        continue
+                    dst = out[b, :, y0 + r0 * sh:y0 + (r0 + r) * sh:sh, x0::sw]
+                    if not taps_h or not taps_w:
+                        dst[...] = 0.0 if bias is None else bias[:, None, None]
+                        continue
+                    n = (r - 1) * wg + nw
+                    start = (m0 + r0) * wg + n0
+                    _tap_gemms([taps[u, v] for u, _ in taps_h for v, _ in taps_w], flat,
+                               [start + a * wg + c for _, a in taps_h for _, c in taps_w],
+                               acc_buf[:, :n], scratch_buf[:, :n])
+                    phase = acc_buf[:, :r * wg].reshape(cin, r, wg)[:, :, :nw]
+                    if bias is None:
+                        dst[...] = phase
+                    else:
+                        np.add(phase, bias[:, None, None], out=dst)
+    return out
 
 
 class Conv2d(_Conv):
@@ -449,7 +564,7 @@ class Conv2d(_Conv):
         if h + 2 * ph < kh or w + 2 * pw < kw:
             raise ValueError("input smaller than kernel")
         weight, sigma = self._effective_weight()
-        xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else xb
         y, _ = _correlate(xp, self.kernel, self.stride, w=weight)
         if self.bias is not None:
             y += self.bias.data[:, None, None]
@@ -489,7 +604,9 @@ class Deconv2d(_Conv):
         ph, pw = self.padding
         return (h - 1) * sh - 2 * ph + kh, (w - 1) * sw - 2 * pw + kw
 
-    def forward(self, x):
+    def forward(self, x, out=None):
+        """Output and cache; the output is written into ``out`` (the output's
+        shape, any layout whose batch axes merge) and returned as it when given."""
         xb, lead = _flatten_batch(x, 3)
         _, cin, h, w = xb.shape
         if cin != self.in_channels:
@@ -497,12 +614,16 @@ class Deconv2d(_Conv):
         ho, wo = self.out_shape(h, w)
         if ho < 1 or wo < 1:
             raise ValueError("deconv output would be empty")
+        shape = lead + (self.out_channels, ho, wo)
+        yb = None if out is None or out.shape != shape else out.reshape((-1,) + shape[-3:])
+        if out is not None and (yb is None or not np.may_share_memory(yb, out)):
+            raise ValueError(f"output buffer of shape {out.shape} is not a "
+                             f"{shape} array whose batch axes merge")
         weight, sigma = self._effective_weight()
-        y = _correlate_input_adjoint(xb, weight.transpose(1, 0, 2, 3), self.stride,
-                                     self.padding, (ho, wo))
-        if self.bias is not None:
-            y += self.bias.data[:, None, None]
-        return _restore_batch(y, lead), (xb, sigma, lead)
+        y = _correlate_input_adjoint(
+            xb, weight.transpose(1, 0, 2, 3), self.stride, self.padding, (ho, wo),
+            None if self.bias is None else self.bias.data, yb)
+        return (_restore_batch(y, lead) if out is None else out), (xb, sigma, lead)
 
     def backward(self, cache, grad_out):
         xb, sigma, lead = cache

@@ -130,14 +130,20 @@ class MaskEstimator:
     def total_stride(self):
         return 2 ** self.depth
 
-    def _stage(self, conv, nrm, h, caches):
+    def _stage(self, conv, nrm, h, caches, out=None):
         """conv -> optional norm -> leaky ReLU; appends the three layer caches
-        to ``caches``, or drops them when it is None."""
-        h, c1 = conv.forward(h)
+        to ``caches``, or drops them when it is None.
+
+        The activation runs in place on the conv's or the norm's output, a
+        fresh array that no cache holds. A decoder stage given ``out``, its
+        part of the skip-concat buffer, has its conv and its activation write
+        there.
+        """
+        h, c1 = conv.forward(h) if out is None else conv.forward(h, out=out)
         c2 = None
         if nrm is not None:
             h, c2 = nrm.forward(h)
-        h, c3 = self.act.forward(h)
+        h, c3 = self.act.forward(h, out=h if out is None else out)
         if caches is not None:
             caches.append((c1, c2, c3))
         return h
@@ -169,13 +175,20 @@ class MaskEstimator:
         cat_channels = {}
         for idx, (conv, nrm) in enumerate(zip(self.dec_convs, self.dec_norms)):
             stage = self.depth - 1 - idx
-            h = self._stage(conv, nrm, h, dec_caches)
-            if stage >= 1:
-                cat_channels[idx] = h.shape[-3]
-                h = np.concatenate([h, skips[stage - 1]], axis=-3)
+            if stage == 0:
+                h = self._stage(conv, nrm, h, dec_caches)
+                continue
+            # the stage writes the front channels of the skip concatenation
+            skip = skips[stage - 1]
+            nc = conv.out_channels
+            cat = np.empty(skip.shape[:-3] + (nc + skip.shape[-3],) + skip.shape[-2:])
+            cat[..., nc:, :, :] = skip
+            self._stage(conv, nrm, h, dec_caches, out=cat[..., :nc, :, :])
+            cat_channels[idx] = nc
+            h = cat
 
         h, head_cache = self.head.forward(h)
-        mask_img, sig_cache = self.sigmoid.forward(h)
+        mask_img, sig_cache = self.sigmoid.forward(h, out=h)
         mask = mask_img[..., 0, :h0, :w0]
         if not keep:
             return mask, None

@@ -243,6 +243,18 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.count("skipped unreadable pair") == 2
 
+    def test_sample_rate_mismatch_skips_and_exits_1(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, n_pairs=2)
+        for name in ("clean1.wav", "noisy1.wav"):
+            clip = wav_read(tmp_path / name)
+            wav_write(WavClip(clip.samples, sample_rate=8000), tmp_path / name)
+        out_csv = tmp_path / "metrics.csv"
+        code = main(["eval", "--manifest", str(manifest), "--out", str(out_csv)])
+        assert code == 1
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["noisy0"]
+        assert "sample rate 8000 Hz differs" in capsys.readouterr().err
+
     def test_spectrogram_export(self, tmp_path):
         manifest = write_manifest(tmp_path, n_pairs=1)
         out_csv = tmp_path / "metrics.csv"

@@ -5,6 +5,8 @@ finite-difference oracle on a batch of random instances at relative
 tolerance 1e-4 (denominator max(|a|, |b|, 1e-8)).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,106 @@ class TestConv2dKernels:
                                                        rel=1e-12, abs=1e-12)
 
 
+def scatter_input_adjoint(g, w, stride, padding, out_hw):
+    """Reference input adjoint of a strided correlation: one scatter-add per tap
+    into the padded image, then the padding cropped off."""
+    cout, cin, kh, kw = w.shape
+    batch, _, ho, wo = g.shape
+    (sh, sw), (ph, pw), (h, wd) = stride, padding, out_hw
+    full = np.zeros((batch, cin, max(h + 2 * ph, sh * (ho - 1) + kh),
+                     max(wd + 2 * pw, sw * (wo - 1) + kw)))
+    for u in range(kh):
+        for v in range(kw):
+            full[:, :, u:u + sh * ho:sh, v:v + sw * wo:sw] += np.einsum(
+                "oc,bohw->bchw", w[:, :, u, v], g)
+    return full[:, :, ph:ph + h, pw:pw + wd]
+
+
+# kernel, stride, padding, conv input (H, W): the estimator's k4 s2 p1, kernels
+# smaller than the stride (phases with no taps), and odd sizes whose phases
+# hold unequal row and column counts
+ADJOINT_GEOMETRIES = [
+    (4, (2, 2), (1, 1), (8, 10)),
+    (4, (2, 2), (1, 1), (7, 9)),
+    (3, (2, 2), (1, 1), (7, 8)),
+    (3, (2, 1), (1, 0), (7, 9)),
+    (3, (1, 1), (1, 1), (5, 6)),
+    (1, (1, 1), (0, 0), (5, 6)),
+    (1, (2, 2), (0, 0), (7, 6)),
+    (4, (2, 3), (1, 2), (9, 11)),
+    ((1, 2), (3, 3), (0, 1), (8, 7)),
+]
+
+
+class TestPhaseInputAdjoint:
+    @pytest.mark.parametrize("kernel, stride, padding, hw", ADJOINT_GEOMETRIES)
+    def test_conv2d_input_gradient_matches_scatter(self, kernel, stride, padding, hw):
+        rng = Rng(18)
+        conv = Conv2d(3, 2, kernel, stride, padding, rng=rng.fork())
+        x = rng.normal((2, 3) + hw)
+        y, cache = conv.forward(x)
+        g = rng.normal(y.shape)
+        gx = conv.backward(cache, g)
+        ref = scatter_input_adjoint(g, conv.weight.data, conv.stride, conv.padding, hw)
+        assert gx.shape == x.shape and gx.flags.c_contiguous
+        np.testing.assert_allclose(gx, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel, stride, padding, hw", ADJOINT_GEOMETRIES)
+    def test_deconv2d_forward_matches_scatter(self, kernel, stride, padding, hw):
+        rng = Rng(19)
+        deconv = Deconv2d(3, 2, kernel, stride, padding, rng=rng.fork())
+        x = rng.normal((2, 3) + hw)
+        y, _ = deconv.forward(x)
+        out_hw = deconv.out_shape(*hw)
+        ref = scatter_input_adjoint(x, deconv.weight.data.transpose(1, 0, 2, 3),
+                                    deconv.stride, deconv.padding, out_hw)
+        ref += deconv.bias.data[:, None, None]
+        assert y.shape == (2, 2) + out_hw and y.flags.c_contiguous
+        np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
+
+    def test_phases_without_taps_are_zero(self):
+        rng = Rng(20)
+        deconv = Deconv2d(3, 2, kernel_size=1, stride=(2, 3), padding=0, bias=False,
+                          rng=rng.fork())
+        y, _ = deconv.forward(rng.normal((2, 3, 4, 5)))
+        assert y.shape == (2, 2, 7, 13)
+        hit = np.zeros(y.shape, dtype=bool)
+        hit[:, :, ::2, ::3] = True
+        assert np.all(y[~hit] == 0.0) and np.all(y[hit] != 0.0)
+        conv = Conv2d(3, 2, kernel_size=1, stride=2, padding=0, bias=False,
+                      rng=rng.fork())
+        y, cache = conv.forward(rng.normal((2, 3, 6, 7)))
+        gx = conv.backward(cache, rng.normal(y.shape))
+        assert np.all(gx[:, :, 1::2, :] == 0.0) and np.all(gx[:, :, :, 1::2] == 0.0)
+
+    def test_deconv2d_writes_into_out(self):
+        """A decoder writes the front channels of its skip-concat buffer."""
+        rng = Rng(21)
+        deconv = Deconv2d(3, 2, rng=rng.fork())
+        x = rng.normal((2, 3, 4, 5))
+        cat = np.full((2, 5, 8, 10), 7.0)
+        y, _ = deconv.forward(x, out=cat[:, :2])
+        assert y is not None and np.shares_memory(y, cat)
+        np.testing.assert_array_equal(cat[:, :2], deconv.forward(x)[0])
+        np.testing.assert_array_equal(cat[:, 2:], 7.0)
+        with pytest.raises(ValueError):
+            deconv.forward(x, out=cat[:, :3])
+
+    @pytest.mark.parametrize("cin, cout, kernel, stride, padding", [
+        (16, 1, 1, 1, 0), (3, 4, 4, 2, 1), (2, 3, 3, (2, 1), 1)])
+    def test_conv2d_forward_head_and_strided(self, cin, cout, kernel, stride, padding):
+        """The 1x1 head reads its input with no copy; strided convs im2col."""
+        rng = Rng(22)
+        conv = Conv2d(cin, cout, kernel, stride, padding, rng=rng.fork())
+        x = rng.normal((2, cin, 8, 9))
+        y, _ = conv.forward(x)
+        assert y.flags.c_contiguous
+        for i in range(x.shape[0]):
+            ref = loop_conv2d(x[i], conv.weight.data, conv.bias.data, conv.stride,
+                              conv.padding)
+            np.testing.assert_allclose(y[i], ref, rtol=1e-12, atol=1e-12)
+
+
 class TestActivations:
     def test_leaky_relu_values(self):
         act = Activation("leaky_relu", 0.2)
@@ -304,6 +406,41 @@ class TestActivations:
     def test_sigmoid_open_interval(self):
         y, _ = Activation("sigmoid").forward(np.array([-1e4, -50.0, 0.0, 50.0, 1e4]))
         assert np.all(y > 0.0) and np.all(y < 1.0)
+
+    def test_sigmoid_matches_two_branch_formula(self):
+        """The branch-free logistic equals 1 / (1 + e^-x) for x >= 0 and
+        e^x / (1 + e^x) below, clamped, with no floating-point warnings."""
+        x = np.concatenate([np.linspace(-800.0, 800.0, 16001),
+                            [0.0, -0.0, 1e-300, -1e-300, 27.6, -27.6, 36.8, -36.8]])
+        ref = np.empty_like(x)
+        pos = x >= 0.0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        np.clip(ref, 1e-12, 1.0 - 1e-12, out=ref)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            y, _ = Activation("sigmoid").forward(x)
+            z = x.copy()
+            z_out, _ = Activation("sigmoid").forward(z, out=z)
+        np.testing.assert_allclose(y, ref, rtol=1e-15, atol=0.0)
+        assert z_out is z
+        np.testing.assert_array_equal(z, y)
+
+    def test_leaky_relu_in_place_on_a_view(self):
+        """In place on the front channels of a larger buffer, across several
+        blocks, the leaky ReLU matches its out-of-place result and leaves
+        the rest of the buffer alone."""
+        act = Activation("leaky_relu", 0.2)
+        buf = Rng(1).normal((2, 5, 40, 90))
+        view = buf[:, :3]
+        expected, _ = act.forward(view)
+        rest = buf[:, 3:].copy()
+        y, cache = act.forward(view, out=view)
+        assert y is view and cache is view
+        np.testing.assert_array_equal(view, expected)
+        np.testing.assert_array_equal(buf[:, 3:], rest)
 
     def test_identity(self):
         x = Rng(0).normal((5,))

@@ -292,6 +292,21 @@ class TestInferenceMemory:
         peak_training = _traced_peak(pipe.enhance_training, x)
         assert peak_enhance < 0.75 * peak_training
 
+    def test_enhance_peak_bounded_by_feature_bytes(self):
+        """The estimator's 2-D convs keep no channels-last copy of a layer's
+        output: on a 2 s input the lifting/estimator enhance peaks below 50
+        times its lifting feature's bytes. Channels-first phase adjoints with
+        in-place activations peak at about 42 times; a channels-last scatter
+        buffer with an output transpose and out-of-place activations at about
+        59 times."""
+        pipe = EnhancementPipeline(transform=LiftingTransform(LiftingConfig(), Rng(38)),
+                                   mask_source="estimator",
+                                   estimator=MaskEstimator(rng=Rng(39)))
+        x = Rng(40).normal((32000,))
+        feature = pipe.transform.forward(x)
+        assert feature.shape == (256, 500)
+        assert _traced_peak(pipe.enhance, x) < 50 * feature.nbytes
+
 
 class TestPipelineTrainingGradients:
     def test_stft_estimator_path_matches_finite_differences(self):
