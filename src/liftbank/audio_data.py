@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .numerics import Rng
 
 __all__ = [
@@ -65,10 +66,12 @@ def wav_read(path):
 
 
 def wav_write(clip, path):
-    """Write 16-bit mono PCM; samples outside [-1, 1] are clamped."""
+    """Write 16-bit mono PCM through ``atomic_write``, so a failed write leaves
+    any earlier file at ``path`` untouched; samples outside [-1, 1] are
+    clamped."""
     clamped = np.clip(clip.samples, -1.0, 1.0)
     quantized = np.round(clamped * _PCM_SCALE).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
+    with atomic_write(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(int(clip.sample_rate))

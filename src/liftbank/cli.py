@@ -246,7 +246,8 @@ def cmd_enhance(args):
         raise ConfigError("internal length mismatch in enhancement")
     wav_write(WavClip(s_hat, clip.sample_rate), args.output)
     if args.export_mask:
-        np.savetxt(args.export_mask, cache.mask, delimiter=",")
+        with atomic_write(args.export_mask) as fh:
+            np.savetxt(fh, cache.mask, delimiter=",")
         print(f"wrote mask {args.export_mask}")
     print(f"enhanced {args.input} -> {args.output} "
           f"({clip.samples.size} samples @ {clip.sample_rate} Hz)")

@@ -7,26 +7,23 @@ step (the lifting transform reuses its predictors on the forward and the
 inverse path) sums all contributions; call ``zero_grad`` between steps.
 
 Data is channels-first with arbitrary leading batch axes: 1-D signals are
-``(..., C, L)``, 2-D feature maps ``(..., C, H, W)``. Conv1d computes on a
-zero-padded channels-first grid (C, B, L + 2P), one strided GEMM per tap; the
-lifting predictors chain their convolutions on that grid. The 2-D layers
-share one strided correlation, ``_correlate`` (with its weight adjoint from
-the same patches), and its input adjoint ``_correlate_input_adjoint``:
-Conv2d is the correlation and Deconv2d is the input adjoint. Both run
-channels-first. The correlation builds each image's patches as
-(C * kh * kw, Ho * Wo), so ``W @ P`` is the output image as it stands. The
-input adjoint splits its output into stride_h * stride_w sub-pixel phases,
-each a stride-1 correlation with a sub-kernel: one GEMM per tap from a
-strided window of the flat, zero-padded gradient grid, the same tap loop as
-Conv1d's, with no scatter-adds and no transpose.
+``(..., C, L)``, 2-D feature maps ``(..., C, H, W)``. Every convolution pass
+runs on one engine, ``tapgemm``: one GEMM per kernel tap over a strided
+window of a flat, zero-padded grid, each tap after the first adding into its
+output inside BLAS. Conv1d runs on a (C, B, L + 2P) grid that the lifting
+predictors chain. A strided 2-D correlation (Conv2d's forward pass,
+Deconv2d's backward pass) is regrouped space-to-depth into a stride-1 one,
+and its input adjoint (Conv2d's input gradient, Deconv2d's forward pass) is
+the matching stride-1 correlation regrouped depth-to-space
+(``tapgemm.PhaseGrid``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import Rng
+from .tapgemm import PhaseGrid, gemm, tap_gemms
 
 __all__ = [
     "Parameter",
@@ -101,19 +98,22 @@ def leaky_relu_grad(g, y, slope, scratch):
     return np.multiply(g, scratch, out=g)
 
 
-_ACT_BLOCK = 1 << 13     # elements per in-place activation block (64 KiB)
+_ACT_BLOCK = 1 << 13     # elements per activation block (64 KiB)
 
 
-def _leaky_relu_inplace(x, slope):
-    """x = max(x, slope x) in place on any strided x, one cache-sized block at
-    a time, so the only scratch is one block."""
+def _in_blocks(fn, out, *inputs):
+    """fn(out_part, *input_parts, scratch) over matching cache-sized blocks of
+    ``out``, written in place, and same-shape ``inputs``, any strides; the
+    only scratch is one block."""
     scratch = np.empty(_ACT_BLOCK)
-    with np.nditer(x, flags=["external_loop"], op_flags=[["readwrite"]]) as runs:
+    flags = [["readwrite"]] + [["readonly"]] * len(inputs)
+    with np.nditer((out,) + inputs, ["external_loop", "zerosize_ok"], flags) as runs:
         for run in runs:
-            for i in range(0, run.size, _ACT_BLOCK):
-                part = run[i:i + _ACT_BLOCK]
-                leaky_relu(part, slope, part, scratch[:part.size])
-    return x
+            run = run if inputs else (run,)
+            for i in range(0, run[0].size, _ACT_BLOCK):
+                parts = [r[i:i + _ACT_BLOCK] for r in run]
+                fn(*parts, scratch[:parts[0].size])
+    return out
 
 
 def _sigmoid(x, out):
@@ -158,17 +158,26 @@ class Activation:
             out = np.empty_like(x)
         if self.kind == "leaky_relu":
             if out is x:
-                return _leaky_relu_inplace(x, self.slope), x
+                _in_blocks(lambda o, scratch: leaky_relu(o, self.slope, o, scratch), x)
+                return x, x
             return leaky_relu(x, self.slope, out, out), out
         return _sigmoid(x, out), out
 
     def backward(self, cache, grad_out):
+        """Input gradient from the cached output y, formed one cache-sized block
+        at a time, so that only the result is allocated."""
+        g = np.asarray(grad_out, dtype=np.float64)
         if self.kind == "identity":
-            return np.asarray(grad_out, dtype=np.float64)
+            return g
+        out = np.empty(np.broadcast_shapes(g.shape, cache.shape))
         if self.kind == "leaky_relu":
-            g = np.array(grad_out, dtype=np.float64)
-            return leaky_relu_grad(g, cache, self.slope, np.empty_like(g))
-        return grad_out * cache * (1.0 - cache)
+            def block(o, gb, y, scratch):        # g max(y >= 0, slope)
+                o[...] = gb
+                leaky_relu_grad(o, y, self.slope, scratch)
+            return _in_blocks(block, out, g, cache)
+        np.multiply(g, cache, out=out)           # g y (1 - y)
+        return _in_blocks(lambda o, y, scratch: np.multiply(
+            o, np.subtract(1.0, y, out=scratch), out=o), out, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +259,8 @@ def grid_interior(grid, pad):
 
 
 def grid_scratch(grid, pad, channels):
-    """Tap-accumulation buffer for correlations on ``grid`` with up to
-    ``channels`` output channels."""
+    """Activation scratch for ``grid_interior`` of a grid like ``grid`` with
+    up to ``channels`` channels."""
     return np.empty((channels, grid[0].size - 2 * pad))
 
 
@@ -260,34 +269,19 @@ def _zero_pad_columns(grid, pad):
     grid[:, :, grid.shape[2] - pad:] = 0.0
 
 
-def _tap_gemms(taps, flat, offsets, acc, scratch):
-    """acc = sum_t taps[t] @ flat[:, o_t : o_t + n] for the column offsets o_t,
-    n = acc.shape[1]: one GEMM per tap straight from a strided column window of
-    the flat grid; ``scratch`` has acc's shape."""
-    n = acc.shape[1]
-    for t, off in enumerate(offsets):
-        if t == 0:
-            np.matmul(taps[0], flat[:, off:off + n], out=acc)
-        else:
-            np.matmul(taps[t], flat[:, off:off + n], out=scratch)
-            acc += scratch
-    return acc
-
-
-def _correlate_grid(taps, grid, pad, scratch, bias=None, out=None):
+def _correlate_grid(taps, grid, pad, bias=None, out=None):
     """Stride-1 correlation of a padded (C_in, B, Lp) grid with taps (k, C_out, C_in).
 
     Returns a (C_out, B, Lp) grid with zero pad columns, ``out`` or a new one:
     ``out[:, P:N-P] = sum_t taps[t] @ flat[:, s_t : s_t + n] (+ bias)`` with
-    s_t = P - k // 2 + t; ``scratch`` holds at least C_out rows of n columns.
+    s_t = P - k // 2 + t.
     """
     k, cout = taps.shape[:2]
     if out is None:
         out = np.empty((cout,) + grid.shape[1:])
     acc = grid_interior(out, pad)
     first = pad - k // 2
-    _tap_gemms(taps, grid.reshape(grid.shape[0], -1), range(first, first + k), acc,
-               scratch[:cout])
+    tap_gemms(taps, grid.reshape(grid.shape[0], -1), range(first, first + k), acc)
     if bias is not None:
         acc += bias[:, None]
     _zero_pad_columns(out, pad)
@@ -371,7 +365,7 @@ class Conv1d(_Conv):
         super().__init__(in_channels, out_channels, (self.kernel_size,), bias,
                          spectral_norm, rng)
 
-    def forward_grid(self, grid, pad, scratch):
+    def forward_grid(self, grid, pad):
         """Output grid for an input grid of pad ``pad`` >= kernel_size // 2,
         plus the spectral scale the backward pass needs."""
         if grid.shape[0] != self.in_channels:
@@ -379,36 +373,34 @@ class Conv1d(_Conv):
         w, sigma = self._effective_weight()
         taps = np.ascontiguousarray(np.moveaxis(w, 2, 0))          # (k, C_out, C_in)
         bias = self.bias.data if self.bias is not None else None
-        return _correlate_grid(taps, grid, pad, scratch, bias), sigma
+        return _correlate_grid(taps, grid, pad, bias), sigma
 
-    def backward_grid(self, grid, sigma, grad, pad, scratch, out=None):
+    def backward_grid(self, grid, sigma, grad, pad, out=None):
         """Input-gradient grid for the output-gradient grid ``grad`` (zero pad
         columns) of ``forward_grid(grid, pad)``, written into ``out`` when
-        given; accumulates parameter gradients.
-
-        The weight gradient is one GEMM per tap against the same strided
-        windows as the forward pass; the input gradient is the correlation
-        with the flipped, transposed kernel on the same grid.
+        given; accumulates parameter gradients. The weight gradient is one
+        GEMM per tap against the forward pass's windows, the input gradient
+        the correlation with the flipped, transposed kernel on the same grid.
         """
         k = self.kernel_size
         g = grid_interior(grad, pad)
         flat = grid.reshape(self.in_channels, -1)
         first = pad - k // 2
+        gw = np.empty((k, self.out_channels, self.in_channels))
         for t in range(k):
-            window = flat[:, first + t:first + t + g.shape[1]]
-            self.weight.grad[:, :, t] += (g @ window.T) / sigma
+            gemm(g, flat[:, first + t:first + t + g.shape[1]].T, gw[t], beta=0.0)
+        self.weight.grad += np.moveaxis(gw, 0, 2) / sigma
         if self.bias is not None:
             self.bias.grad += g.sum(axis=1)
         w, _ = self._effective_weight()
         taps = np.ascontiguousarray(w[:, :, ::-1].transpose(2, 1, 0))  # (k, C_in, C_out)
-        return _correlate_grid(taps, grad, pad, scratch, out=out)
+        return _correlate_grid(taps, grad, pad, out=out)
 
     def forward(self, x):
         xb, lead = _flatten_batch(x, 2)
         pad = self.kernel_size // 2
         grid = to_grid(np.moveaxis(xb, 1, 0), pad)
-        scratch = grid_scratch(grid, pad, self.out_channels)
-        out, sigma = self.forward_grid(grid, pad, scratch)
+        out, sigma = self.forward_grid(grid, pad)
         y = np.ascontiguousarray(np.moveaxis(grid_valid(out, pad), 0, 1))
         return _restore_batch(y, lead), (grid, sigma, lead)
 
@@ -417,8 +409,7 @@ class Conv1d(_Conv):
         g, _ = _flatten_batch(grad_out, 2)
         pad = self.kernel_size // 2
         grad = to_grid(np.moveaxis(g, 1, 0), pad)
-        scratch = grid_scratch(grad, pad, self.in_channels)
-        gx = self.backward_grid(grid, sigma, grad, pad, scratch)
+        gx = self.backward_grid(grid, sigma, grad, pad)
         gx = np.ascontiguousarray(np.moveaxis(grid_valid(gx, pad), 0, 1))
         return _restore_batch(gx, lead)
 
@@ -428,119 +419,6 @@ def _pair(v):
         return int(v), int(v)
     a, b = v
     return int(a), int(b)
-
-
-def _patches(image, kernel, stride):
-    """im2col of one padded (C, Hp, Wp) image: (C * kh * kw, Ho * Wo).
-
-    Rows are (channel, tap) pairs in weight order, so ``W @ P`` is the image's
-    channels-first output; a 1x1 stride-1 kernel reads the image as it is.
-    """
-    win = sliding_window_view(image, kernel, axis=(1, 2))[:, ::stride[0], ::stride[1]]
-    c, ho, wo, kh, kw = win.shape
-    return np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(c * kh * kw, ho * wo)
-
-
-def _correlate(xp, kernel, stride, w=None, g=None):
-    """Strided correlation of padded (B, C_in, Hp, Wp) images and its weight adjoint.
-
-    Builds each image's patches once (im2col one image at a time, so they
-    never hold a whole batch) and returns ``(y, gw)``: y (B, C_out, Ho, Wo) is
-    the correlation with w (C_out, C_in, kh, kw), gw (C_g, C_in, kh, kw) the
-    weight gradient for the output gradient g (B, C_g, Ho, Wo); each is None
-    when its operand is.
-    """
-    ho, wo = ((n - k) // s + 1 for n, k, s in zip(xp.shape[2:], kernel, stride))
-    batch, cin = xp.shape[:2]
-    y = None if w is None else np.empty((batch, w.shape[0], ho * wo))
-    gw = None if g is None else np.zeros((g.shape[1], cin * kernel[0] * kernel[1]))
-    for b, image in enumerate(xp):
-        patches = _patches(image, kernel, stride)
-        if y is not None:
-            np.matmul(w.reshape(w.shape[0], -1), patches, out=y[b])
-        if gw is not None:
-            gw += g[b].reshape(g.shape[1], -1) @ patches.T
-    return (None if y is None else y.reshape(batch, -1, ho, wo),
-            None if gw is None else gw.reshape((g.shape[1], cin) + tuple(kernel)))
-
-
-_ACC_BLOCK = 1 << 15   # elements of one phase-block accumulator (256 KiB)
-
-
-def _phase_axis(k, s, p, n):
-    """The sub-pixel phases of a stride-s transposed correlation along one axis.
-
-    Uncropped output index r = u + s i collects kernel taps u = r (mod s)
-    only. For each residue r: (first cropped output y0, output count, first
-    row m0 of the phase's stride-1 output, [(tap u, grid offset a)]); the
-    phase reads the gradient zero-padded by ``lead = ceil(k / s) - 1`` in
-    front, phase row m and tap u = r + s q at padded row m + lead - q.
-    """
-    lead = -(-k // s) - 1
-    phases = []
-    for r in range(s):
-        y0 = (r - p) % s
-        taps = [(u, lead - (u - r) // s) for u in range(r, k, s)]
-        phases.append((y0, len(range(y0, n, s)), (y0 + p - r) // s, taps))
-    return lead, phases
-
-
-def _correlate_input_adjoint(g, w, stride, padding, out_hw, bias=None, out=None):
-    """Input gradient (B, C_in, *out_hw) of ``_correlate`` for output gradient g,
-    with the padding cropped off, plus ``bias`` when given; written into
-    ``out`` when given, else into a new array.
-
-    The output splits into stride_h * stride_w sub-pixel phases (a stride-s
-    transposed convolution is s^2 interleaved stride-1 ones; Shi et al. 2016,
-    arXiv 1609.07009). Each phase is a stride-1 correlation of the
-    zero-padded, channels-first gradient with the flipped sub-kernel of its
-    taps: one GEMM per tap from a strided column window of each image's flat
-    (C_out, Hg * Wg) grid (tap offset a Wg + b). Its rows go through in
-    blocks: the taps accumulate into one preallocated buffer small enough to
-    stay in cache, whose rows are Wg wide (the columns past the phase's are
-    discarded), and one strided copy writes the block into the phase's view
-    of the output. A phase with no taps (kernel smaller than stride) is zero.
-    """
-    cout, cin, kh, kw = w.shape
-    batch, _, ho, wo = g.shape
-    (sh, sw), (ph, pw), (h, wd) = stride, padding, out_hw
-    lead_h, rows = _phase_axis(kh, sh, ph, h)
-    lead_w, cols = _phase_axis(kw, sw, pw, wd)
-    # the grid holds every row and column a phase window reads
-    hg = max([ho + 2 * lead_h] + [m0 + nh + lead_h for _, nh, m0, _ in rows])
-    wg = max([wo + 2 * lead_w] + [n0 + nw + lead_w for _, nw, n0, _ in cols])
-    grid = np.zeros((batch, cout, hg, wg))
-    grid[:, :, lead_h:lead_h + ho, lead_w:lead_w + wo] = g
-    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))          # (kh, kw, C_in, C_out)
-    if out is None:
-        out = np.empty((batch, cin, h, wd))
-    # phase rows go through in blocks whose accumulator stays in cache
-    block = max(1, _ACC_BLOCK // (cin * wg))
-    acc_buf, scratch_buf = np.empty((cin, block * wg)), np.empty((cin, block * wg))
-    for b in range(batch):
-        flat = grid[b].reshape(cout, -1)
-        for y0, nh, m0, taps_h in rows:
-            for r0 in range(0, nh, block):
-                r = min(block, nh - r0)
-                # the column phases fill the same output rows one after another
-                for x0, nw, n0, taps_w in cols:
-                    if nw == 0:
-                        continue
-                    dst = out[b, :, y0 + r0 * sh:y0 + (r0 + r) * sh:sh, x0::sw]
-                    if not taps_h or not taps_w:
-                        dst[...] = 0.0 if bias is None else bias[:, None, None]
-                        continue
-                    n = (r - 1) * wg + nw
-                    start = (m0 + r0) * wg + n0
-                    _tap_gemms([taps[u, v] for u, _ in taps_h for v, _ in taps_w], flat,
-                               [start + a * wg + c for _, a in taps_h for _, c in taps_w],
-                               acc_buf[:, :n], scratch_buf[:, :n])
-                    phase = acc_buf[:, :r * wg].reshape(cin, r, wg)[:, :, :nw]
-                    if bias is None:
-                        dst[...] = phase
-                    else:
-                        np.add(phase, bias[:, None, None], out=dst)
-    return out
 
 
 class Conv2d(_Conv):
@@ -564,22 +442,19 @@ class Conv2d(_Conv):
         if h + 2 * ph < kh or w + 2 * pw < kw:
             raise ValueError("input smaller than kernel")
         weight, sigma = self._effective_weight()
-        xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else xb
-        y, _ = _correlate(xp, self.kernel, self.stride, w=weight)
-        if self.bias is not None:
-            y += self.bias.data[:, None, None]
-        return _restore_batch(y, lead), (xp, sigma, lead, (h, w))
+        phases = PhaseGrid((h, w), self.kernel, self.stride, self.padding)
+        flat = phases.regroup(xb)
+        y = phases.correlate(flat, weight, None if self.bias is None else self.bias.data)
+        return _restore_batch(y, lead), (phases, flat, sigma, lead)
 
     def backward(self, cache, grad_out):
-        xp, sigma, lead, hw = cache
+        phases, flat, sigma, lead = cache
         g, _ = _flatten_batch(grad_out, 3)
-        _, gw = _correlate(xp, self.kernel, self.stride, g=g)
-        self.weight.grad += gw / sigma
+        self.weight.grad += phases.weight_adjoint(flat, g, 1.0 / sigma)
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2, 3))
         weight, _ = self._effective_weight()
-        gx = _correlate_input_adjoint(g, weight, self.stride, self.padding, hw)
-        return _restore_batch(gx, lead)
+        return _restore_batch(phases.input_adjoint(g, weight), lead)
 
 
 class Deconv2d(_Conv):
@@ -620,20 +495,19 @@ class Deconv2d(_Conv):
             raise ValueError(f"output buffer of shape {out.shape} is not a "
                              f"{shape} array whose batch axes merge")
         weight, sigma = self._effective_weight()
-        y = _correlate_input_adjoint(
-            xb, weight.transpose(1, 0, 2, 3), self.stride, self.padding, (ho, wo),
-            None if self.bias is None else self.bias.data, yb)
+        phases = PhaseGrid((ho, wo), self.kernel, self.stride, self.padding)
+        y = phases.input_adjoint(xb, weight.transpose(1, 0, 2, 3),
+                                 None if self.bias is None else self.bias.data, yb)
         return (_restore_batch(y, lead) if out is None else out), (xb, sigma, lead)
 
     def backward(self, cache, grad_out):
         xb, sigma, lead = cache
-        ph, pw = self.padding
         g, _ = _flatten_batch(grad_out, 3)
-        gp = np.pad(g, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        phases = PhaseGrid(g.shape[2:], self.kernel, self.stride, self.padding)
+        flat = phases.regroup(g)
         weight, _ = self._effective_weight()
-        gx, gw = _correlate(gp, self.kernel, self.stride,
-                            w=weight.transpose(1, 0, 2, 3), g=xb)
-        self.weight.grad += gw.transpose(1, 0, 2, 3) / sigma
+        gx = phases.correlate(flat, weight.transpose(1, 0, 2, 3))
+        self.weight.grad += phases.weight_adjoint(flat, xb, 1.0 / sigma).transpose(1, 0, 2, 3)
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2, 3))
         return _restore_batch(gx, lead)

@@ -203,7 +203,7 @@ class CouplingBlock:
         scratch = grid_scratch(grid, self.pad, self.channels)
         cache = []
         for i, conv in enumerate(self.convs):
-            out, sigma = conv.forward_grid(grid, self.pad, scratch)
+            out, sigma = conv.forward_grid(grid, self.pad)
             cache.append((grid, sigma))
             if self.slope is not None and i < len(self.convs) - 1:
                 interior = grid_interior(out, self.pad)
@@ -221,7 +221,7 @@ class CouplingBlock:
                                 grid_interior(cache[i + 1][0], self.pad), self.slope, scratch)
             grid, sigma = cache[i]
             spare, grad = grad, self.convs[i].backward_grid(grid, sigma, grad, self.pad,
-                                                            scratch, out=spare)
+                                                            out=spare)
         return grid_valid(grad, self.pad)
 
     def named_parameters(self, prefix):

@@ -171,6 +171,7 @@ class MaskEstimator:
         for conv, nrm in zip(self.enc_convs, self.enc_norms):
             h = self._stage(conv, nrm, h, enc_caches)
             skips.append(h)
+        skips.pop()      # the deepest output is the decoder's input, not a skip
 
         cat_channels = {}
         for idx, (conv, nrm) in enumerate(zip(self.dec_convs, self.dec_norms)):
@@ -178,11 +179,14 @@ class MaskEstimator:
             if stage == 0:
                 h = self._stage(conv, nrm, h, dec_caches)
                 continue
-            # the stage writes the front channels of the skip concatenation
-            skip = skips[stage - 1]
+            # the stage writes the front channels of the skip concatenation;
+            # the skip is dropped once copied, so inference does not hold it
+            # through the larger decoder stages
+            skip = skips.pop()
             nc = conv.out_channels
             cat = np.empty(skip.shape[:-3] + (nc + skip.shape[-3],) + skip.shape[-2:])
             cat[..., nc:, :, :] = skip
+            del skip
             self._stage(conv, nrm, h, dec_caches, out=cat[..., :nc, :, :])
             cat_channels[idx] = nc
             h = cat

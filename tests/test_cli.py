@@ -1,5 +1,8 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
+import os
+import wave
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,40 @@ class TestEnhanceCommand:
                      "--config", str(cfg),
                      "--checkpoint", str(tmp_path / "run" / "checkpoint_best.ckpt")]) == 0
         assert (tmp_path / "out.wav").read_bytes() == (tmp_path / "plain.wav").read_bytes()
+
+
+    def test_failed_wav_write_keeps_previous_output(self, tmp_path, monkeypatch):
+        """A write that raises midway (a full disk) leaves an earlier output
+        byte-identical and no temporary file behind."""
+        x = 0.1 * Rng(6).normal((1500,))
+        wav_write(WavClip(x), tmp_path / "in.wav")
+        (tmp_path / "out.wav").write_bytes(b"previous enhancement")
+
+        def half_then_fail(self, data):
+            self.writeframesraw(bytes(data)[:64])
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(wave.Wave_write, "writeframes", half_then_fail)
+        assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav")]) == 2
+        assert (tmp_path / "out.wav").read_bytes() == b"previous enhancement"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "out.wav"]
+
+    def test_failed_mask_export_keeps_previous_file(self, tmp_path, monkeypatch):
+        x = 0.1 * Rng(7).normal((1500,))
+        wav_write(WavClip(x), tmp_path / "in.wav")
+        (tmp_path / "mask.csv").write_bytes(b"0.5,0.5\n")
+
+        def half_then_fail(fname, *args, **kwargs):
+            if isinstance(fname, (str, os.PathLike)):
+                with open(fname, "w") as fh:
+                    fh.write("0.1,")
+            else:
+                fname.write("0.1,")
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(np, "savetxt", half_then_fail)
+        assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
+                     "--export-mask", str(tmp_path / "mask.csv")]) == 2
+        assert (tmp_path / "mask.csv").read_bytes() == b"0.5,0.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "mask.csv", "out.wav"]
 
 
 class TestCheckCommand:

@@ -5,6 +5,7 @@ finite-difference oracle on a batch of random instances at relative
 tolerance 1e-4 (denominator max(|a|, |b|, 1e-8)).
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from liftbank.layers import (Activation, Conv1d, Conv2d, Deconv2d,
                              InstanceNorm2d, power_iteration,
                              spectral_normalize_weights)
+from liftbank.tapgemm import PhaseGrid
 from liftbank.numerics import Rng, finite_difference_gradient
 
 GRAD_TOL = 1e-4
@@ -538,3 +540,107 @@ class TestSpectralNorm:
         sigma_est = float(np.linalg.norm(w2d.T @ conv.sn_u))
         sigma_true = np.linalg.svd(w2d, compute_uv=False)[0]
         assert sigma_est == pytest.approx(sigma_true, rel=1e-6)
+
+
+def loop_conv2d_weight_grad(x, g, kernel, stride, padding):
+    """Reference kernel gradient sum_b sum_ij g[b, o, i, j] xp[b, c, i sh + u, j sw + v]."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    _, _, ho, wo = g.shape
+    gw = np.zeros((g.shape[1], x.shape[1], kh, kw))
+    for u in range(kh):
+        for v in range(kw):
+            win = xp[:, :, u:u + sh * (ho - 1) + 1:sh, v:v + sw * (wo - 1) + 1:sw]
+            gw[:, :, u, v] = np.einsum("bohw,bchw->oc", g, win)
+    return gw
+
+
+# kernel, stride, padding, input (H, W): the estimator's k4 s2 p1, a stride-1
+# 3x3, the 1x1 head, stride (2, 3), kernels smaller than the stride and odd sizes
+SPACE_TO_DEPTH_GEOMETRIES = [
+    (4, (2, 2), (1, 1), (8, 10)),
+    (4, (2, 2), (1, 1), (7, 9)),
+    (3, (1, 1), (1, 1), (5, 6)),
+    (1, (1, 1), (0, 0), (5, 6)),
+    (4, (2, 3), (1, 2), (9, 11)),
+    ((3, 2), (2, 3), (1, 0), (8, 13)),
+    (1, (2, 2), (0, 0), (7, 6)),
+    ((1, 2), (3, 3), (0, 1), (8, 7)),
+]
+
+
+class TestSpaceToDepthConv2d:
+    @pytest.mark.parametrize("kernel, stride, padding, hw", SPACE_TO_DEPTH_GEOMETRIES)
+    def test_forward_and_backward_match_loops(self, kernel, stride, padding, hw):
+        rng = Rng(36)
+        conv = Conv2d(3, 4, kernel, stride, padding, rng=rng.fork())
+        x = rng.normal((2, 3) + hw)
+        y, cache = conv.forward(x)
+        for i in range(x.shape[0]):
+            ref = loop_conv2d(x[i], conv.weight.data, conv.bias.data, conv.stride,
+                              conv.padding)
+            np.testing.assert_allclose(y[i], ref, rtol=1e-12, atol=1e-12)
+        g = rng.normal(y.shape)
+        gx = conv.backward(cache, g)
+        np.testing.assert_allclose(
+            conv.weight.grad, loop_conv2d_weight_grad(x, g, conv.kernel, conv.stride,
+                                                      conv.padding),
+            rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(conv.bias.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+        np.testing.assert_allclose(
+            gx, scatter_input_adjoint(g, conv.weight.data, conv.stride, conv.padding, hw),
+            rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel, stride, padding, hw", SPACE_TO_DEPTH_GEOMETRIES[:6])
+    def test_deconv_backward_matches_loops(self, kernel, stride, padding, hw):
+        """Deconv2d's input gradient is the strided correlation of its output
+        gradient, and its kernel gradient that correlation's weight adjoint."""
+        rng = Rng(37)
+        deconv = Deconv2d(3, 2, kernel, stride, padding, rng=rng.fork())
+        x = rng.normal((2, 3) + hw)
+        y, cache = deconv.forward(x)
+        g = rng.normal(y.shape)
+        gx = deconv.backward(cache, g)
+        w = deconv.weight.data.transpose(1, 0, 2, 3)
+        for i in range(x.shape[0]):
+            ref = loop_conv2d(g[i], w, np.zeros(3), deconv.stride, deconv.padding)
+            np.testing.assert_allclose(gx[i], ref, rtol=1e-12, atol=1e-12)
+        ref = loop_conv2d_weight_grad(g, x, deconv.kernel, deconv.stride, deconv.padding)
+        np.testing.assert_allclose(deconv.weight.grad, ref.transpose(1, 0, 2, 3),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_stride1_unpadded_grid_is_the_image(self):
+        x = Rng(38).normal((2, 16, 8, 9))
+        phases = PhaseGrid((8, 9), (1, 1), (1, 1), (0, 0))
+        assert np.shares_memory(phases.regroup(x), x) and phases.offsets(9) == [0]
+
+
+class TestActivationBackward:
+    @pytest.mark.parametrize("kind", ["leaky_relu", "sigmoid"])
+    def test_bitwise_equal_to_formula(self, kind):
+        """Across several blocks and on a strided gradient view."""
+        rng = Rng(39)
+        act = Activation(kind, 0.2)
+        y, cache = act.forward(rng.normal((3, 7, 40, 50)))
+        g = rng.normal((3, 9, 40, 50))[:, 1:8]
+        if kind == "leaky_relu":
+            want = g * np.maximum(cache >= 0.0, 0.2)
+        else:
+            want = g * cache * (1.0 - cache)
+        np.testing.assert_array_equal(act.backward(cache, g), want)
+
+    @pytest.mark.parametrize("kind", ["leaky_relu", "sigmoid"])
+    def test_allocates_only_the_result(self, kind):
+        rng = Rng(40)
+        act = Activation(kind, 0.2)
+        _, cache = act.forward(rng.normal((4, 8, 128, 128)))
+        g = rng.normal(cache.shape)
+        act.backward(cache, g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = act.backward(cache, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (1 << 20)

@@ -428,7 +428,7 @@ class TestGridBlock:
         scratch = grid_scratch(grid, pad, 3)
         grids = [grid]
         for i, conv in enumerate(block.convs):
-            out, _ = conv.forward_grid(grids[-1], pad, scratch)
+            out, _ = conv.forward_grid(grids[-1], pad)
             assert np.all(grid_pads(out, pad) == 0.0)
             if block.slope is not None and i < len(block.convs) - 1:
                 interior = grid_interior(out, pad)
@@ -445,5 +445,5 @@ class TestGridBlock:
                 leaky_relu_grad(grid_interior(grad, pad), grid_interior(grids[i + 1], pad),
                                 block.slope, scratch)
                 assert np.all(grid_pads(grad, pad) == 0.0)
-            grad = block.convs[i].backward_grid(grids[i], cache[i][1], grad, pad, scratch)
+            grad = block.convs[i].backward_grid(grids[i], cache[i][1], grad, pad)
             assert np.all(grid_pads(grad, pad) == 0.0)

@@ -1,0 +1,142 @@
+"""The tap-GEMM engine: the accumulating GEMM against numpy's matmul, its
+fallback, and every convolution on both paths."""
+
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from liftbank import tapgemm
+from liftbank.layers import Conv1d, Conv2d, Deconv2d
+from liftbank.lifting import LiftingConfig, LiftingTransform
+from liftbank.numerics import Rng
+
+
+def _blas_calls(monkeypatch):
+    """Count cblas_dgemm calls while still making them."""
+    if tapgemm._DGEMM is None:
+        pytest.skip("this numpy does not bundle scipy-openblas64")
+    calls = []
+    real = tapgemm._DGEMM
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(tapgemm, "_DGEMM", spy)
+    return calls
+
+
+def _conv_pass(layer, x, seed):
+    """Output, input gradient and parameter gradients of one forward/backward."""
+    for _, p in layer.named_parameters("c"):
+        p.zero_grad()
+    y, cache = layer.forward(x)
+    gx = layer.backward(cache, Rng(seed).normal(y.shape))
+    return [y, gx] + [p.grad.copy() for _, p in layer.named_parameters("c")]
+
+
+class TestAccumulatingGemm:
+    def test_bundled_blas_resolves(self):
+        """numpy's wheel ships OpenBLAS; without this check a silent fallback to
+        matmul plus add would quietly lose the in-place accumulation."""
+        libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+        if not glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+            pytest.skip("this numpy does not bundle scipy-openblas64")
+        assert tapgemm._DGEMM is not None
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (1.0, 1.0), (0.25, 1.0)])
+    def test_matches_matmul_on_strided_operands(self, alpha, beta, monkeypatch):
+        rng = Rng(30)
+        flat = rng.normal((5, 40))
+        a = rng.normal((3, 5))
+        g = rng.normal((3, 31))
+        c = rng.normal((3, 31))
+        ref = alpha * (a @ flat[:, 4:35]) + beta * c
+        calls = _blas_calls(monkeypatch)
+        tapgemm.gemm(a, flat[:, 4:35], c, alpha, beta)
+        np.testing.assert_allclose(c, ref, rtol=1e-14, atol=1e-14)
+        gw = np.zeros((3, 5))
+        tapgemm.gemm(g, flat[:, 2:33].T, gw, alpha, beta)        # transposed window
+        np.testing.assert_allclose(gw, alpha * (g @ flat[:, 2:33].T), rtol=1e-13)
+        assert len(calls) == 2
+
+    def test_falls_back_when_blas_cannot_take_operands(self, monkeypatch):
+        """Non-unit inner stride, an output overlapping an operand, an unaligned
+        operand and non-float64 input each go through matmul, with the same
+        result."""
+        rng = Rng(31)
+        a, b = rng.normal((4, 6)), rng.normal((6, 20))
+        calls = _blas_calls(monkeypatch)
+        c = np.zeros((4, 20))
+        tapgemm.gemm(a, b, c)                                    # reaches BLAS
+        np.testing.assert_allclose(c, a @ b, rtol=1e-14)
+        c[...] = 0.0
+        tapgemm.gemm(a, b[:, ::2], c[:, :10])                    # operand stride 2
+        np.testing.assert_array_equal(c[:, :10], a @ b[:, ::2])
+        strided = np.zeros((4, 20))
+        tapgemm.gemm(a, b[:, ::2], strided[:, ::2])              # output stride 2
+        np.testing.assert_array_equal(strided[:, ::2], a @ b[:, ::2])
+        buf = rng.normal((6, 6))
+        expected = buf[:, :3] + buf @ buf[:, 3:]
+        tapgemm.gemm(buf, buf[:, 3:], buf[:, :3])                # overlapping output
+        np.testing.assert_allclose(buf[:, :3], expected, rtol=1e-14)
+        unaligned = np.zeros(a.nbytes + 1, dtype=np.uint8)[1:].view(np.float64).reshape(4, 6)
+        unaligned[...] = a
+        c[...] = 0.0
+        tapgemm.gemm(unaligned, b, c)                            # unaligned operand
+        np.testing.assert_array_equal(c, a @ b)
+        a32, b32 = a.astype(np.float32), b.astype(np.float32)
+        c32 = np.zeros((4, 20), dtype=np.float32)
+        tapgemm.gemm(a32, b32, c32)
+        np.testing.assert_allclose(c32, a32 @ b32, rtol=1e-6)
+        assert len(calls) == 1      # only the first call reached BLAS
+
+    def test_tap_windows_must_fit_the_grid(self):
+        rng = Rng(32)
+        taps, flat = rng.normal((2, 3, 4)), rng.normal((4, 10))
+        acc = np.empty((3, 8))
+        tapgemm.tap_gemms(taps, flat, [0, 2], acc)
+        np.testing.assert_allclose(acc, taps[0] @ flat[:, :8] + taps[1] @ flat[:, 2:],
+                                   rtol=1e-14)
+        with pytest.raises(ValueError):
+            tapgemm.tap_gemms(taps, flat, [0, 3], acc)       # runs past the grid
+
+    def test_fallback_is_bitwise_for_conv1d_and_lifting(self, monkeypatch):
+        rng = Rng(33)
+        conv = Conv1d(5, 4, 5, rng=rng.fork())
+        x = rng.normal((3, 5, 37))
+        config = LiftingConfig(num_stages=3, base_channels=4)
+        transform = LiftingTransform(config, rng.fork())
+        signal = rng.normal((2, 256))
+        blas = _conv_pass(conv, x, 1), transform.inverse(transform.forward(signal))
+        monkeypatch.setattr(tapgemm, "_DGEMM", None)
+        fallback = _conv_pass(conv, x, 1), transform.inverse(transform.forward(signal))
+        for got, want in zip(fallback[0], blas[0]):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(fallback[1], blas[1])
+
+    @pytest.mark.parametrize("cls, cin, cout, kernel, stride, padding", [
+        (Conv2d, 3, 4, 4, 2, 1), (Conv2d, 2, 3, 3, 1, 1), (Deconv2d, 4, 3, 4, 2, 1),
+        (Deconv2d, 3, 2, 3, (2, 1), (1, 0))])
+    def test_fallback_matches_blas_for_2d(self, cls, cin, cout, kernel, stride, padding,
+                                          monkeypatch):
+        rng = Rng(34)
+        layer = cls(cin, cout, kernel, stride, padding, rng=rng.fork())
+        x = rng.normal((2, cin, 7, 9))
+        blas = _conv_pass(layer, x, 2)
+        monkeypatch.setattr(tapgemm, "_DGEMM", None)
+        for got, want in zip(_conv_pass(layer, x, 2), blas):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_concurrent_conv1d_equals_serial(self):
+        rng = Rng(35)
+        conv = Conv1d(8, 8, 3, rng=rng.fork())
+        inputs = [rng.normal((4, 8, 2048)) for _ in range(6)]
+        serial = [conv.forward(x)[0] for x in inputs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                futures = [pool.submit(conv.forward, x) for x in inputs]
+                for fut, want in zip(futures, serial):
+                    np.testing.assert_array_equal(fut.result(timeout=60)[0], want)
