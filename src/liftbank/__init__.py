@@ -17,8 +17,8 @@ from .lifting import (BlockSpec, LiftingConfig, LiftingTransform,
                       coupling_forward, coupling_inverse,
                       invertible_downsample, invertible_upsample,
                       split, split_inverse)
-from .stft import (Spectrogram, StftConfig, canonical_dual_window, hann_window,
-                   istft, log_magnitude_feature, stft_forward)
+from .stft import (StftConfig, canonical_dual_window, hann_window, istft,
+                   log_magnitude_feature, stft_forward)
 from .masking import (BinaryMaskSpec, EnhancementPipeline, MaskEstimator,
                       binary_mask_generate)
 from .objective import (LossConfig, MetricReport, clip, sdr, sdr_loss,

@@ -290,6 +290,10 @@ def _eval_one(pipeline, clean_path, noisy_path, oracle, export_dir, stft_cfg,
                 f"config's data.sample_rate = {sample_rate} Hz")
     if clean.samples.shape != noisy.samples.shape:
         return f"length-mismatched pair {clean_path} / {noisy_path}"
+    if clean.samples.size == 0:
+        return f"empty pair {clean_path} / {noisy_path}"
+    if not np.any(clean.samples):
+        return f"pair {clean_path} / {noisy_path}: silent clean reference, SI-SDR undefined"
     name = Path(noisy_path).stem
     if oracle:
         s_hat = clean.samples
@@ -303,8 +307,9 @@ def _eval_one(pipeline, clean_path, noisy_path, oracle, export_dir, stft_cfg,
         export_dir = Path(export_dir)
         export_dir.mkdir(parents=True, exist_ok=True)
         for tag, signal in (("noisy", noisy.samples), ("enhanced", s_hat)):
-            mag = stft_forward(signal, stft_cfg).magnitude()
-            np.savetxt(export_dir / f"{name}_{tag}_mag.csv", mag, delimiter=",")
+            spec = stft_forward(signal, stft_cfg)
+            with atomic_write(export_dir / f"{name}_{tag}_mag.csv") as fh:
+                np.savetxt(fh, np.hypot(spec.real, spec.imag), delimiter=",")
     return report
 
 

@@ -15,7 +15,9 @@ predictors chain. A strided 2-D correlation (Conv2d's forward pass,
 Deconv2d's backward pass) is regrouped space-to-depth into a stride-1 one,
 and its input adjoint (Conv2d's input gradient, Deconv2d's forward pass) is
 the matching stride-1 correlation regrouped depth-to-space
-(``tapgemm.PhaseGrid``).
+(``tapgemm.PhaseGrid``). The leaky ReLU, the sigmoid and their gradients are
+one kernel each over cache-sized blocks (``_in_blocks``), writing a given
+output that may be the input, for the lifting grids and the estimator alike.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ __all__ = [
     "Conv1d",
     "to_grid",
     "grid_valid",
-    "grid_interior",
-    "grid_scratch",
     "Conv2d",
     "Deconv2d",
     "InstanceNorm2d",
@@ -76,26 +76,26 @@ def _restore_batch(y, lead):
 # activations
 # ---------------------------------------------------------------------------
 
-def leaky_relu(x, slope, out, scratch):
-    """out = max(x, slope x), the leaky ReLU for 0 < slope < 1.
-
-    ``scratch`` (x's shape) receives slope x first; it may be ``out`` itself
-    when ``out`` is not x, and with out=x the activation runs in place.
-    """
-    np.multiply(x, slope, out=scratch)
-    return np.maximum(x, scratch, out=out)
+def leaky_relu(x, slope, out):
+    """out = max(x, slope x), the leaky ReLU for 0 < slope < 1; ``out`` may be x."""
+    def block(o, xb, s):
+        np.multiply(xb, slope, out=s)
+        np.maximum(xb, s, out=o)
+    return _in_blocks(block, out, x)
 
 
-def leaky_relu_grad(g, y, slope, scratch):
-    """Leaky ReLU backward in place: g *= max(y >= 0, slope).
+def leaky_relu_grad(g, y, slope, out):
+    """Leaky ReLU backward: out = g max(y >= 0, slope); ``out`` may be g.
 
     The factor is exactly 1 where the output y is non-negative and slope
     elsewhere, without a data-dependent branch; with slope > 0, y has the
-    input's sign, so the input is not kept. ``scratch`` has g's shape.
+    input's sign, so the input is not kept.
     """
-    np.greater_equal(y, 0.0, out=scratch)
-    np.maximum(scratch, slope, out=scratch)
-    return np.multiply(g, scratch, out=g)
+    def block(o, gb, yb, s):
+        np.greater_equal(yb, 0.0, out=s)
+        np.maximum(s, slope, out=s)
+        np.multiply(gb, s, out=o)
+    return _in_blocks(block, out, g, y)
 
 
 _ACT_BLOCK = 1 << 13     # elements per activation block (64 KiB)
@@ -103,13 +103,12 @@ _ACT_BLOCK = 1 << 13     # elements per activation block (64 KiB)
 
 def _in_blocks(fn, out, *inputs):
     """fn(out_part, *input_parts, scratch) over matching cache-sized blocks of
-    ``out``, written in place, and same-shape ``inputs``, any strides; the
-    only scratch is one block."""
+    ``out`` and the ``inputs`` (out's shape or broadcast to it, any strides;
+    one may be ``out`` itself); the only scratch is one block."""
     scratch = np.empty(_ACT_BLOCK)
     flags = [["readwrite"]] + [["readonly"]] * len(inputs)
     with np.nditer((out,) + inputs, ["external_loop", "zerosize_ok"], flags) as runs:
         for run in runs:
-            run = run if inputs else (run,)
             for i in range(0, run[0].size, _ACT_BLOCK):
                 parts = [r[i:i + _ACT_BLOCK] for r in run]
                 fn(*parts, scratch[:parts[0].size])
@@ -123,14 +122,24 @@ def _sigmoid(x, out):
     The same value as 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below,
     without a branch: both exponents are <= 0, so nothing overflows.
     """
-    num = np.minimum(x, 0.0)
-    np.exp(num, out=num)
-    np.abs(x, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.divide(num, out, out=out)
-    return np.clip(out, 1e-12, 1.0 - 1e-12, out=out)
+    def block(o, xb, num):
+        np.minimum(xb, 0.0, out=num)
+        np.exp(num, out=num)
+        np.abs(xb, out=o)
+        np.negative(o, out=o)
+        np.exp(o, out=o)
+        o += 1.0
+        np.divide(num, o, out=o)
+        np.clip(o, 1e-12, 1.0 - 1e-12, out=o)
+    return _in_blocks(block, out, x)
+
+
+def _sigmoid_grad(g, y, out):
+    """Sigmoid backward from its output y: out = g y (1 - y); ``out`` may be g."""
+    def block(o, gb, yb, s):
+        np.multiply(gb, yb, out=o)
+        np.multiply(o, np.subtract(1.0, yb, out=s), out=o)
+    return _in_blocks(block, out, g, y)
 
 
 class Activation:
@@ -157,27 +166,18 @@ class Activation:
         if out is None:
             out = np.empty_like(x)
         if self.kind == "leaky_relu":
-            if out is x:
-                _in_blocks(lambda o, scratch: leaky_relu(o, self.slope, o, scratch), x)
-                return x, x
-            return leaky_relu(x, self.slope, out, out), out
+            return leaky_relu(x, self.slope, out), out
         return _sigmoid(x, out), out
 
     def backward(self, cache, grad_out):
-        """Input gradient from the cached output y, formed one cache-sized block
-        at a time, so that only the result is allocated."""
+        """Input gradient from the cached output y; only the result is allocated."""
         g = np.asarray(grad_out, dtype=np.float64)
         if self.kind == "identity":
             return g
         out = np.empty(np.broadcast_shapes(g.shape, cache.shape))
         if self.kind == "leaky_relu":
-            def block(o, gb, y, scratch):        # g max(y >= 0, slope)
-                o[...] = gb
-                leaky_relu_grad(o, y, self.slope, scratch)
-            return _in_blocks(block, out, g, cache)
-        np.multiply(g, cache, out=out)           # g y (1 - y)
-        return _in_blocks(lambda o, y, scratch: np.multiply(
-            o, np.subtract(1.0, y, out=scratch), out=o), out, cache)
+            return leaky_relu_grad(g, cache, self.slope, out)
+        return _sigmoid_grad(g, cache, out)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +252,10 @@ def grid_valid(grid, pad):
     return grid[:, :, pad:grid.shape[2] - pad]
 
 
-def grid_interior(grid, pad):
+def _grid_interior(grid, pad):
     """The (C, N - 2 pad) view of the flat grid that the tap GEMMs write."""
     flat = grid.reshape(grid.shape[0], -1)
     return flat[:, pad:flat.shape[1] - pad]
-
-
-def grid_scratch(grid, pad, channels):
-    """Activation scratch for ``grid_interior`` of a grid like ``grid`` with
-    up to ``channels`` channels."""
-    return np.empty((channels, grid[0].size - 2 * pad))
 
 
 def _zero_pad_columns(grid, pad):
@@ -279,7 +273,7 @@ def _correlate_grid(taps, grid, pad, bias=None, out=None):
     k, cout = taps.shape[:2]
     if out is None:
         out = np.empty((cout,) + grid.shape[1:])
-    acc = grid_interior(out, pad)
+    acc = _grid_interior(out, pad)
     first = pad - k // 2
     tap_gemms(taps, grid.reshape(grid.shape[0], -1), range(first, first + k), acc)
     if bias is not None:
@@ -383,7 +377,7 @@ class Conv1d(_Conv):
         the correlation with the flipped, transposed kernel on the same grid.
         """
         k = self.kernel_size
-        g = grid_interior(grad, pad)
+        g = _grid_interior(grad, pad)
         flat = grid.reshape(self.in_channels, -1)
         first = pad - k // 2
         gw = np.empty((k, self.out_channels, self.in_channels))
@@ -402,11 +396,11 @@ class Conv1d(_Conv):
         grid = to_grid(np.moveaxis(xb, 1, 0), pad)
         out, sigma = self.forward_grid(grid, pad)
         y = np.ascontiguousarray(np.moveaxis(grid_valid(out, pad), 0, 1))
-        return _restore_batch(y, lead), (grid, sigma, lead)
+        return _restore_batch(y, lead), (grid, sigma)
 
     def backward(self, cache, grad_out):
-        grid, sigma, lead = cache
-        g, _ = _flatten_batch(grad_out, 2)
+        grid, sigma = cache
+        g, lead = _flatten_batch(grad_out, 2)
         pad = self.kernel_size // 2
         grad = to_grid(np.moveaxis(g, 1, 0), pad)
         gx = self.backward_grid(grid, sigma, grad, pad)
@@ -445,11 +439,11 @@ class Conv2d(_Conv):
         phases = PhaseGrid((h, w), self.kernel, self.stride, self.padding)
         flat = phases.regroup(xb)
         y = phases.correlate(flat, weight, None if self.bias is None else self.bias.data)
-        return _restore_batch(y, lead), (phases, flat, sigma, lead)
+        return _restore_batch(y, lead), (phases, flat, sigma)
 
     def backward(self, cache, grad_out):
-        phases, flat, sigma, lead = cache
-        g, _ = _flatten_batch(grad_out, 3)
+        phases, flat, sigma = cache
+        g, lead = _flatten_batch(grad_out, 3)
         self.weight.grad += phases.weight_adjoint(flat, g, 1.0 / sigma)
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2, 3))
@@ -498,11 +492,11 @@ class Deconv2d(_Conv):
         phases = PhaseGrid((ho, wo), self.kernel, self.stride, self.padding)
         y = phases.input_adjoint(xb, weight.transpose(1, 0, 2, 3),
                                  None if self.bias is None else self.bias.data, yb)
-        return (_restore_batch(y, lead) if out is None else out), (xb, sigma, lead)
+        return (_restore_batch(y, lead) if out is None else out), (xb, sigma)
 
     def backward(self, cache, grad_out):
-        xb, sigma, lead = cache
-        g, _ = _flatten_batch(grad_out, 3)
+        xb, sigma = cache
+        g, lead = _flatten_batch(grad_out, 3)
         phases = PhaseGrid(g.shape[2:], self.kernel, self.stride, self.padding)
         flat = phases.regroup(g)
         weight, _ = self._effective_weight()
@@ -537,11 +531,11 @@ class InstanceNorm2d:
         y = xhat
         if self.gamma is not None:
             y = self.gamma.data[:, None, None] * xhat + self.beta.data[:, None, None]
-        return _restore_batch(y, lead), (xhat, scale, lead)
+        return _restore_batch(y, lead), (xhat, scale)
 
     def backward(self, cache, grad_out):
-        xhat, scale, lead = cache
-        g, _ = _flatten_batch(grad_out, 3)
+        xhat, scale = cache
+        g, lead = _flatten_batch(grad_out, 3)
         if self.gamma is not None:
             self.gamma.grad += (g * xhat).sum(axis=(0, 2, 3))
             self.beta.grad += g.sum(axis=(0, 2, 3))

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import (Conv1d, grid_interior, grid_scratch, grid_valid,
-                     leaky_relu, leaky_relu_grad, to_grid)
+from .layers import Conv1d, grid_valid, leaky_relu, leaky_relu_grad, to_grid
 from .numerics import Rng
 
 __all__ = [
@@ -182,14 +181,13 @@ class CouplingBlock:
     layout. The input is copied once onto a zero-padded grid
     (C, B, L + 2P), P the widest conv's half-width; every conv and leaky
     ReLU then reads and writes that layout (see ``layers.to_grid``), and the
-    output is a view of the last grid's signal columns. The cache is a list
-    of (input grid, spectral scale) pairs, one per conv; the leaky ReLU
-    backward reads the sign of the next conv's input grid.
+    output is a view of the last grid's signal columns. The leaky ReLU runs
+    in place on the whole grid, whose zero pad columns stay zero both ways.
+    The cache is a list of (input grid, spectral scale) pairs, one per conv;
+    the leaky ReLU backward reads the sign of the next conv's input grid.
     """
 
     def __init__(self, channels, spec, linear, rng):
-        self.channels = int(channels)
-        self.linear = bool(linear)
         self.convs = [
             Conv1d(channels, channels, k, bias=not linear,
                    spectral_norm=spec.spectral_norm, rng=rng)
@@ -200,28 +198,23 @@ class CouplingBlock:
 
     def forward(self, x):
         grid = to_grid(x, self.pad)
-        scratch = grid_scratch(grid, self.pad, self.channels)
         cache = []
         for i, conv in enumerate(self.convs):
             out, sigma = conv.forward_grid(grid, self.pad)
             cache.append((grid, sigma))
             if self.slope is not None and i < len(self.convs) - 1:
-                interior = grid_interior(out, self.pad)
-                leaky_relu(interior, self.slope, interior, scratch)
+                leaky_relu(out, self.slope, out)
             grid = out
         return grid_valid(grid, self.pad), cache
 
     def backward(self, cache, grad_out):
         grad = to_grid(grad_out, self.pad)
-        scratch = grid_scratch(grad, self.pad, self.channels)
-        spare = None
-        for i in range(len(self.convs) - 1, -1, -1):
-            if self.slope is not None and i < len(self.convs) - 1:
-                leaky_relu_grad(grid_interior(grad, self.pad),
-                                grid_interior(cache[i + 1][0], self.pad), self.slope, scratch)
-            grid, sigma = cache[i]
-            spare, grad = grad, self.convs[i].backward_grid(grid, sigma, grad, self.pad,
-                                                            out=spare)
+        spare = activated = None      # activated: the next conv's input grid
+        for conv, (grid, sigma) in zip(self.convs[::-1], cache[::-1]):
+            if self.slope is not None and activated is not None:
+                leaky_relu_grad(grad, activated, self.slope, grad)
+            spare, grad = grad, conv.backward_grid(grid, sigma, grad, self.pad, out=spare)
+            activated = grid
         return grid_valid(grad, self.pad)
 
     def named_parameters(self, prefix):

@@ -16,8 +16,7 @@ import numpy as np
 
 from .layers import Activation, Conv2d, Deconv2d, InstanceNorm2d
 from .numerics import Rng, pad_to_multiple
-from .stft import (Spectrogram, istft, istft_vjp, log_magnitude_feature,
-                   stft_forward)
+from .stft import istft, istft_vjp, log_magnitude_feature, stft_forward
 
 __all__ = [
     "BinaryMaskSpec",
@@ -74,9 +73,6 @@ class EstimatorCache:
     decoder: list        # per decoder stage, in run order
     head: tuple
     sigmoid: np.ndarray
-    cat_channels: dict   # decoder index -> channels before its skip concat
-    out_shape: tuple     # (H, W) of the unpadded feature
-    img_shape: tuple     # shape of the padded one-channel image
 
 
 class MaskEstimator:
@@ -130,6 +126,13 @@ class MaskEstimator:
     def total_stride(self):
         return 2 ** self.depth
 
+    def _image(self, a):
+        """(..., H, W) as a one-channel (..., 1, H', W') image, zero-padded at
+        the end of both axes to multiples of the total stride."""
+        s = self.total_stride
+        h, w = a.shape[-2:]
+        return np.pad(a[..., None, :, :], [(0, 0)] * (a.ndim - 1) + [(0, -h % s), (0, -w % s)])
+
     def _stage(self, conv, nrm, h, caches, out=None):
         """conv -> optional norm -> leaky ReLU; appends the three layer caches
         to ``caches``, or drops them when it is None.
@@ -158,22 +161,15 @@ class MaskEstimator:
     def _run(self, feature, keep):
         feature = np.asarray(feature, dtype=np.float64)
         h0, w0 = feature.shape[-2], feature.shape[-1]
-        img = feature[..., None, :, :]
-        img, _ = pad_to_multiple(img, self.total_stride)
-        img = np.moveaxis(img, -1, -2)
-        img, _ = pad_to_multiple(img, self.total_stride)
-        img = np.moveaxis(img, -1, -2)
-
         enc_caches = [] if keep else None
         dec_caches = [] if keep else None
-        h = img
+        h = self._image(feature)
         skips = []
         for conv, nrm in zip(self.enc_convs, self.enc_norms):
             h = self._stage(conv, nrm, h, enc_caches)
             skips.append(h)
         skips.pop()      # the deepest output is the decoder's input, not a skip
 
-        cat_channels = {}
         for idx, (conv, nrm) in enumerate(zip(self.dec_convs, self.dec_norms)):
             stage = self.depth - 1 - idx
             if stage == 0:
@@ -188,7 +184,6 @@ class MaskEstimator:
             cat[..., nc:, :, :] = skip
             del skip
             self._stage(conv, nrm, h, dec_caches, out=cat[..., :nc, :, :])
-            cat_channels[idx] = nc
             h = cat
 
         h, head_cache = self.head.forward(h)
@@ -196,8 +191,7 @@ class MaskEstimator:
         mask = mask_img[..., 0, :h0, :w0]
         if not keep:
             return mask, None
-        return mask, EstimatorCache(enc_caches, dec_caches, head_cache, sig_cache,
-                                    cat_channels, (h0, w0), img.shape)
+        return mask, EstimatorCache(enc_caches, dec_caches, head_cache, sig_cache)
 
     def forward_with_cache(self, feature):
         """Mask plus the EstimatorCache that ``backward`` needs."""
@@ -209,11 +203,9 @@ class MaskEstimator:
         return mask
 
     def backward(self, cache, grad_mask):
-        h0, w0 = cache.out_shape
         grad_mask = np.asarray(grad_mask, dtype=np.float64)
-        g_img = np.zeros(grad_mask.shape[:-2] + (1,) + cache.img_shape[-2:])
-        g_img[..., 0, :h0, :w0] = grad_mask
-
+        h0, w0 = grad_mask.shape[-2:]
+        g_img = self._image(grad_mask)
         g = self.sigmoid.backward(cache.sigmoid, g_img)
         g = self.head.backward(cache.head, g)
 
@@ -221,7 +213,7 @@ class MaskEstimator:
         for idx in range(self.depth - 1, -1, -1):
             stage = self.depth - 1 - idx
             if stage >= 1:
-                nc = cache.cat_channels[idx]
+                nc = self.dec_convs[idx].out_channels
                 skip_grads[stage - 1] = g[..., nc:, :, :]
                 g = g[..., :nc, :, :]
             g = self._stage_backward(self.dec_convs[idx], self.dec_norms[idx],
@@ -274,7 +266,7 @@ class EnhanceCache:
     """What EnhancementPipeline.backward needs from one enhance_training call."""
 
     mask: np.ndarray          # the applied mask, feature-shaped
-    feature: object           # lifting feature phi, or the STFT Spectrogram
+    feature: np.ndarray       # lifting feature phi, or the complex STFT spectrogram
     length: int               # input length before any padding
     estimator: EstimatorCache = None   # set when the mask is estimated
     forward: list = None      # lifting: per-stage analysis caches
@@ -366,9 +358,8 @@ class EnhancementPipeline:
         if self.mask_source == "estimator":
             mask, est_cache = self._estimate(log_magnitude_feature(spec), keep)
         else:
-            mask = self._mask_2d(self.stft_config.n_bins, spec.n_frames)
-        masked = Spectrogram(spec.real * mask, spec.imag * mask)
-        s_hat = istft(masked, self.stft_config, t0)
+            mask = self._mask_2d(self.stft_config.n_bins, spec.shape[-1])
+        s_hat = istft(spec * mask, self.stft_config, t0)
         if not keep:
             return s_hat, None
         return s_hat, EnhanceCache(mask, spec, t0, est_cache)
@@ -389,7 +380,7 @@ class EnhancementPipeline:
             grad_x = self.transform.forward_vjp(cache.forward, grad_phi)
             return grad_x[..., :cache.length]
         spec = cache.feature
-        gspec = istft_vjp(grad_s_hat, self.stft_config, spec.n_frames, cache.length)
+        gspec = istft_vjp(grad_s_hat, self.stft_config, spec.shape[-1], cache.length)
         if cache.estimator is not None:
             grad_mask = gspec.real * spec.real + gspec.imag * spec.imag
             self.estimator.backward(cache.estimator, grad_mask)

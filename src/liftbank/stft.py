@@ -10,6 +10,8 @@ wherever frames fully overlap; near the signal ends a few shifted copies of
 the window fall outside the analyzed frame set, so synthesis additionally
 divides by the realized overlap of w * d (identically 1 in the interior),
 which restores exactness for every sample of the original signal.
+A spectrogram is the complex (..., F, M) array of one-sided bins by frames
+that the analysis DFT returns.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "StftConfig",
-    "Spectrogram",
     "hann_window",
     "canonical_dual_window",
     "frame_count",
@@ -65,31 +66,6 @@ class StftConfig:
     @property
     def n_bins(self):
         return self.dft_length // 2 + 1
-
-
-@dataclass
-class Spectrogram:
-    """One-sided spectrogram as separate real and imaginary parts (F, M)."""
-
-    real: np.ndarray
-    imag: np.ndarray
-
-    def __post_init__(self):
-        self.real = np.asarray(self.real, dtype=np.float64)
-        self.imag = np.asarray(self.imag, dtype=np.float64)
-        if self.real.shape != self.imag.shape:
-            raise ValueError("real/imag parts must share a shape")
-
-    @property
-    def shape(self):
-        return self.real.shape
-
-    @property
-    def n_frames(self):
-        return self.real.shape[-1]
-
-    def magnitude(self):
-        return np.hypot(self.real, self.imag)
 
 
 def canonical_dual_window(w, hop):
@@ -136,9 +112,9 @@ def _overlap_add(frames, cfg, length):
 def stft_forward(x, cfg):
     """Analysis: center-pad, window, one-sided real DFT per frame.
 
-    Accepts (..., T); frame m covers original samples
-    [m*hop - window_length/2, m*hop + window_length/2) and there are
-    floor(T / hop) + 1 frames.
+    Accepts (..., T) and returns the complex (..., F, M) spectrogram; frame m
+    covers original samples [m*hop - window_length/2, m*hop + window_length/2)
+    and there are floor(T / hop) + 1 frames.
     """
     x = np.asarray(x, dtype=np.float64)
     t = x.shape[-1]
@@ -147,8 +123,7 @@ def stft_forward(x, cfg):
     wl = cfg.window_length
     pad = wl // 2
     xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, wl - pad)])
-    spec = _analysis(xp, frame_count(t, cfg.hop), cfg.window, cfg)
-    return Spectrogram(spec.real.copy(), spec.imag.copy())
+    return _analysis(xp, frame_count(t, cfg.hop), cfg.window, cfg)
 
 
 def _synthesis_window(cfg, n_frames, out_length):
@@ -166,11 +141,8 @@ def _synthesis_window(cfg, n_frames, out_length):
 def istft(spec, cfg, out_length):
     """Synthesis: inverse DFT per frame, dual window, overlap-add, trim."""
     wl = cfg.window_length
-    real = np.asarray(spec.real, dtype=np.float64)
-    imag = np.asarray(spec.imag, dtype=np.float64)
-    dual, cov = _synthesis_window(cfg, real.shape[-1], out_length)
-    frames = np.fft.irfft(np.moveaxis(real + 1j * imag, -2, -1),
-                          n=cfg.dft_length, axis=-1)[..., :wl]
+    dual, cov = _synthesis_window(cfg, spec.shape[-1], out_length)
+    frames = np.fft.irfft(np.moveaxis(spec, -2, -1), n=cfg.dft_length, axis=-1)[..., :wl]
     frames *= dual
     y = _overlap_add(frames, cfg, cov.size) / cov
     pad = wl // 2
@@ -178,7 +150,8 @@ def istft(spec, cfg, out_length):
 
 
 def istft_vjp(grad_y, cfg, n_frames, out_length):
-    """Adjoint of ``istft`` as a real-linear map; returns a gradient Spectrogram.
+    """Adjoint of ``istft`` as a real-linear map; returns a complex (..., F, M)
+    gradient whose real and imaginary parts pair with the spectrogram's.
 
     Needed to push training gradients from the waveform back onto a masked
     spectrogram.
@@ -194,12 +167,12 @@ def istft_vjp(grad_y, cfg, n_frames, out_length):
     scale[0] = 1.0 / nfft
     if nfft % 2 == 0:
         scale[-1] = 1.0 / nfft
-    g = _analysis(gy / cov, n_frames, dual, cfg) * scale[:, None]
-    return Spectrogram(g.real.copy(), g.imag.copy())
+    return _analysis(gy / cov, n_frames, dual, cfg) * scale[:, None]
 
 
 def log_magnitude_feature(spec, eps=1e-8):
-    """Log-magnitude input feature with an eps floor inside the logarithm."""
+    """Log-magnitude feature log(max(hypot(re, im), eps)); np.abs of the
+    complex array can differ from hypot in the last bit."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    return np.log(np.maximum(spec.magnitude(), eps))
+    return np.log(np.maximum(np.hypot(spec.real, spec.imag), eps))

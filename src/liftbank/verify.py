@@ -118,7 +118,7 @@ def stft_reconstruction_suite(cfg=None, lengths=(129, 512, 2048, 16000), seed=0,
         x = rng.normal((int(t),))
         spec = stft_forward(x, cfg)
         if corrupt:
-            spec.real = spec.real * 1.001
+            spec.real *= 1.001
         y = istft(spec, cfg, int(t))
         worst = max(worst, float(np.max(np.abs(y - x))))
     return worst

@@ -292,6 +292,22 @@ class TestEvalCommand:
         assert [r.split(",")[0] for r in rows] == ["noisy0"]
         assert "sample rate 8000 Hz differs" in capsys.readouterr().err
 
+    def test_silent_or_empty_pair_skips_and_exits_1(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, n_pairs=2)
+        clip = wav_read(tmp_path / "clean1.wav")
+        wav_write(WavClip(np.zeros_like(clip.samples)), tmp_path / "clean1.wav")
+        for name in ("clean2.wav", "noisy2.wav"):
+            wav_write(WavClip(np.zeros(0)), tmp_path / name)
+        with open(manifest, "a") as fh:
+            fh.write(f"{tmp_path / 'clean2.wav'}\t{tmp_path / 'noisy2.wav'}\n")
+        out_csv = tmp_path / "metrics.csv"
+        code = main(["eval", "--manifest", str(manifest), "--out", str(out_csv)])
+        assert code == 1
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["noisy0"]
+        err = capsys.readouterr().err
+        assert "silent clean reference" in err and "skipped empty pair" in err
+
     def test_spectrogram_export(self, tmp_path):
         manifest = write_manifest(tmp_path, n_pairs=1)
         out_csv = tmp_path / "metrics.csv"
@@ -302,6 +318,26 @@ class TestEvalCommand:
         assert dumps == ["noisy0_enhanced_mag.csv", "noisy0_noisy_mag.csv"]
         mag = np.loadtxt(export / "noisy0_noisy_mag.csv", delimiter=",")
         assert mag.shape[0] == 257
+
+    def test_failed_spectrogram_export_keeps_previous_dump(self, tmp_path, monkeypatch):
+        manifest = write_manifest(tmp_path, n_pairs=1)
+        export = tmp_path / "specs"
+        export.mkdir()
+        (export / "noisy0_noisy_mag.csv").write_bytes(b"1.0,2.0\n")
+
+        def half_then_fail(fname, *args, **kwargs):
+            if isinstance(fname, (str, os.PathLike)):
+                with open(fname, "w") as fh:
+                    fh.write("0.1,")
+            else:
+                fname.write("0.1,")
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(np, "savetxt", half_then_fail)
+        assert main(["eval", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "metrics.csv"), "--ones-mask",
+                     "--export-spectrogram", str(export)]) == 2
+        assert (export / "noisy0_noisy_mag.csv").read_bytes() == b"1.0,2.0\n"
+        assert sorted(p.name for p in export.iterdir()) == ["noisy0_noisy_mag.csv"]
 
     def test_empty_manifest_exits_2(self, tmp_path):
         manifest = tmp_path / "empty.tsv"

@@ -4,11 +4,12 @@ Perfect reconstruction is the central property here: it must hold for any
 parameters at all, linear or not, to within 1e-9 in 64-bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from liftbank.layers import (grid_interior, grid_scratch, grid_valid, leaky_relu,
-                             leaky_relu_grad, to_grid)
+from liftbank.layers import grid_valid, leaky_relu, leaky_relu_grad, to_grid
 from liftbank.lifting import (BlockSpec, CouplingBlock, LiftingConfig, LiftingTransform,
                               coupling_forward, coupling_inverse,
                               invertible_downsample, invertible_upsample,
@@ -425,14 +426,12 @@ class TestGridBlock:
         block = CouplingBlock(3, spec, linear, rng.fork())
         pad = block.pad
         grid = to_grid(rng.normal((3, 4, 9)), pad)
-        scratch = grid_scratch(grid, pad, 3)
         grids = [grid]
         for i, conv in enumerate(block.convs):
             out, _ = conv.forward_grid(grids[-1], pad)
             assert np.all(grid_pads(out, pad) == 0.0)
             if block.slope is not None and i < len(block.convs) - 1:
-                interior = grid_interior(out, pad)
-                leaky_relu(interior, block.slope, interior, scratch)
+                leaky_relu(out, block.slope, out)
                 assert np.all(grid_pads(out, pad) == 0.0)
             grids.append(out)
         y, cache = block.forward(grid_valid(grid, pad))
@@ -442,8 +441,31 @@ class TestGridBlock:
         grad = to_grid(rng.normal((3, 4, 9)), pad)
         for i in range(len(block.convs) - 1, -1, -1):
             if block.slope is not None and i < len(block.convs) - 1:
-                leaky_relu_grad(grid_interior(grad, pad), grid_interior(grids[i + 1], pad),
-                                block.slope, scratch)
+                leaky_relu_grad(grad, grids[i + 1], block.slope, grad)
                 assert np.all(grid_pads(grad, pad) == 0.0)
             grad = block.convs[i].backward_grid(grids[i], cache[i][1], grad, pad)
             assert np.all(grid_pads(grad, pad) == 0.0)
+
+    def test_peak_memory_is_the_grids(self):
+        """Forward allocates its input grid and one output grid per conv,
+        backward the gradient grid and one more; the activations add at most
+        one block of scratch."""
+        rng = Rng(27)
+        c, batch, length = 8, 16, 4096
+        block = CouplingBlock(c, BlockSpec(), False, rng.fork())
+        x = rng.normal((c, batch, length))
+        g = rng.normal((c, batch, length))
+        grid_bytes = 8 * c * batch * (length + 2 * block.pad)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, cache = block.forward(x)
+            forward_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            block.backward(cache, g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= (1 + len(block.convs)) * grid_bytes + (1 << 20)
+        assert backward_peak <= 2 * grid_bytes + (1 << 20)
