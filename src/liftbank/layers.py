@@ -534,15 +534,22 @@ class InstanceNorm2d:
         return _restore_batch(y, lead), (xhat, scale)
 
     def backward(self, cache, grad_out):
+        """Input gradient (gamma / scale) * (g - mean(g) - xhat * mean(g * xhat)),
+        built in place in the one array that first holds g * xhat."""
         xhat, scale = cache
         g, lead = _flatten_batch(grad_out, 3)
-        if self.gamma is not None:
-            self.gamma.grad += (g * xhat).sum(axis=(0, 2, 3))
-            self.beta.grad += g.sum(axis=(0, 2, 3))
-            g = g * self.gamma.data[:, None, None]
+        gx = g * xhat
         m1 = g.mean(axis=(2, 3), keepdims=True)
-        m2 = (g * xhat).mean(axis=(2, 3), keepdims=True)
-        gx = (g - m1 - xhat * m2) / scale
+        m2 = gx.mean(axis=(2, 3), keepdims=True)
+        coef = 1.0 / scale
+        if self.gamma is not None:
+            self.gamma.grad += gx.sum(axis=(0, 2, 3))
+            self.beta.grad += g.sum(axis=(0, 2, 3))
+            coef *= self.gamma.data[:, None, None]
+        np.multiply(xhat, m2, out=gx)
+        gx += m1
+        np.subtract(g, gx, out=gx)
+        gx *= coef
         return _restore_batch(gx, lead)
 
     def named_parameters(self, prefix):

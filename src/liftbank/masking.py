@@ -29,6 +29,15 @@ __all__ = [
 
 NORM_KINDS = ("none", "instance", "spectral")
 
+# ``EnhancementPipeline.enhance`` runs an input in chunks of this many samples
+# (rounded up to the pipeline's alignment), so its memory does not grow with
+# the input's length
+CHUNK_SAMPLES = 2 ** 16
+
+
+def _round_up(n, m):
+    return -(-n // m) * m
+
 
 @dataclass(frozen=True)
 class BinaryMaskSpec:
@@ -125,6 +134,20 @@ class MaskEstimator:
     @property
     def total_stride(self):
         return 2 ** self.depth
+
+    @property
+    def frame_receptive_field(self):
+        """Frames on either side of an output frame that its mask value can
+        depend on, or None when instance norm, whose statistics span the
+        whole input, makes it unbounded.
+
+        Encoder level i (4 taps, stride 2, padding 1, read at a 2**i frame
+        grid) and its transposed mirror in the decoder together widen the
+        dependence by 3 * 2**i frames, 3 * (total_stride - 1) over all levels.
+        """
+        if self.norm_kind == "instance":
+            return None
+        return 3 * (self.total_stride - 1)
 
     def _image(self, a):
         """(..., H, W) as a one-channel (..., 1, H', W') image, zero-padded at
@@ -307,10 +330,70 @@ class EnhancementPipeline:
 
     # -- inference ----------------------------------------------------------
 
+    def _frame_hop(self):
+        return (self.transform.config.time_divisor if self.kind == "lifting"
+                else self.stft_config.hop)
+
+    @property
+    def alignment(self):
+        """Sample grid of chunk starts: the frame hop, times the estimator's
+        total stride when the mask is estimated. A chunk starting on it sees
+        the whole input's polyphase, frame and stride-2 grids."""
+        hop = self._frame_hop()
+        return hop * self.estimator.total_stride if self.mask_source == "estimator" else hop
+
+    @property
+    def context(self):
+        """Input samples on either side of an output sample that it can depend
+        on, rounded up to ``alignment``; None when the receptive field is the
+        whole input (an estimator with instance norm).
+
+        Each transform direction reaches its predictor or window half-width:
+        for lifting, sum(k // 2) * 2**j samples per stage j plus the polyphase
+        skew time_divisor - 1; for the STFT, window_length // 2. An estimated
+        mask adds the estimator's frame receptive field times the frame hop.
+        """
+        hop = self._frame_hop()
+        if self.kind == "lifting":
+            cfg = self.transform.config
+            half = sum(k // 2 for k in cfg.block.kernel_sizes)
+            reach = half * sum(2 ** j for j in range(1, cfg.num_stages + 1)) + hop - 1
+        else:
+            reach = self.stft_config.window_length // 2
+        total = 2 * reach
+        if self.mask_source == "estimator":
+            frames = self.estimator.frame_receptive_field
+            if frames is None:
+                return None
+            total += frames * hop
+        return _round_up(total, self.alignment)
+
     def enhance(self, x):
-        """Estimate the target and the residual; both match x in length."""
+        """Estimate the target and the residual; both match x in length.
+
+        The input runs in chunks of CHUNK_SAMPLES, one after another, each
+        with ``context`` input samples on both sides, and only each chunk's
+        own span of output is kept: the result equals one run over the whole
+        input up to rounding, with memory bounded in the input's length. An
+        input whose receptive field is unbounded runs as one chunk.
+        """
         x = np.asarray(x, dtype=np.float64)
-        s_hat, _ = self._run(x, keep=False)
+        t = x.shape[-1]
+        if t == 0:
+            raise ValueError("empty input signal")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite input signal")
+        ctx = self.context
+        if ctx is None:
+            step, ctx = t, 0
+        else:
+            step = _round_up(CHUNK_SAMPLES, self.alignment)
+        s_hat = np.empty_like(x)
+        for start in range(0, t, step):
+            stop = min(start + step, t)
+            lo, hi = max(start - ctx, 0), min(stop + ctx, t)
+            y, _ = self._run(x[..., lo:hi], keep=False)
+            s_hat[..., start:stop] = y[..., start - lo:stop - lo]
         return s_hat, x - s_hat
 
     def enhance_training(self, x):

@@ -153,6 +153,16 @@ class TestEnhanceCommand:
         assert "sample rate 8000 Hz differs" in capsys.readouterr().err
         assert not (tmp_path / "out.wav").exists()
 
+    @pytest.mark.parametrize("transform", ["lifting", "stft"])
+    def test_empty_input_exits_2(self, tmp_path, capsys, transform):
+        cfg = write_config(tmp_path, f"pipeline.transform = {transform}\n"
+                                     "pipeline.mask = estimator\n")
+        wav_write(WavClip(np.zeros(0)), tmp_path / "in.wav")
+        assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
+                     "--config", str(cfg)]) == 2
+        assert "empty input signal" in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
+
     def test_checkpoint_mismatch_exits_2(self, tmp_path):
         from liftbank.checkpoint import save_checkpoint
         save_checkpoint(tmp_path / "weird.ckpt", {"not/a/real/param": np.ones(3)})

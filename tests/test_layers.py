@@ -476,6 +476,46 @@ class TestInstanceNorm:
         assert np.all(np.abs(means) <= 1e-10)
         np.testing.assert_allclose(stds, 1.0, atol=1e-3)
 
+    @staticmethod
+    def _reference_backward(norm, cache, g):
+        """The gradients as the textbook out-of-place formula states them."""
+        xhat, scale = cache
+        gamma_grad = (g * xhat).sum(axis=(0, 2, 3))
+        beta_grad = g.sum(axis=(0, 2, 3))
+        g = g * norm.gamma.data[:, None, None]
+        m1 = g.mean(axis=(2, 3), keepdims=True)
+        m2 = (g * xhat).mean(axis=(2, 3), keepdims=True)
+        return (g - m1 - xhat * m2) / scale, gamma_grad, beta_grad
+
+    def test_backward_matches_reference_formula(self):
+        rng = Rng(6)
+        norm = InstanceNorm2d(5)
+        norm.gamma.data[...] = rng.uniform((5,), -2.0, 2.0)
+        norm.beta.data[...] = rng.normal((5,))
+        _, cache = norm.forward(3.0 * rng.normal((2, 5, 12, 17)) + 1.0)
+        g = rng.normal((2, 5, 12, 17))
+        want_x, want_gamma, want_beta = self._reference_backward(norm, cache, g)
+        gx = norm.backward(cache, g)
+        assert np.max(np.abs(gx - want_x)) <= 1e-12 * np.max(np.abs(want_x))
+        np.testing.assert_array_equal(norm.gamma.grad, want_gamma)
+        np.testing.assert_array_equal(norm.beta.grad, want_beta)
+
+    def test_backward_peak_is_the_result(self):
+        """One full-size array, the result: the out-of-place formula peaks at
+        about three times its bytes."""
+        rng = Rng(7)
+        norm = InstanceNorm2d(8)
+        _, cache = norm.forward(rng.normal((1, 8, 64, 256)))
+        g = rng.normal((1, 8, 64, 256))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = norm.backward(cache, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes
+
 
 class TestSpectralNorm:
     def test_diagonal_matrix_against_svd(self):

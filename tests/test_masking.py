@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from liftbank.lifting import LiftingConfig, LiftingTransform
-from liftbank.masking import (BinaryMaskSpec, EnhancementPipeline, MaskEstimator,
-                              binary_mask_generate)
+from liftbank.masking import (CHUNK_SAMPLES, BinaryMaskSpec, EnhancementPipeline,
+                              MaskEstimator, binary_mask_generate)
 from liftbank.numerics import Rng
 from liftbank.objective import LossConfig, sdr_loss, sdr_loss_and_grad
 from liftbank.stft import StftConfig
@@ -268,6 +268,86 @@ class TestEnhancementPipeline:
         np.testing.assert_array_equal(s_hat, s_train)
 
 
+def _with_head(net, seed):
+    """A non-zero head, so the mask depends on every estimator layer."""
+    net.head.weight.data[...] = Rng(seed).uniform(net.head.weight.shape, -1.0, 1.0)
+    net.head.bias.data[...] = 0.25
+    return net
+
+
+def small_pipeline(kind, norm="none"):
+    """A cheap pipeline of each kind: lifting/binary, lifting/estimator or
+    stft/estimator."""
+    if kind == "lifting/binary":
+        return lifting_pipeline("binary", seed=50, num_stages=3, base_channels=2)
+    net = _with_head(MaskEstimator(depth=2, base_channels=2, norm=norm, rng=Rng(51)), 52)
+    if kind == "lifting/estimator":
+        tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2), Rng(53))
+        return EnhancementPipeline(transform=tf, mask_source="estimator", estimator=net)
+    return EnhancementPipeline(stft_config=StftConfig(window_length=64, hop=16, dft_length=64),
+                               mask_source="estimator", estimator=net)
+
+
+class TestChunkedEnhance:
+    """``enhance`` runs chunks of CHUNK_SAMPLES with receptive-field context;
+    its output is the whole-file run's."""
+
+    @pytest.mark.parametrize("kind,norm", [
+        ("lifting/binary", "none"), ("lifting/estimator", "none"),
+        ("lifting/estimator", "spectral"), ("stft/estimator", "none")])
+    def test_chunked_equals_whole_file(self, kind, norm):
+        pipe = small_pipeline(kind, norm)
+        chunk = -(-CHUNK_SAMPLES // pipe.alignment) * pipe.alignment
+        for shape in [(chunk - 1,), (chunk,), (chunk + 1,), (2 * chunk + 777,),
+                      (2, 2 * chunk + 777)]:
+            x = Rng(shape[-1]).normal(shape)
+            s_hat, residual = pipe.enhance(x)
+            whole, _ = pipe._run(x, keep=False)
+            assert s_hat.shape == x.shape
+            assert np.max(np.abs(s_hat - whole)) <= 1e-9
+            np.testing.assert_array_equal(residual, x - s_hat)
+
+    def test_instance_norm_runs_whole_file(self):
+        pipe = small_pipeline("lifting/estimator", "instance")
+        assert pipe.context is None
+        x = Rng(54).normal((CHUNK_SAMPLES + 1000,))
+        np.testing.assert_array_equal(pipe.enhance(x)[0], pipe._run(x, keep=False)[0])
+
+    @pytest.mark.parametrize("kind", ["lifting/binary", "lifting/estimator",
+                                      "stft/estimator"])
+    def test_receptive_field_within_context(self, kind):
+        """Perturb one input sample at several phases; every output sample
+        that moves lies within ``context`` of it, and the furthest lies past
+        half of it, so the bound is not vacuous."""
+        pipe = small_pipeline(kind)
+        ctx = pipe.context
+        assert ctx % pipe.alignment == 0
+        x = Rng(55).normal((4096,))
+        base = pipe.enhance(x)[0]
+        reach = 0
+        for pos in range(2048, 2048 + 64, 7):
+            xp = x.copy()
+            xp[pos] += 1.0
+            moved = np.nonzero(pipe.enhance(xp)[0] != base)[0]
+            reach = max(reach, pos - moved.min(), moved.max() - pos)
+        assert ctx / 2 < reach <= ctx
+
+    @pytest.mark.parametrize("kind", ["lifting/binary", "stft/estimator"])
+    def test_empty_input_rejected(self, kind):
+        with pytest.raises(ValueError, match="empty"):
+            small_pipeline(kind).enhance(np.zeros(0))
+
+    def test_non_finite_in_last_chunk_rejected_before_any_chunk_runs(self, monkeypatch):
+        pipe = small_pipeline("lifting/estimator")
+        calls = []
+        monkeypatch.setattr(pipe, "_run", lambda *args, **kw: calls.append(1))
+        x = np.zeros(3 * CHUNK_SAMPLES)
+        x[-5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            pipe.enhance(x)
+        assert calls == []
+
+
 def _traced_peak(fn, *args):
     """Peak bytes allocated while fn runs, above what was live before it."""
     tracemalloc.start()
@@ -306,6 +386,16 @@ class TestInferenceMemory:
         feature = pipe.transform.forward(x)
         assert feature.shape == (256, 500)
         assert _traced_peak(pipe.enhance, x) < 50 * feature.nbytes
+
+    def test_enhance_peak_bounded_in_input_length(self):
+        """Chunked enhancement: a 60 s lifting/estimator input peaks at most
+        1.25 times a 10 s one (whole-file runs peak about 6 times higher)."""
+        pipe = EnhancementPipeline(transform=LiftingTransform(LiftingConfig(), Rng(38)),
+                                   mask_source="estimator",
+                                   estimator=MaskEstimator(rng=Rng(39)))
+        peak_10 = _traced_peak(pipe.enhance, Rng(41).normal((160000,)))
+        peak_60 = _traced_peak(pipe.enhance, Rng(42).normal((960000,)))
+        assert peak_60 <= 1.25 * peak_10
 
 
 class TestPipelineTrainingGradients:
