@@ -18,6 +18,7 @@ so identical state always serializes to identical bytes.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import struct
 
@@ -27,6 +28,8 @@ MAGIC = b"LBCKPT01"
 
 __all__ = ["MAGIC", "atomic_write", "save_checkpoint", "load_checkpoint"]
 
+_tmp_ids = itertools.count()   # process-wide, so no two calls share a temporary name
+
 
 @contextlib.contextmanager
 def atomic_write(path, mode="w"):
@@ -34,11 +37,16 @@ def atomic_write(path, mode="w"):
 
     When the block exits cleanly the file replaces ``path``; when it raises,
     the temporary file is removed and any earlier file at ``path`` is left
-    untouched, so a reader never sees a half-written file.
+    untouched, so a reader never sees a half-written file. Each call writes
+    its own temporary file, so of several writers of one path the last wins.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    while True:
+        tmp = f"{os.fspath(path)}.{os.getpid()}.{next(_tmp_ids)}.tmp"
+        with contextlib.suppress(FileExistsError):   # left by an earlier process
+            fh = open(tmp, mode.replace("w", "x"))
+            break
     try:
-        with open(tmp, mode) as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -14,6 +14,7 @@ With the defaults (6 stages, 4 base channels) the feature is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -230,20 +231,6 @@ class CouplingBlock:
             conv.update_spectral_state(iters)
 
 
-def _predictor(block, caches):
-    """``block`` as a coupling predictor.
-
-    Each evaluation's layer caches are appended to ``caches``, or dropped at
-    once when ``caches`` is None (inference keeps no training state).
-    """
-    def predict(v):
-        y, cache = block.forward(v)
-        if caches is not None:
-            caches.append(cache)
-        return y
-    return predict
-
-
 class LiftingTransform:
     """The trainable invertible analysis/synthesis filterbank pair.
 
@@ -289,73 +276,76 @@ class LiftingTransform:
         phi_cf = np.ascontiguousarray(np.moveaxis(pb, 1, 0))
         return phi_cf[:c // 2], phi_cf[c // 2:], phi.shape[:-2]
 
-    # -- forward / inverse ------------------------------------------------
+    # -- stage walks --------------------------------------------------------
+    # The transpose of an additive coupling is again an additive coupling,
+    # with the predictor's VJP in place of the predictor, so each VJP is the
+    # other direction's walk: down (split, stages 1..J, merge) is analysis
+    # and the synthesis VJP, up (unmerge, stages J..1, interleave) synthesis
+    # and the analysis VJP. Parameter gradients accumulate into the conv
+    # Parameters, so both VJPs of one step add up in the shared predictors.
 
-    def _analysis(self, x, caches):
+    def _walk_down(self, x, couple, predictors):
         x = np.asarray(x, dtype=np.float64)
         self.check_length(x.shape[-1])
         a, b = split(x.reshape(-1, x.shape[-1]), self.config.base_channels)
-        for j, block in enumerate(self.blocks, start=1):
+        for j, predict in enumerate(predictors, start=1):
             if j >= 2:
                 a, b = invertible_downsample(a), invertible_downsample(b)
-            a, b = coupling_forward(a, b, _predictor(block, caches))
+            a, b = couple(a, b, predict)
         return self._merge(a, b, x.shape[:-1])
 
-    def forward_with_cache(self, x):
-        """Feature plus the per-stage predictor caches the VJPs need."""
-        caches = []
-        return self._analysis(x, caches), caches
-
-    def forward(self, x):
-        return self._analysis(x, None)
-
-    def _synthesis(self, phi, caches):
+    def _walk_up(self, phi, couple, predictors):
         a, b, lead = self._unmerge(phi)
-        for j in range(len(self.blocks), 0, -1):
-            a, b = coupling_inverse(a, b, _predictor(self.blocks[j - 1], caches))
+        for j in range(len(predictors), 0, -1):
+            a, b = couple(a, b, predictors[j - 1])
             if j >= 2:
                 a, b = invertible_upsample(a), invertible_upsample(b)
         x = split_inverse(a, b)
         return x.reshape(lead + x.shape[1:])
 
+    def _predictors(self, caches):
+        """The blocks as coupling predictors; each evaluation's layer caches
+        go on ``caches``, or nowhere when it is None (inference)."""
+        def predictor(block):
+            def predict(v):
+                y, cache = block.forward(v)
+                if caches is not None:
+                    caches.append(cache)
+                return y
+            return predict
+        return [predictor(block) for block in self.blocks]
+
+    # -- forward / inverse ------------------------------------------------
+
+    def forward_with_cache(self, x):
+        """Feature plus the per-stage predictor caches the VJPs need."""
+        caches = []
+        return self._walk_down(x, coupling_forward, self._predictors(caches)), caches
+
+    def forward(self, x):
+        return self._walk_down(x, coupling_forward, self._predictors(None))
+
     def inverse_with_cache(self, phi):
         """Waveform plus the per-stage predictor caches, indexed by stage."""
         caches = []
-        x = self._synthesis(phi, caches)
-        return x, caches[::-1]
+        return self._walk_up(phi, coupling_inverse, self._predictors(caches)), caches[::-1]
 
     def inverse(self, phi):
-        return self._synthesis(phi, None)
+        return self._walk_up(phi, coupling_inverse, self._predictors(None))
 
     # -- vector-Jacobian products ------------------------------------------
-    # The transpose of an additive coupling is again an additive coupling,
-    # with the predictor's VJP in place of the predictor, so the VJPs walk
-    # the stages backwards through the same structural helpers. Parameter
-    # gradients accumulate into the conv Parameters; both VJPs can run in one
-    # step (shared predictors) and their contributions add up.
 
     def forward_vjp(self, caches, grad_phi):
-        ga, gb, lead = self._unmerge(grad_phi)
-        for j in range(len(self.blocks), 0, -1):
-            # stage output was (a', b') = (b, a + F(b))
-            block, cache = self.blocks[j - 1], caches[j - 1]
-            ga, gb = coupling_forward(ga, gb, lambda g: block.backward(cache, g))
-            if j >= 2:
-                ga, gb = invertible_upsample(ga), invertible_upsample(gb)
-        gx = split_inverse(ga, gb)
-        return gx.reshape(lead + gx.shape[1:])
+        # stage output was (a', b') = (b, a + F(b))
+        return self._walk_up(grad_phi, coupling_forward, [
+            partial(block.backward, cache) for block, cache in zip(self.blocks, caches)])
 
     def inverse_vjp(self, caches, grad_x):
-        grad_x = np.asarray(grad_x, dtype=np.float64)
-        ga, gb = split(grad_x.reshape(-1, grad_x.shape[-1]), self.config.base_channels)
-        for j in range(1, len(self.blocks) + 1):
-            if j >= 2:
-                ga, gb = invertible_downsample(ga), invertible_downsample(gb)
-            # stage output was (a, b) = (b' - F(a'), a'); F's output entered
-            # negated, so its parameter gradients are taken at -g
-            block, cache = self.blocks[j - 1], caches[j - 1]
-            ga, gb = coupling_inverse(ga, gb, lambda g: -block.backward(cache, -g))
-        return self._merge(ga, gb, grad_x.shape[:-1])
+        # stage output was (a, b) = (b' - F(a'), a'); F's output entered
+        # negated, so its parameter gradients are taken at -g
+        return self._walk_down(grad_x, coupling_inverse, [
+            lambda g, b=block, c=cache: -b.backward(c, -g)
+            for block, cache in zip(self.blocks, caches)])
 
     # -- parameter plumbing -------------------------------------------------
 

@@ -193,9 +193,8 @@ class MaskEstimator:
             skips.append(h)
         skips.pop()      # the deepest output is the decoder's input, not a skip
 
-        for idx, (conv, nrm) in enumerate(zip(self.dec_convs, self.dec_norms)):
-            stage = self.depth - 1 - idx
-            if stage == 0:
+        for conv, nrm in zip(self.dec_convs, self.dec_norms):
+            if not skips:
                 h = self._stage(conv, nrm, h, dec_caches)
                 continue
             # the stage writes the front channels of the skip concatenation;
@@ -228,26 +227,22 @@ class MaskEstimator:
     def backward(self, cache, grad_mask):
         grad_mask = np.asarray(grad_mask, dtype=np.float64)
         h0, w0 = grad_mask.shape[-2:]
-        g_img = self._image(grad_mask)
-        g = self.sigmoid.backward(cache.sigmoid, g_img)
+        g = self.sigmoid.backward(cache.sigmoid, self._image(grad_mask))
         g = self.head.backward(cache.head, g)
 
-        skip_grads = [None] * self.depth
-        for idx in range(self.depth - 1, -1, -1):
-            stage = self.depth - 1 - idx
-            if stage >= 1:
-                nc = self.dec_convs[idx].out_channels
-                skip_grads[stage - 1] = g[..., nc:, :, :]
+        skip_grads = []     # a stack, popped deepest first as ``skips`` in _run
+        decoder = zip(self.dec_convs, self.dec_norms, cache.decoder)
+        for k, (conv, nrm, c) in enumerate(reversed(list(decoder))):
+            if k:     # every decoder stage but the last wrote before a skip
+                nc = conv.out_channels
+                skip_grads.append(g[..., nc:, :, :])
                 g = g[..., :nc, :, :]
-            g = self._stage_backward(self.dec_convs[idx], self.dec_norms[idx],
-                                     cache.decoder[idx], g)
-
-        for stage in range(self.depth - 1, -1, -1):
-            if skip_grads[stage] is not None:
-                g = g + skip_grads[stage]
-            g = self._stage_backward(self.enc_convs[stage], self.enc_norms[stage],
-                                     cache.encoder[stage], g)
-
+            g = self._stage_backward(conv, nrm, c, g)
+        encoder = zip(self.enc_convs, self.enc_norms, cache.encoder)
+        for k, (conv, nrm, c) in enumerate(reversed(list(encoder))):
+            if k:     # every encoder stage but the deepest fed a skip
+                g = g + skip_grads.pop()
+            g = self._stage_backward(conv, nrm, c, g)
         return g[..., 0, :h0, :w0]
 
     def named_parameters(self, prefix="mask"):
@@ -294,7 +289,6 @@ class EnhanceCache:
     estimator: EstimatorCache = None   # set when the mask is estimated
     forward: list = None      # lifting: per-stage analysis caches
     inverse: list = None      # lifting: per-stage synthesis caches
-    padded_shape: tuple = None  # lifting: input shape after time_divisor padding
 
 
 class EnhancementPipeline:
@@ -431,8 +425,7 @@ class EnhancementPipeline:
         s_hat = y[..., :t0]
         if not keep:
             return s_hat, None
-        return s_hat, EnhanceCache(mask, phi, t0, est_cache, fwd_cache, inv_cache,
-                                   padded.shape)
+        return s_hat, EnhanceCache(mask, phi, t0, est_cache, fwd_cache, inv_cache)
 
     def _enhance_stft(self, x, keep):
         t0 = x.shape[-1]
@@ -453,8 +446,7 @@ class EnhancementPipeline:
         """Accumulate parameter gradients for d(loss)/d(s_hat) and return
         d(loss)/d(x); the STFT path has no input VJP and returns None."""
         if self.kind == "lifting":
-            grad_y = np.zeros(cache.padded_shape)
-            grad_y[..., :cache.length] = grad_s_hat
+            grad_y, _ = pad_to_multiple(grad_s_hat, self.transform.config.time_divisor)
             grad_masked = self.transform.inverse_vjp(cache.inverse, grad_y)
             grad_phi = cache.mask * grad_masked
             if cache.estimator is not None:
@@ -501,14 +493,18 @@ class EnhancementPipeline:
         return out
 
     def load_state_dict(self, mapping):
+        """Check every entry, then copy them all: a failed load changes nothing."""
         own = self.state_dict()
         if set(own) != set(mapping):
             missing = sorted(set(own) - set(mapping))
             extra = sorted(set(mapping) - set(own))
             raise ValueError(f"checkpoint mismatch: missing={missing} extra={extra}")
+        incoming = {name: np.asarray(mapping[name], dtype=np.float64) for name in own}
         for name, arr in own.items():
-            incoming = np.asarray(mapping[name], dtype=np.float64)
-            if incoming.shape != arr.shape:
+            if incoming[name].shape != arr.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name}: "
-                                 f"{incoming.shape} vs {arr.shape}")
-            arr[...] = incoming
+                                 f"{incoming[name].shape} vs {arr.shape}")
+            if not np.all(np.isfinite(incoming[name])):
+                raise ValueError(f"checkpoint entry {name} is not finite")
+        for name, arr in own.items():
+            arr[...] = incoming[name]

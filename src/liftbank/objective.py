@@ -75,28 +75,20 @@ def clip(v, beta):
     return beta * np.tanh(np.asarray(v, dtype=np.float64) / beta)
 
 
-def _term_stats(u, v, eps):
-    """Per-sample SDR(u, v) over the last axis plus the pieces its grad needs."""
+def _clipped_term(u, v, beta, eps):
+    """tanh(SDR(u, v) / beta) per sample over the last axis, and the gradient
+    of the clipped term beta * tanh(SDR(u, v) / beta) with respect to u.
+
+    The loss is -0.5 times the mean of the terms of (s_hat, s) and (x - s_hat,
+    n), so the second one's gradient enters d(loss)/d(s_hat) negated and
+    d(loss)/d(x) as it is.
+    """
     num = np.sum(u * u, axis=-1) + eps
     den = np.sum((u - v) ** 2, axis=-1) + eps
-    db = (10.0 / _LOG10) * (np.log(num) - np.log(den))
-    return db, num, den
-
-
-def _residual_term(s_hat, x, n, beta, eps):
-    """The loss's residual term: tanh(SDR(x - s_hat, n) / beta) per sample,
-    and the gradient of its clipped SDR with respect to the residual x - s_hat.
-
-    The loss is -0.5 times the mean of the clipped terms, so this gradient
-    enters d(loss)/d(s_hat) negated and d(loss)/d(x) as it is.
-    """
-    resid = x - s_hat
-    t2, num2, den2 = _term_stats(resid, n, eps)
-    th2 = np.tanh(t2 / beta)
-    c = 20.0 / _LOG10
-    grad = (1.0 - th2 * th2)[..., None] * (
-        c * (resid / num2[..., None] - (resid - n) / den2[..., None]))
-    return th2, grad
+    th = np.tanh((10.0 / _LOG10) * (np.log(num) - np.log(den)) / beta)
+    grad = (1.0 - th * th)[..., None] * (
+        (20.0 / _LOG10) * (u / num[..., None] - (u - v) / den[..., None]))
+    return th, grad
 
 
 def sdr_loss(s_hat, s, x, n, cfg=None):
@@ -130,18 +122,13 @@ def sdr_loss_and_grad(s_hat, s, x, n, cfg=None):
     # divergence shows up as non-finite values here; the caller checks the
     # loss, so the intermediate overflow warnings are just noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t1, num1, den1 = _term_stats(s_hat, s, eps)
-        th1 = np.tanh(t1 / beta)
-        th2, grad_resid = _residual_term(s_hat, x, n, beta, eps)
+        # residual term first: no full-size gradient is held beside its residual
+        th2, g2 = _clipped_term(x - s_hat, n, beta, eps)
+        th1, g1 = _clipped_term(s_hat, s, beta, eps)
         per_sample = -0.5 * (beta * th1 + beta * th2)
-        count = per_sample.size
         loss = float(per_sample.mean())
-
-        c = 20.0 / _LOG10
-        dt1 = c * (s_hat / num1[..., None] - (s_hat - s) / den1[..., None])
-        g1 = (1.0 - th1 * th1)[..., None] * dt1
         # the residual x - s_hat falls as s_hat rises
-        grad = -0.5 * (g1 - grad_resid) / count
+        grad = -0.5 * (g1 - g2) / per_sample.size
     return loss, grad
 
 

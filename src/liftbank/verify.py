@@ -12,7 +12,7 @@ import numpy as np
 from .lifting import LiftingConfig, LiftingTransform
 from .masking import EnhancementPipeline
 from .numerics import Rng, finite_difference_gradient
-from .objective import LossConfig, _residual_term, sdr_loss_and_grad
+from .objective import LossConfig, _clipped_term, sdr_loss_and_grad
 from .stft import StftConfig, istft, stft_forward
 
 __all__ = [
@@ -100,8 +100,8 @@ def gradient_suite(seed=0, corrupt=False, h=1e-5, include_input=True):
     if include_input:
         # d loss / d mixture is the path through the transform plus a direct
         # term, since the mixture also enters the loss residual
-        th2, grad_resid = _residual_term(s_hat, mixture, noise, loss_cfg.beta_clip,
-                                         loss_cfg.eps)
+        th2, grad_resid = _clipped_term(mixture - s_hat, noise, loss_cfg.beta_clip,
+                                        loss_cfg.eps)
         analytic = grad_input - 0.5 * grad_resid / th2.size
         numeric = finite_difference_gradient(loss_of_input, mixture, h)
         worst = max(worst, relative_error(analytic, numeric))

@@ -1,5 +1,8 @@
 """Binary checkpoint container round trips and error handling."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,56 @@ class TestCheckpoint:
             save_checkpoint(path, {"a": np.ones(3), "x" * 70000: np.ones(2)})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_nested_writers_of_one_path(self, tmp_path):
+        """Each writer has its own temporary file: both finish cleanly, the
+        last to finish wins, and nothing is left behind."""
+        path = tmp_path / "dump.csv"
+        with atomic_write(path) as outer:
+            outer.write("outer\n")
+            with atomic_write(path) as inner:
+                inner.write("inner\n")
+            assert path.read_text() == "inner\n"
+        assert path.read_text() == "outer\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["dump.csv"]
+
+    def test_concurrent_writers_of_one_path(self, tmp_path):
+        """Threads writing one path (as ``eval`` exports can) never collide:
+        none raises, the file holds one writer's whole text, no temp is left."""
+        path = tmp_path / "dump.csv"
+        texts = [f"{i}\n" * 2000 for i in range(8)]
+        errors = []
+
+        def write(text):
+            try:
+                for _ in range(20):
+                    with atomic_write(path) as fh:
+                        fh.write(text)
+            except OSError as exc:
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["dump.csv"]
+
+    def test_atomic_write_keeps_plain_open_permissions(self, tmp_path):
+        plain, atomic = tmp_path / "plain.csv", tmp_path / "atomic.csv"
+        with open(plain, "w") as fh:
+            fh.write("x\n")
+        with atomic_write(atomic) as fh:
+            fh.write("x\n")
+        assert atomic.stat().st_mode == plain.stat().st_mode
 
     def test_atomic_write_failure_keeps_previous_file(self, tmp_path):
         path = tmp_path / "log.csv"

@@ -56,6 +56,17 @@ def write_manifest(tmp_path, n_pairs=3, length=2000, mismatched=0):
     return manifest
 
 
+def nan_checkpoint(tmp_path):
+    """The default pipeline's checkpoint with one NaN weight."""
+    from liftbank.checkpoint import save_checkpoint
+    from liftbank.cli import build_pipeline, load_config
+    state = {k: v.copy() for k, v in build_pipeline(load_config()).state_dict().items()}
+    state["lifting/stage1/conv0/weight"][0, 0, 0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, state)
+    return path
+
+
 class TestConfig:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "no.such.key = 1\n")
@@ -170,6 +181,15 @@ class TestEnhanceCommand:
         wav_write(WavClip(x), tmp_path / "in.wav")
         assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
                      "--checkpoint", str(tmp_path / "weird.ckpt")]) == 2
+
+    def test_non_finite_checkpoint_exits_2(self, tmp_path, capsys):
+        ckpt = nan_checkpoint(tmp_path)
+        x = 0.1 * Rng(3).normal((1000,))
+        wav_write(WavClip(x), tmp_path / "in.wav")
+        assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
+                     "--checkpoint", str(ckpt)]) == 2
+        assert "lifting/stage1/conv0/weight" in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
 
     def test_trained_checkpoint_loads(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n")
@@ -348,6 +368,15 @@ class TestEvalCommand:
                      "--export-spectrogram", str(export)]) == 2
         assert (export / "noisy0_noisy_mag.csv").read_bytes() == b"1.0,2.0\n"
         assert sorted(p.name for p in export.iterdir()) == ["noisy0_noisy_mag.csv"]
+
+    def test_non_finite_checkpoint_exits_2(self, tmp_path, capsys):
+        ckpt = nan_checkpoint(tmp_path)
+        manifest = write_manifest(tmp_path)
+        out_csv = tmp_path / "metrics.csv"
+        assert main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
+                     "--checkpoint", str(ckpt)]) == 2
+        assert "lifting/stage1/conv0/weight" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_empty_manifest_exits_2(self, tmp_path):
         manifest = tmp_path / "empty.tsv"

@@ -276,6 +276,24 @@ class TestTransform:
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         assert float(np.max(np.abs(analytic - numeric) / denom)) <= 1e-4
 
+    @pytest.mark.parametrize("num_stages", range(1, 7))
+    @pytest.mark.parametrize("block,linear", [
+        (BlockSpec(), False), (BlockSpec(), True),
+        (BlockSpec(spectral_norm=True), False), (BlockSpec(kernel_sizes=(5, 3, 3)), False)],
+        ids=["nonlinear", "linear", "spectral", "k533"])
+    def test_vjps_invert_each_other(self, num_stages, block, linear):
+        """inverse(forward(x)) = x, so J_fwd^T J_inv^T = I at any parameters:
+        the analysis VJP undoes the synthesis VJP at every stage count."""
+        rng = Rng(40 + num_stages)
+        tf = LiftingTransform(LiftingConfig(num_stages=num_stages, block=block,
+                                            linear_variant=linear), rng.fork())
+        x = rng.normal((3, 256))
+        phi, fwd_cache = tf.forward_with_cache(x)
+        _, inv_cache = tf.inverse_with_cache(phi)
+        g = rng.normal(x.shape)
+        back = tf.forward_vjp(fwd_cache, tf.inverse_vjp(inv_cache, g))
+        assert float(np.max(np.abs(back - g))) <= 1e-12
+
     def test_pad_then_transform_round_trip(self):
         tf = LiftingTransform(rng=Rng(20))
         x = Rng(21).normal((100,))

@@ -246,6 +246,23 @@ class TestEnhancementPipeline:
         with pytest.raises(ValueError, match="shape"):
             pipe.load_state_dict(bad)
 
+    @pytest.mark.parametrize("corrupt", ["shape", "nan", "inf"])
+    def test_failed_load_changes_nothing(self, corrupt):
+        """Every entry is checked before any is copied, so a bad last entry
+        leaves all the others as they were."""
+        pipe = lifting_pipeline("estimator", seed=35, num_stages=3)
+        before = {k: v.copy() for k, v in pipe.state_dict().items()}
+        bad = {k: v + 1.0 for k, v in before.items()}
+        last = list(bad)[-1]
+        if corrupt == "shape":
+            bad[last] = np.zeros(bad[last].shape + (1,))
+        else:
+            bad[last].flat[0] = np.nan if corrupt == "nan" else np.inf
+        with pytest.raises(ValueError, match=last):
+            pipe.load_state_dict(bad)
+        for k, v in pipe.state_dict().items():
+            np.testing.assert_array_equal(v, before[k])
+
     @pytest.mark.parametrize("kind,mask_source", [
         ("lifting", "binary"), ("lifting", "estimator"),
         ("stft", "estimator"), ("stft", "ones")])
