@@ -11,6 +11,7 @@ learned filterbank has something it can actually separate.
 from __future__ import annotations
 
 import wave
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,9 @@ __all__ = [
     "MixtureTriple",
     "synth_mixture",
     "synth_dataset",
+    "check_sample_rate",
     "read_manifest",
+    "read_pair",
     "load_manifest_triples",
     "batch_iter",
 ]
@@ -162,8 +165,16 @@ def synth_dataset(seed, count, duration_s, snr_lo, snr_hi, sample_rate=16000):
     return out
 
 
+def check_sample_rate(what, rates, sample_rate):
+    """Raise a ValueError naming ``what`` unless every rate is ``sample_rate``."""
+    if set(rates) != {sample_rate}:
+        raise ValueError(f"{what}: sample rate {' / '.join(map(str, sorted(set(rates))))} Hz "
+                         f"differs from the config's data.sample_rate = {sample_rate} Hz")
+
+
 def read_manifest(path):
-    """Parse "clean<TAB>noisy" lines; '#' starts a comment."""
+    """Parse "clean<TAB>noisy" lines ('#' starts a comment) into (clean, noisy, id);
+    an id is the noisy stem, or if pairs share it, stem + "_<position>" until unique."""
     pairs = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -173,26 +184,43 @@ def read_manifest(path):
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'clean<TAB>noisy'")
         pairs.append((parts[0], parts[1]))
-    return pairs
+    ids = [Path(noisy).stem for _, noisy in pairs]
+    counts, taken = Counter(ids), set(ids)
+    for i, stem in enumerate(ids):
+        while counts[stem] > 1 and ids[i] in taken:
+            ids[i] += f"_{i}"
+        taken.add(ids[i])
+    return [pair + (pair_id,) for pair, pair_id in zip(pairs, ids)]
 
 
-def load_manifest_triples(path):
-    """Load manifest pairs as triples with noise = mixture - clean.
+def read_pair(clean_path, noisy_path, sample_rate):
+    """A pair's (clean, noisy) samples, or a ValueError naming why it is unusable:
+    unreadable, not at ``sample_rate``, unequal lengths, empty or silent clean."""
+    pair = f"{clean_path} / {noisy_path}"
+    try:
+        clean, noisy = wav_read(clean_path), wav_read(noisy_path)
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"unreadable pair {pair}: {exc}") from exc
+    check_sample_rate(f"pair {pair}", (clean.sample_rate, noisy.sample_rate), sample_rate)
+    if clean.samples.shape != noisy.samples.shape:
+        raise ValueError(f"length-mismatched pair {pair}")
+    if clean.samples.size == 0:
+        raise ValueError(f"empty pair {pair}")
+    if not np.any(clean.samples):
+        raise ValueError(f"pair {pair}: silent clean reference, SI-SDR undefined")
+    return clean.samples, noisy.samples
 
-    Pairs whose members differ in length are skipped; returns
-    (triples, skipped_names).
-    """
-    triples = []
-    skipped = []
-    for clean_path, noisy_path in read_manifest(path):
-        clean = wav_read(clean_path)
-        noisy = wav_read(noisy_path)
-        name = Path(noisy_path).stem
-        if clean.samples.shape != noisy.samples.shape:
-            skipped.append(name)
+
+def load_manifest_triples(path, sample_rate=16000):
+    """Usable pairs (see ``read_pair``) as triples, noise = mixture - clean, and skip reasons."""
+    triples, skipped = [], []
+    for clean_path, noisy_path, name in read_manifest(path):
+        try:
+            clean, noisy = read_pair(clean_path, noisy_path, sample_rate)
+        except ValueError as exc:
+            skipped.append(str(exc))
             continue
-        triples.append(MixtureTriple(clean.samples, noisy.samples - clean.samples,
-                                     noisy.samples, float("nan"), name=name))
+        triples.append(MixtureTriple(clean, noisy - clean, noisy, float("nan"), name=name))
     return triples, skipped
 
 
@@ -211,21 +239,14 @@ def batch_iter(dataset, batch_size, seed, crop_len=16384):
     order = rng.permutation(len(dataset))
     for lo in range(0, len(dataset), batch_size):
         chunk = order[lo:lo + batch_size]
-        clean = np.empty((len(chunk), crop_len))
-        noise = np.empty((len(chunk), crop_len))
-        mixture = np.empty((len(chunk), crop_len))
+        batch = np.zeros((3, len(chunk), crop_len))
         for row, idx in enumerate(chunk):
             triple = dataset[int(idx)]
             length = triple.clean.shape[-1]
+            start = 0
             if length > crop_len:
                 start = int(rng.raw(1)[0] % np.uint64(length - crop_len + 1))
-                sl = slice(start, start + crop_len)
-                clean[row] = triple.clean[sl]
-                noise[row] = triple.noise[sl]
-                mixture[row] = triple.mixture[sl]
-            else:
-                pad = crop_len - length
-                clean[row] = np.pad(triple.clean, (0, pad))
-                noise[row] = np.pad(triple.noise, (0, pad))
-                mixture[row] = np.pad(triple.mixture, (0, pad))
-        yield clean, noise, mixture
+            n = min(length, crop_len)
+            for signal, out in zip((triple.clean, triple.noise, triple.mixture), batch):
+                out[row, :n] = signal[start:start + n]
+        yield batch[0], batch[1], batch[2]

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .audio_data import (load_manifest_triples, read_manifest, synth_dataset,
-                         wav_read, wav_write, WavClip)
+from .audio_data import (check_sample_rate, load_manifest_triples, read_manifest,
+                         read_pair, synth_dataset, wav_read, wav_write, WavClip)
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .lifting import BlockSpec, LiftingConfig, LiftingTransform
 from .masking import EnhancementPipeline, MaskEstimator
@@ -168,9 +168,9 @@ def build_dataset(cfg):
                              cfg["data.sample_rate"])
     if not cfg["data.manifest"]:
         raise ConfigError("data.kind=manifest needs data.manifest")
-    triples, skipped = load_manifest_triples(cfg["data.manifest"])
-    for name in skipped:
-        print(f"warning: skipping length-mismatched pair {name}", file=sys.stderr)
+    triples, skipped = load_manifest_triples(cfg["data.manifest"], cfg["data.sample_rate"])
+    for reason in skipped:
+        print(f"warning: skipped {reason}", file=sys.stderr)
     if not triples:
         raise ConfigError("manifest produced no usable pairs")
     return triples
@@ -196,9 +196,9 @@ def build_train_config(cfg):
 
 def cmd_train(args):
     cfg = load_config(args.config)
+    train_cfg = build_train_config(cfg)
     pipeline = build_pipeline(cfg)
     dataset = build_dataset(cfg)
-    train_cfg = build_train_config(cfg)
     out_dir = Path(cfg["out.dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -235,9 +235,7 @@ def _load_pipeline(args):
 def cmd_enhance(args):
     cfg, pipeline = _load_pipeline(args)
     clip = wav_read(args.input)
-    if clip.sample_rate != cfg["data.sample_rate"]:
-        raise ConfigError(f"{args.input}: sample rate {clip.sample_rate} Hz differs from "
-                          f"the config's data.sample_rate = {cfg['data.sample_rate']} Hz")
+    check_sample_rate(args.input, [clip.sample_rate], cfg["data.sample_rate"])
     if args.export_mask:
         s_hat, cache = pipeline.enhance_training(clip.samples)
     else:
@@ -275,38 +273,22 @@ def cmd_check(args):
     return EXIT_OK if worst <= tol else EXIT_PROPERTY_FAILURE
 
 
-def _eval_one(pipeline, clean_path, noisy_path, oracle, export_dir, stft_cfg,
+def _eval_one(pipeline, clean_path, noisy_path, name, oracle, export_dir, stft_cfg,
               sample_rate):
     """Score one pair: a MetricReport, or the reason the pair was skipped."""
     try:
-        clean = wav_read(clean_path)
-        noisy = wav_read(noisy_path)
-    except (ValueError, OSError) as exc:
-        return f"unreadable pair {clean_path} / {noisy_path}: {exc}"
-    rates = {clean.sample_rate, noisy.sample_rate}
-    if rates != {sample_rate}:
-        return (f"pair {clean_path} / {noisy_path}: sample rate "
-                f"{' / '.join(str(r) for r in sorted(rates))} Hz differs from the "
-                f"config's data.sample_rate = {sample_rate} Hz")
-    if clean.samples.shape != noisy.samples.shape:
-        return f"length-mismatched pair {clean_path} / {noisy_path}"
-    if clean.samples.size == 0:
-        return f"empty pair {clean_path} / {noisy_path}"
-    if not np.any(clean.samples):
-        return f"pair {clean_path} / {noisy_path}: silent clean reference, SI-SDR undefined"
-    name = Path(noisy_path).stem
-    if oracle:
-        s_hat = clean.samples
-    else:
-        s_hat, _ = pipeline.enhance(noisy.samples)
-    si_in = si_sdr(clean.samples, noisy.samples)
-    si_out = si_sdr(clean.samples, s_hat)
+        clean, noisy = read_pair(clean_path, noisy_path, sample_rate)
+    except ValueError as exc:
+        return str(exc)
+    s_hat = clean if oracle else pipeline.enhance(noisy)[0]
+    si_in = si_sdr(clean, noisy)
+    si_out = si_sdr(clean, s_hat)
     report = MetricReport(utterance_id=name, si_sdr_in=si_in, si_sdr_out=si_out,
                           improvement=si_out - si_in)
     if export_dir:
         export_dir = Path(export_dir)
         export_dir.mkdir(parents=True, exist_ok=True)
-        for tag, signal in (("noisy", noisy.samples), ("enhanced", s_hat)):
+        for tag, signal in (("noisy", noisy), ("enhanced", s_hat)):
             spec = stft_forward(signal, stft_cfg)
             with atomic_write(export_dir / f"{name}_{tag}_mag.csv") as fh:
                 np.savetxt(fh, np.hypot(spec.real, spec.imag), delimiter=",")
@@ -323,16 +305,15 @@ def cmd_eval(args):
     workers = int(os.environ.get("LIFTBANK_THREADS", "0")) or min(4, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         results = list(pool.map(
-            lambda pair: _eval_one(pipeline, pair[0], pair[1], args.oracle,
+            lambda pair: _eval_one(pipeline, *pair, args.oracle,
                                    args.export_spectrogram, stft_cfg,
                                    cfg["data.sample_rate"]),
             pairs))
 
     reports = [r for r in results if isinstance(r, MetricReport)]
-    skipped = len(results) - len(reports)
-    for result in results:
-        if not isinstance(result, MetricReport):
-            print(f"warning: skipped {result}", file=sys.stderr)
+    skipped = [r for r in results if not isinstance(r, MetricReport)]
+    for reason in skipped:
+        print(f"warning: skipped {reason}", file=sys.stderr)
     with atomic_write(args.out) as fh:
         fh.write(MetricReport.CSV_HEADER + "\n")
         for report in reports:

@@ -40,7 +40,6 @@ __all__ = [
     "InstanceNorm2d",
     "power_iteration",
     "spectral_sigma",
-    "spectral_normalize_weights",
 ]
 
 _SIGMA_FLOOR = 1e-12
@@ -143,9 +142,9 @@ def _sigmoid_grad(g, y, out):
 
 
 class Activation:
-    """Elementwise activation: leaky_relu(slope), sigmoid, or identity."""
+    """Elementwise activation: leaky_relu(slope) or sigmoid."""
 
-    KINDS = ("leaky_relu", "sigmoid", "identity")
+    KINDS = ("leaky_relu", "sigmoid")
 
     def __init__(self, kind, slope=0.2):
         if kind not in self.KINDS:
@@ -159,10 +158,6 @@ class Activation:
         """Output and cache. ``out`` receives the output when given; it may be
         x itself, and the activation then runs in place."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == "identity":
-            if out is not None and out is not x:
-                out[...] = x
-            return (x if out is None else out), None
         if out is None:
             out = np.empty_like(x)
         if self.kind == "leaky_relu":
@@ -172,8 +167,6 @@ class Activation:
     def backward(self, cache, grad_out):
         """Input gradient from the cached output y; only the result is allocated."""
         g = np.asarray(grad_out, dtype=np.float64)
-        if self.kind == "identity":
-            return g
         out = np.empty(np.broadcast_shapes(g.shape, cache.shape))
         if self.kind == "leaky_relu":
             return leaky_relu_grad(g, cache, self.slope, out)
@@ -209,21 +202,6 @@ def power_iteration(w2d, u, iters):
 def spectral_sigma(w2d, u):
     """Largest-singular-value estimate from the stored vector, no state update."""
     return float(np.linalg.norm(w2d.T @ u))
-
-
-def spectral_normalize_weights(w, u, iters=1):
-    """Divide a weight tensor by its power-iteration largest singular value.
-
-    ``w`` is reshaped to (C_out, rest); ``u`` is the persistent unit vector of
-    length C_out and is updated in place. A degenerate all-zero weight (sigma
-    below 1e-12) is returned unchanged.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    w2d = w.reshape(w.shape[0], -1)
-    sigma = power_iteration(w2d, u, iters)
-    if sigma <= _SIGMA_FLOOR:
-        return w
-    return w / sigma
 
 
 # ---------------------------------------------------------------------------

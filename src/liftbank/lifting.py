@@ -256,10 +256,6 @@ class LiftingTransform:
             raise ValueError(
                 f"input length {t} must be a positive multiple of {div}")
 
-    def feature_shape(self, t):
-        self.check_length(t)
-        return self.config.merged_channels, t // self.config.time_divisor
-
     def _merge(self, a, b, lead):
         """(C, B, M) branches -> (..., 2C, M) channels-second feature."""
         phi = np.ascontiguousarray(np.moveaxis(np.concatenate([a, b], axis=0), 0, 1))

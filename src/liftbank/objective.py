@@ -11,6 +11,8 @@ so "minimize" is uniform across the codebase and the optimum saturates at
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -53,8 +55,12 @@ class MetricReport:
     CSV_HEADER = "utterance_id,si_sdr_in,si_sdr_out,improvement"
 
     def csv_row(self):
-        return (f"{self.utterance_id},{self.si_sdr_in:.6f},"
-                f"{self.si_sdr_out:.6f},{self.improvement:.6f}")
+        """One CSV row without its line end; the id is quoted where it needs it."""
+        row = io.StringIO()
+        csv.writer(row, lineterminator="").writerow(
+            [self.utterance_id] + [f"{v:.6f}" for v in
+                                   (self.si_sdr_in, self.si_sdr_out, self.improvement)])
+        return row.getvalue()
 
 
 def sdr(reference, estimate, eps=1e-8):

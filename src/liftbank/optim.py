@@ -75,6 +75,10 @@ class TrainConfig:
             raise ValueError(f"unknown trainable group {self.trainable!r}")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0 (0 = no cap), got {self.max_steps}")
+        if self.crop_len < 1:
+            raise ValueError(f"crop length must be >= 1, got {self.crop_len}")
 
 
 @dataclass

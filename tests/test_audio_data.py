@@ -130,9 +130,18 @@ class TestManifest:
         assert len(pairs) == 2
         triples, skipped = load_manifest_triples(manifest)
         assert len(triples) == 1
-        assert skipped == ["s"]
+        assert skipped == [f"length-mismatched pair {tmp_path / 'c.wav'} / {tmp_path / 's.wav'}"]
         np.testing.assert_allclose(
             triples[0].mixture - triples[0].clean, triples[0].noise, atol=1e-15)
+
+    def test_ids_keep_unique_stems_and_are_distinct(self, tmp_path):
+        """Shared stems get suffixes that skip past an id already taken."""
+        noisy = ["a/noisy.wav", "b/noisy.wav", "c/noisy_1.wav", "d/other.wav",
+                 "e/noisy.wav"]
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text("".join(f"clean.wav\t{path}\n" for path in noisy))
+        ids = [pair_id for _, _, pair_id in read_manifest(manifest)]
+        assert ids == ["noisy_0", "noisy_1_1", "noisy_1", "other", "noisy_4"]
 
     def test_malformed_line_rejected(self, tmp_path):
         manifest = tmp_path / "bad.tsv"

@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
+import csv
 import os
 import wave
 
 import numpy as np
 import pytest
 
+from liftbank import cli
 from liftbank.audio_data import WavClip, synth_mixture, wav_read, wav_write
 from liftbank.cli import main
 from liftbank.numerics import Rng
@@ -54,6 +56,45 @@ def write_manifest(tmp_path, n_pairs=3, length=2000, mismatched=0):
     manifest = tmp_path / "pairs.tsv"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
+
+
+def write_rule_manifest(tmp_path, usable=True):
+    """One pair per skip rule (unreadable, 8 kHz, unequal lengths, empty, silent
+    clean reference) and, if ``usable``, three good pairs, two of which share
+    the noisy stem "noisy"."""
+    rng = Rng(98)
+    lines = []
+
+    def pair(folder, clean, noisy, rate=16000, stem=None):
+        clean_path = tmp_path / folder / "clean.wav"
+        noisy_path = tmp_path / folder / f"{stem or folder}.wav"
+        clean_path.parent.mkdir()
+        wav_write(WavClip(clean, rate), clean_path)
+        wav_write(WavClip(noisy, rate), noisy_path)
+        lines.append(f"{clean_path}\t{noisy_path}")
+        return noisy_path
+
+    def mixture():
+        triple = synth_mixture(rng, 2000 / 16000.0, 5.0)
+        return 0.5 * triple.clean, 0.5 * triple.mixture
+
+    pair("unreadable", *mixture()).write_bytes(b"RIFF\x00\x00\x00\x00WAVEjunk")
+    pair("rate", *mixture(), rate=8000)
+    clean, noisy = mixture()
+    pair("length", clean, noisy[:-7])
+    pair("empty", np.zeros(0), np.zeros(0))
+    pair("silent", np.zeros(2000), mixture()[1])
+    if usable:
+        pair("good", *mixture())
+        pair("a", *mixture(), stem="noisy")
+        pair("b", *mixture(), stem="noisy")
+    manifest = tmp_path / "rules.tsv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+def skip_warnings(err):
+    return [line for line in err.splitlines() if line.startswith("warning: skipped ")]
 
 
 def nan_checkpoint(tmp_path):
@@ -128,6 +169,46 @@ class TestTrainCommand:
         assert main(["train", str(cfg)]) == 3
         assert "non-finite gradient for parameter lifting/" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint_last.ckpt").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("train.max_steps = -1", "max_steps must be >= 0 (0 = no cap), got -1"),
+        ("train.batch_size = 0", "batch size must be >= 1"),
+        ("train.crop = 0", "crop length must be >= 1, got 0"),
+    ])
+    def test_bad_train_value_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
+                                                     line, message):
+        def no_dataset(cfg):
+            raise AssertionError("dataset built before the train values were checked")
+
+        monkeypatch.setattr(cli, "build_dataset", no_dataset)
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{line}\n")
+        assert main(["train", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_manifest_skips_bad_pairs_like_eval(self, tmp_path, capsys):
+        manifest = write_rule_manifest(tmp_path)
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
+                           f"data.kind = manifest\ndata.manifest = {manifest}\n")
+        assert main(["train", str(cfg)]) == 0
+        assert (tmp_path / "run" / "checkpoint_last.ckpt").exists()
+        assert (tmp_path / "run" / "checkpoint_best.ckpt").exists()
+        train_warnings = skip_warnings(capsys.readouterr().err)
+        assert main(["eval", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "metrics.csv"), "--ones-mask"]) == 1
+        assert skip_warnings(capsys.readouterr().err) == train_warnings
+        reasons = ["unreadable pair", "sample rate 8000 Hz differs", "length-mismatched pair",
+                   "empty pair", "silent clean reference"]
+        assert len(train_warnings) == len(reasons)
+        assert all(r in w for r, w in zip(reasons, train_warnings))
+
+    def test_manifest_without_usable_pair_exits_2(self, tmp_path, capsys):
+        manifest = write_rule_manifest(tmp_path, usable=False)
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
+                           f"data.kind = manifest\ndata.manifest = {manifest}\n")
+        assert main(["train", str(cfg)]) == 2
+        assert "no usable pairs" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEnhanceCommand:
@@ -348,6 +429,28 @@ class TestEvalCommand:
         assert dumps == ["noisy0_enhanced_mag.csv", "noisy0_noisy_mag.csv"]
         mag = np.loadtxt(export / "noisy0_noisy_mag.csv", delimiter=",")
         assert mag.shape[0] == 257
+
+    def test_shared_stems_get_distinct_ids_and_dumps(self, tmp_path):
+        manifest = write_rule_manifest(tmp_path)
+        out_csv = tmp_path / "metrics.csv"
+        export = tmp_path / "specs"
+        assert main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
+                     "--ones-mask", "--export-spectrogram", str(export)]) == 1
+        ids = [row[0] for row in csv.reader(out_csv.open())][1:]
+        assert ids == ["good", "noisy_6", "noisy_7"]
+        assert sorted(p.name for p in export.iterdir()) == sorted(
+            f"{i}_{tag}_mag.csv" for i in ids for tag in ("noisy", "enhanced"))
+
+    def test_csv_quotes_ids(self, tmp_path):
+        manifest = write_manifest(tmp_path, n_pairs=1)
+        os.rename(tmp_path / "noisy0.wav", tmp_path / "n,x.wav")
+        manifest.write_text(manifest.read_text().replace("noisy0.wav", "n,x.wav"))
+        out_csv = tmp_path / "metrics.csv"
+        assert main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
+                     "--ones-mask"]) == 0
+        rows = list(csv.reader(out_csv.open()))
+        assert [len(row) for row in rows] == [4, 4]
+        assert rows[1][0] == "n,x"
 
     def test_failed_spectrogram_export_keeps_previous_dump(self, tmp_path, monkeypatch):
         manifest = write_manifest(tmp_path, n_pairs=1)

@@ -246,7 +246,7 @@ class TestTransform:
         rng = Rng(18)
         tf = LiftingTransform(LiftingConfig(num_stages=2), rng.fork())
         x = rng.normal((32,))
-        r = rng.normal(tf.feature_shape(32))
+        r = rng.normal((16, 8))
 
         def objective(v):
             return float(np.sum(tf.forward(v) * r))
@@ -262,7 +262,7 @@ class TestTransform:
     def test_inverse_vjp_matches_finite_differences(self):
         rng = Rng(19)
         tf = LiftingTransform(LiftingConfig(num_stages=2), rng.fork())
-        phi = rng.normal(tf.feature_shape(32))
+        phi = rng.normal((16, 8))
         r = rng.normal((32,))
 
         def objective(v):
