@@ -12,7 +12,8 @@ Byte layout (all integers little-endian):
         float64 * prod    payload, little-endian C order
 
 Entries are written in insertion order and read back into an ordered dict,
-so identical state always serializes to identical bytes.
+so identical state always serializes to identical bytes. A pipeline's entry
+names and order come from its ``parts()`` walk (``layers.Module``).
 """
 
 from __future__ import annotations

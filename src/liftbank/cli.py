@@ -48,6 +48,13 @@ def _parse_bool(text):
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_int_list(text):
     try:
         return tuple(int(part) for part in text.split(","))
@@ -70,7 +77,7 @@ CONFIG_SCHEMA = {
     "lifting.stages": (int, 6),
     "lifting.base_channels": (int, 4),
     "lifting.block_kernels": (_parse_int_list, (3, 3)),
-    "lifting.leaky_slope": (float, 0.2),
+    "lifting.leaky_slope": (_parse_float, 0.2),
     "lifting.spectral_norm": (_parse_bool, False),
     "lifting.linear": (_parse_bool, False),
     "stft.window_length": (int, 512),
@@ -79,21 +86,21 @@ CONFIG_SCHEMA = {
     "mask.depth": (int, 3),
     "mask.base_channels": (int, 16),
     "mask.norm": (_parse_choice("none", "instance", "spectral"), "none"),
-    "loss.beta_clip": (float, 20.0),
-    "loss.eps": (float, 1e-8),
+    "loss.beta_clip": (_parse_float, 20.0),
+    "loss.eps": (_parse_float, 1e-8),
     "train.epochs": (int, 10),
     "train.batch_size": (int, 16),
-    "train.lr": (float, 1e-4),
-    "train.val_fraction": (float, 0.1),
+    "train.lr": (_parse_float, 1e-4),
+    "train.val_fraction": (_parse_float, 0.1),
     "train.trainable": (_parse_choice("transform", "mask", "both"), "transform"),
     "train.max_steps": (int, 0),
     "train.crop": (int, 16384),
     "data.kind": (_parse_choice("synthetic", "manifest"), "synthetic"),
     "data.manifest": (str, ""),
     "data.count": (int, 20),
-    "data.duration": (float, 1.0),
-    "data.snr_min": (float, 0.0),
-    "data.snr_max": (float, 10.0),
+    "data.duration": (_parse_float, 1.0),
+    "data.snr_min": (_parse_float, 0.0),
+    "data.snr_max": (_parse_float, 10.0),
     "data.sample_rate": (int, 16000),
     "out.dir": (str, "."),
 }
@@ -236,16 +243,11 @@ def cmd_enhance(args):
     cfg, pipeline = _load_pipeline(args)
     clip = wav_read(args.input)
     check_sample_rate(args.input, [clip.sample_rate], cfg["data.sample_rate"])
-    if args.export_mask:
-        s_hat, cache = pipeline.enhance_training(clip.samples)
-    else:
-        s_hat, _ = pipeline.enhance(clip.samples)
-    if s_hat.shape != clip.samples.shape:
-        raise ConfigError("internal length mismatch in enhancement")
+    s_hat, mask = pipeline.enhance_with_mask(clip.samples)
     wav_write(WavClip(s_hat, clip.sample_rate), args.output)
     if args.export_mask:
         with atomic_write(args.export_mask) as fh:
-            np.savetxt(fh, cache.mask, delimiter=",")
+            np.savetxt(fh, mask, delimiter=",")
         print(f"wrote mask {args.export_mask}")
     print(f"enhanced {args.input} -> {args.output} "
           f"({clip.samples.size} samples @ {clip.sample_rate} Hz)")

@@ -29,6 +29,7 @@ from .tapgemm import PhaseGrid, gemm, tap_gemms
 
 __all__ = [
     "Parameter",
+    "Module",
     "Activation",
     "leaky_relu",
     "leaky_relu_grad",
@@ -58,6 +59,38 @@ class Parameter:
     @property
     def shape(self):
         return self.data.shape
+
+
+class Module:
+    """Parameter plumbing over one walk, ``parts()``: (name, value) pairs in
+    checkpoint order, each value a Parameter, a state array, a sub-Module or
+    None (skipped). Every parameter and state name and their order follow it."""
+
+    prefix = ""          # the default name prefix
+
+    def _walk(self, kind, prefix):
+        prefix = self.prefix if prefix is None else prefix
+        for name, value in self.parts():
+            path = f"{prefix}/{name}" if prefix else name
+            if isinstance(value, Module):
+                yield from value._walk(kind, path)
+            elif isinstance(value, kind):
+                yield path, value
+
+    def named_parameters(self, prefix=None):
+        return self._walk(Parameter, prefix)
+
+    def named_state(self, prefix=None):
+        return self._walk(np.ndarray, prefix)
+
+    def zero_grad(self):
+        for _, p in self.named_parameters():
+            p.zero_grad()
+
+    def update_spectral_state(self, iters=1):
+        for _, value in self.parts():
+            if isinstance(value, Module):
+                value.update_spectral_state(iters)
 
 
 def _flatten_batch(x, core_ndim):
@@ -276,7 +309,7 @@ def _unit_vector(rng, n):
     return v / np.linalg.norm(v)
 
 
-class _Conv:
+class _Conv(Module):
     """Weight, bias and spectral-norm state shared by the convolutions.
 
     The weight is (C_out, C_in, *kernel); with spectral normalization the
@@ -309,14 +342,8 @@ class _Conv:
             power_iteration(self.weight.data.reshape(self.out_channels, -1),
                             self.sn_u, iters)
 
-    def named_parameters(self, prefix):
-        yield f"{prefix}/weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}/bias", self.bias
-
-    def named_state(self, prefix):
-        if self.sn_u is not None:
-            yield f"{prefix}/sn_u", self.sn_u
+    def parts(self):
+        return ("weight", self.weight), ("bias", self.bias), ("sn_u", self.sn_u)
 
 
 class Conv1d(_Conv):
@@ -489,7 +516,7 @@ class Deconv2d(_Conv):
 # instance normalization
 # ---------------------------------------------------------------------------
 
-class InstanceNorm2d:
+class InstanceNorm2d(Module):
     """Per-channel standardization over the spatial axes of each sample."""
 
     def __init__(self, channels, eps=1e-5, affine=True):
@@ -530,10 +557,5 @@ class InstanceNorm2d:
         gx *= coef
         return _restore_batch(gx, lead)
 
-    def named_parameters(self, prefix):
-        if self.gamma is not None:
-            yield f"{prefix}/gamma", self.gamma
-            yield f"{prefix}/beta", self.beta
-
-    def named_state(self, prefix):
-        return iter(())
+    def parts(self):
+        return ("gamma", self.gamma), ("beta", self.beta)

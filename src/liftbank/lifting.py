@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .layers import Conv1d, grid_valid, leaky_relu, leaky_relu_grad, to_grid
+from .layers import Conv1d, Module, grid_valid, leaky_relu, leaky_relu_grad, to_grid
 from .numerics import Rng
 
 __all__ = [
@@ -175,7 +175,7 @@ def coupling_inverse(a, b, predictor):
 # predictor blocks and the full transform
 # ---------------------------------------------------------------------------
 
-class CouplingBlock:
+class CouplingBlock(Module):
     """Shape-preserving conv stack used as one stage's lifting predictor.
 
     Maps channels-first (C, B, L) to (C, B, L), the transform's internal
@@ -218,26 +218,19 @@ class CouplingBlock:
             activated = grid
         return grid_valid(grad, self.pad)
 
-    def named_parameters(self, prefix):
-        for i, conv in enumerate(self.convs):
-            yield from conv.named_parameters(f"{prefix}/conv{i}")
-
-    def named_state(self, prefix):
-        for i, conv in enumerate(self.convs):
-            yield from conv.named_state(f"{prefix}/conv{i}")
-
-    def update_spectral_state(self, iters=1):
-        for conv in self.convs:
-            conv.update_spectral_state(iters)
+    def parts(self):
+        return [(f"conv{i}", conv) for i, conv in enumerate(self.convs)]
 
 
-class LiftingTransform:
+class LiftingTransform(Module):
     """The trainable invertible analysis/synthesis filterbank pair.
 
     Public arrays are channels-second, ``(..., T)`` waveforms in and
     ``(..., C, M)`` features out; internally branches live in a channels-first
     (C, B, L) layout so the predictors avoid data transposes.
     """
+
+    prefix = "lifting"
 
     def __init__(self, config=None, rng=None):
         self.config = config if config is not None else LiftingConfig()
@@ -247,6 +240,9 @@ class LiftingTransform:
                           self.config.linear_variant, rng)
             for j in range(1, self.config.num_stages + 1)
         ]
+
+    def parts(self):
+        return [(f"stage{j}", block) for j, block in enumerate(self.blocks, start=1)]
 
     # -- shape helpers ----------------------------------------------------
 
@@ -342,21 +338,3 @@ class LiftingTransform:
         return self._walk_down(grad_x, coupling_inverse, [
             lambda g, b=block, c=cache: -b.backward(c, -g)
             for block, cache in zip(self.blocks, caches)])
-
-    # -- parameter plumbing -------------------------------------------------
-
-    def named_parameters(self, prefix="lifting"):
-        for j, block in enumerate(self.blocks, start=1):
-            yield from block.named_parameters(f"{prefix}/stage{j}")
-
-    def named_state(self, prefix="lifting"):
-        for j, block in enumerate(self.blocks, start=1):
-            yield from block.named_state(f"{prefix}/stage{j}")
-
-    def zero_grad(self):
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
-    def update_spectral_state(self, iters=1):
-        for block in self.blocks:
-            block.update_spectral_state(iters)

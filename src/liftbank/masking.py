@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Activation, Conv2d, Deconv2d, InstanceNorm2d
+from .layers import Activation, Conv2d, Deconv2d, InstanceNorm2d, Module
 from .numerics import Rng, pad_to_multiple
 from .stft import istft, istft_vjp, log_magnitude_feature, stft_forward
 
@@ -84,7 +84,7 @@ class EstimatorCache:
     sigmoid: np.ndarray
 
 
-class MaskEstimator:
+class MaskEstimator(Module):
     """Strided-conv encoder / mirrored deconv decoder with skip concatenation.
 
     Input is a 2-D feature (channels-or-bins by frames) treated as a
@@ -92,6 +92,8 @@ class MaskEstimator:
     that are not divisible by the total stride are zero-padded on the way in
     and cropped on the way out.
     """
+
+    prefix = "mask"
 
     def __init__(self, depth=3, base_channels=16, norm="none", rng=None):
         if norm not in NORM_KINDS:
@@ -245,31 +247,13 @@ class MaskEstimator:
             g = self._stage_backward(conv, nrm, c, g)
         return g[..., 0, :h0, :w0]
 
-    def named_parameters(self, prefix="mask"):
-        for i, conv in enumerate(self.enc_convs):
-            yield from conv.named_parameters(f"{prefix}/enc{i}")
-            if self.enc_norms[i] is not None:
-                yield from self.enc_norms[i].named_parameters(f"{prefix}/enc{i}/norm")
-        for i, conv in enumerate(self.dec_convs):
-            yield from conv.named_parameters(f"{prefix}/dec{i}")
-            if self.dec_norms[i] is not None:
-                yield from self.dec_norms[i].named_parameters(f"{prefix}/dec{i}/norm")
-        yield from self.head.named_parameters(f"{prefix}/head")
-
-    def named_state(self, prefix="mask"):
-        for i, conv in enumerate(self.enc_convs):
-            yield from conv.named_state(f"{prefix}/enc{i}")
-        for i, conv in enumerate(self.dec_convs):
-            yield from conv.named_state(f"{prefix}/dec{i}")
-        yield from self.head.named_state(f"{prefix}/head")
-
-    def zero_grad(self):
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
-    def update_spectral_state(self, iters=1):
-        for conv in self.enc_convs + self.dec_convs + [self.head]:
-            conv.update_spectral_state(iters)
+    def parts(self):
+        for tag, convs, norms in (("enc", self.enc_convs, self.enc_norms),
+                                  ("dec", self.dec_convs, self.dec_norms)):
+            for i, (conv, norm) in enumerate(zip(convs, norms)):
+                yield f"{tag}{i}", conv
+                yield f"{tag}{i}/norm", norm
+        yield "head", self.head
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +275,7 @@ class EnhanceCache:
     inverse: list = None      # lifting: per-stage synthesis caches
 
 
-class EnhancementPipeline:
+class EnhancementPipeline(Module):
     """Transform -> mask -> inverse transform, with a training backward pass.
 
     Exactly one of ``transform`` (lifting) or ``stft_config`` must be given.
@@ -363,15 +347,24 @@ class EnhancementPipeline:
         return _round_up(total, self.alignment)
 
     def enhance(self, x):
-        """Estimate the target and the residual; both match x in length.
-
-        The input runs in chunks of CHUNK_SAMPLES, one after another, each
-        with ``context`` input samples on both sides, and only each chunk's
-        own span of output is kept: the result equals one run over the whole
-        input up to rounding, with memory bounded in the input's length. An
-        input whose receptive field is unbounded runs as one chunk.
-        """
+        """Estimate the target and the residual; both match x in length. The
+        result equals one run over the whole input up to rounding, with memory
+        bounded in the input's length (see ``_chunked``)."""
         x = np.asarray(x, dtype=np.float64)
+        s_hat = self._chunked(x)
+        return s_hat, x - s_hat
+
+    def enhance_with_mask(self, x):
+        """``enhance``'s estimate plus the applied mask, feature-shaped."""
+        masks = []
+        s_hat = self._chunked(np.asarray(x, dtype=np.float64), masks)
+        return s_hat, np.concatenate(masks, axis=-1)
+
+    def _chunked(self, x, masks=None):
+        """Estimate from chunks of CHUNK_SAMPLES run one after another, each
+        with ``context`` input samples on both sides (one chunk when the
+        receptive field is unbounded); appends each chunk's mask, cropped to
+        its own frames, to ``masks`` when given. Checks the whole input first."""
         t = x.shape[-1]
         if t == 0:
             raise ValueError("empty input signal")
@@ -382,19 +375,25 @@ class EnhancementPipeline:
             step, ctx = t, 0
         else:
             step = _round_up(CHUNK_SAMPLES, self.alignment)
+        hop = self._frame_hop()
         s_hat = np.empty_like(x)
         for start in range(0, t, step):
             stop = min(start + step, t)
             lo, hi = max(start - ctx, 0), min(stop + ctx, t)
-            y, _ = self._run(x[..., lo:hi], keep=False)
+            y, mask = self._run(x[..., lo:hi], keep=False)
             s_hat[..., start:stop] = y[..., start - lo:stop - lo]
-        return s_hat, x - s_hat
+            if masks is not None:
+                end = (stop - lo) // hop if stop < t else None
+                masks.append(mask[..., (start - lo) // hop:end])
+            del y, mask     # neither is held while the next chunk runs
+        return s_hat
 
     def enhance_training(self, x):
         """Estimated target plus the EnhanceCache that ``backward`` needs."""
         return self._run(x, keep=True)
 
     def _run(self, x, keep):
+        """Estimate over all of x, plus its EnhanceCache (keep) or its mask."""
         x = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite input signal")
@@ -424,7 +423,7 @@ class EnhancementPipeline:
         y, inv_cache = tf.inverse_with_cache(masked) if keep else (tf.inverse(masked), None)
         s_hat = y[..., :t0]
         if not keep:
-            return s_hat, None
+            return s_hat, mask
         return s_hat, EnhanceCache(mask, phi, t0, est_cache, fwd_cache, inv_cache)
 
     def _enhance_stft(self, x, keep):
@@ -437,7 +436,7 @@ class EnhancementPipeline:
             mask = self._mask_2d(self.stft_config.n_bins, spec.shape[-1])
         s_hat = istft(spec * mask, self.stft_config, t0)
         if not keep:
-            return s_hat, None
+            return s_hat, mask
         return s_hat, EnhanceCache(mask, spec, t0, est_cache)
 
     # -- training backward ----------------------------------------------------
@@ -466,29 +465,15 @@ class EnhancementPipeline:
     def named_parameters(self, group="both"):
         if group not in ("transform", "mask", "both"):
             raise ValueError(f"unknown parameter group {group!r}")
-        if group in ("transform", "both") and self.transform is not None:
-            yield from self.transform.named_parameters()
-        if group in ("mask", "both") and self.estimator is not None:
-            yield from self.estimator.named_parameters()
+        for (name, part), own in zip(self.parts(), ("transform", "mask")):
+            if group in (own, "both") and part is not None:
+                yield from part.named_parameters(name)
 
-    def named_state(self):
-        if self.transform is not None:
-            yield from self.transform.named_state()
-        if self.estimator is not None:
-            yield from self.estimator.named_state()
-
-    def zero_grad(self):
-        for _, p in self.named_parameters("both"):
-            p.zero_grad()
-
-    def update_spectral_state(self, iters=1):
-        if self.transform is not None:
-            self.transform.update_spectral_state(iters)
-        if self.estimator is not None:
-            self.estimator.update_spectral_state(iters)
+    def parts(self):
+        return ("lifting", self.transform), ("mask", self.estimator)
 
     def state_dict(self):
-        out = {name: p.data for name, p in self.named_parameters("both")}
+        out = {name: p.data for name, p in self.named_parameters()}
         out.update({name: arr for name, arr in self.named_state()})
         return out
 

@@ -39,10 +39,10 @@ class LossConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.beta_clip <= 0.0:
-            raise ValueError("clipping parameter must be positive")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.beta_clip < math.inf:
+            raise ValueError("clipping parameter must be positive and finite")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
 
 
 @dataclass

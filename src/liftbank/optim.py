@@ -69,6 +69,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError(f"learning rate must be >= 0 and finite, got {self.lr}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("validation fraction must lie in [0, 1)")
         if self.trainable not in ("transform", "mask", "both"):

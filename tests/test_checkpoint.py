@@ -1,5 +1,6 @@
 """Binary checkpoint container round trips and error handling."""
 
+import hashlib
 import sys
 import threading
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from liftbank.checkpoint import MAGIC, atomic_write, load_checkpoint, save_checkpoint
+from liftbank.cli import build_pipeline, load_config
 from liftbank.numerics import Rng
 
 
@@ -133,3 +135,54 @@ class TestCheckpoint:
                 raise RuntimeError("mid-write")
         assert path.read_text() == "epoch,loss\n1,0.5\n"
         assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
+
+LIFTING_SN_NAMES = [
+    "lifting/stage1/conv0/weight", "lifting/stage1/conv0/bias",
+    "lifting/stage1/conv1/weight", "lifting/stage1/conv1/bias",
+    "lifting/stage2/conv0/weight", "lifting/stage2/conv0/bias",
+    "lifting/stage2/conv1/weight", "lifting/stage2/conv1/bias",
+]
+LIFTING_SN_STATE = [
+    "lifting/stage1/conv0/sn_u", "lifting/stage1/conv1/sn_u",
+    "lifting/stage2/conv0/sn_u", "lifting/stage2/conv1/sn_u",
+]
+
+
+class TestCheckpointFormat:
+    """The pipeline's state_dict is the checkpoint's entry list: its names
+    and their order are a file format, pinned here literally."""
+
+    @staticmethod
+    def _keys(norm):
+        cfg = dict(load_config(), **{"lifting.stages": 2, "lifting.spectral_norm": True,
+                                     "pipeline.mask": "estimator", "mask.depth": 2,
+                                     "mask.norm": norm})
+        return list(build_pipeline(cfg).state_dict())
+
+    def test_entry_order_with_instance_norm_estimator(self):
+        assert self._keys("instance") == LIFTING_SN_NAMES + [
+            "mask/enc0/weight", "mask/enc0/norm/gamma", "mask/enc0/norm/beta",
+            "mask/enc1/weight", "mask/enc1/norm/gamma", "mask/enc1/norm/beta",
+            "mask/dec0/weight", "mask/dec0/norm/gamma", "mask/dec0/norm/beta",
+            "mask/dec1/weight", "mask/dec1/norm/gamma", "mask/dec1/norm/beta",
+            "mask/head/weight", "mask/head/bias",
+        ] + LIFTING_SN_STATE
+
+    def test_entry_order_with_spectral_norm_estimator(self):
+        assert self._keys("spectral") == LIFTING_SN_NAMES + [
+            "mask/enc0/weight", "mask/enc0/bias", "mask/enc1/weight", "mask/enc1/bias",
+            "mask/dec0/weight", "mask/dec0/bias", "mask/dec1/weight", "mask/dec1/bias",
+            "mask/head/weight", "mask/head/bias",
+        ] + LIFTING_SN_STATE + [
+            "mask/enc0/sn_u", "mask/enc1/sn_u", "mask/dec0/sn_u", "mask/dec1/sn_u",
+        ]
+
+    def test_default_pipeline_checkpoint_bytes(self, tmp_path):
+        """The default pipeline's initial checkpoint, byte for byte. Its
+        initialisation draws only uniform numbers from the integer SplitMix64
+        generator, so the bytes do not depend on the platform."""
+        path = tmp_path / "default.ckpt"
+        save_checkpoint(path, build_pipeline(load_config()).state_dict())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0b1fad67c6050dddf6e2c87fad2231ddd46b579eeee474b76f097b2082d63486")

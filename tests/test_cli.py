@@ -9,7 +9,9 @@ import pytest
 
 from liftbank import cli
 from liftbank.audio_data import WavClip, synth_mixture, wav_read, wav_write
+from liftbank.checkpoint import save_checkpoint
 from liftbank.cli import main
+from liftbank.masking import CHUNK_SAMPLES
 from liftbank.numerics import Rng
 
 BASE_CONFIG = """
@@ -186,6 +188,24 @@ class TestTrainCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("train.lr = nan", "expected a finite number, got 'nan'"),
+        ("train.lr = -0.01", "learning rate must be >= 0 and finite, got -0.01"),
+        ("loss.beta_clip = nan", "expected a finite number, got 'nan'"),
+        ("loss.beta_clip = inf", "expected a finite number, got 'inf'"),
+        ("loss.eps = nan", "expected a finite number, got 'nan'"),
+    ])
+    def test_non_finite_or_negative_float_exits_2_before_any_data(
+            self, tmp_path, capsys, monkeypatch, line, message):
+        def no_dataset(cfg):
+            raise AssertionError("dataset built before the float values were checked")
+
+        monkeypatch.setattr(cli, "build_dataset", no_dataset)
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{line}\n")
+        assert main(["train", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_manifest_skips_bad_pairs_like_eval(self, tmp_path, capsys):
         manifest = write_rule_manifest(tmp_path)
         cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
@@ -292,6 +312,30 @@ class TestEnhanceCommand:
                      "--checkpoint", str(tmp_path / "run" / "checkpoint_best.ckpt")]) == 0
         assert (tmp_path / "out.wav").read_bytes() == (tmp_path / "plain.wav").read_bytes()
 
+
+    def test_export_mask_runs_in_chunks_and_matches_whole_file(self, tmp_path):
+        """A 3-chunk input: the exported mask is the whole-file training
+        path's mask, and the WAV is plain enhance's, byte for byte."""
+        cfg = write_config(tmp_path, "lifting.stages = 3\nlifting.base_channels = 2\n"
+                           "pipeline.mask = estimator\nmask.depth = 2\n"
+                           "mask.base_channels = 2\n")
+        pipeline = cli.build_pipeline(cli.load_config(cfg))
+        head = pipeline.estimator.head
+        head.weight.data[...] = Rng(8).uniform(head.weight.shape, -1.0, 1.0)
+        head.bias.data[...] = 0.25
+        save_checkpoint(tmp_path / "head.ckpt", pipeline.state_dict())
+        x = 0.1 * Rng(9).normal((2 * CHUNK_SAMPLES + 5000,))
+        wav_write(WavClip(x), tmp_path / "in.wav")
+        args = [str(tmp_path / "in.wav"), "--config", str(cfg),
+                "--checkpoint", str(tmp_path / "head.ckpt")]
+        assert main(["enhance", args[0], str(tmp_path / "out.wav"), *args[1:],
+                     "--export-mask", str(tmp_path / "mask.csv")]) == 0
+        assert main(["enhance", args[0], str(tmp_path / "plain.wav"), *args[1:]]) == 0
+        assert (tmp_path / "out.wav").read_bytes() == (tmp_path / "plain.wav").read_bytes()
+        _, cache = pipeline.enhance_training(wav_read(tmp_path / "in.wav").samples)
+        mask = np.loadtxt(tmp_path / "mask.csv", delimiter=",")
+        assert mask.shape == cache.mask.shape
+        assert np.max(np.abs(mask - cache.mask)) <= 1e-9
 
     def test_failed_wav_write_keeps_previous_output(self, tmp_path, monkeypatch):
         """A write that raises midway (a full disk) leaves an earlier output

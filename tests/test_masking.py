@@ -415,6 +415,46 @@ class TestInferenceMemory:
         assert peak_60 <= 1.25 * peak_10
 
 
+    @pytest.mark.parametrize("kind", ["lifting/estimator", "stft/estimator"])
+    def test_enhance_holds_no_finished_chunk(self, kind):
+        """While a chunk runs, enhance holds nothing of the chunk before it:
+        on a 3-chunk input it peaks at most at its output plus one run over
+        the widest chunk, with 5% to spare (on lifting/estimator, also holding
+        the finished chunk's 0.5 MiB output goes past that)."""
+        pipe = small_pipeline(kind)
+        step = -(-CHUNK_SAMPLES // pipe.alignment) * pipe.alignment
+        x = Rng(56).normal((3 * step,))
+        widest = x[step - pipe.context:2 * step + pipe.context]
+        run_peak = _traced_peak(pipe._run, widest, False)
+        assert _traced_peak(pipe.enhance, x) <= x.nbytes + 1.05 * run_peak
+
+    @pytest.mark.parametrize("kind", ["lifting/estimator", "lifting/binary",
+                                      "stft/estimator"])
+    def test_enhance_with_mask_matches_training_mask(self, kind):
+        pipe = small_pipeline(kind)
+        step = -(-CHUNK_SAMPLES // pipe.alignment) * pipe.alignment
+        for shape in [(1000,), (step + 1,), (2, 2 * step + 777)]:
+            x = Rng(shape[-1]).normal(shape)
+            s_hat, mask = pipe.enhance_with_mask(x)
+            np.testing.assert_array_equal(s_hat, pipe.enhance(x)[0])
+            _, cache = pipe.enhance_training(x)
+            assert mask.shape == cache.mask.shape
+            assert np.max(np.abs(mask - cache.mask)) <= 1e-9
+
+    def test_enhance_with_mask_peak_bounded_in_input_length(self):
+        """Past the mask it returns, which holds as many numbers as the
+        feature, the peak at 6 chunks' length is at most 1.25 times the peak
+        at one chunk's."""
+        tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2), Rng(53))
+        net = _with_head(MaskEstimator(depth=2, base_channels=4, rng=Rng(51)), 52)
+        pipe = EnhancementPipeline(transform=tf, mask_source="estimator", estimator=net)
+        step = -(-CHUNK_SAMPLES // pipe.alignment) * pipe.alignment
+        peak_1 = _traced_peak(pipe.enhance_with_mask, Rng(57).normal((step,)))
+        x = Rng(58).normal((6 * step,))
+        mask_bytes = pipe.enhance_with_mask(x)[1].nbytes
+        assert _traced_peak(pipe.enhance_with_mask, x) - mask_bytes <= 1.25 * peak_1
+
+
 class TestPipelineTrainingGradients:
     def test_stft_estimator_path_matches_finite_differences(self):
         """Training gradient through stft -> mask -> istft -> loss.

@@ -78,6 +78,13 @@ class TestSdrLoss:
         n = x.copy()
         assert sdr_loss(s_hat, s, x, n) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta_clip", float("nan")), ("beta_clip", float("inf")), ("beta_clip", 0.0),
+        ("eps", float("nan")), ("eps", float("inf")), ("eps", -1e-8)])
+    def test_config_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LossConfig(**{field: value})
+
     def test_gradient_matches_finite_differences(self):
         rng = Rng(2)
         s = rng.normal((64,))

@@ -140,3 +140,8 @@ class TestTrain:
             TrainConfig(val_fraction=1.0)
         with pytest.raises(ValueError):
             TrainConfig(trainable="everything")
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.01])
+    def test_negative_or_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(lr=lr)
