@@ -133,9 +133,11 @@ def synth_mixture(rng, duration_s, snr_db, sample_rate=16000):
     The noise is rescaled so 10*log10(|clean|^2 / |noise|^2) equals snr_db,
     and mixture = clean + noise holds bitwise.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if sample_rate < 1:
+        raise ValueError(f"sample rate must be >= 1 Hz, got {sample_rate}")
     n = int(round(duration_s * sample_rate))
+    if n < 1:
+        raise ValueError(f"a {duration_s:g} s clip at {sample_rate} Hz has no samples")
     clean = _harmonic_tone(rng, n, sample_rate)
     noise = _tilted_noise(rng, n)
     target = np.sum(clean * clean) / (10.0 ** (snr_db / 10.0))
@@ -155,6 +157,8 @@ def synth_dataset(seed, count, duration_s, snr_lo, snr_hi, sample_rate=16000):
     """Eagerly generate ``count`` triples, reproducible from the seed alone."""
     if count < 1:
         raise ValueError("need at least one clip")
+    if snr_lo > snr_hi:
+        raise ValueError(f"SNR range is empty: snr_min {snr_lo:g} dB > snr_max {snr_hi:g} dB")
     rng = Rng(seed)
     out = []
     for i in range(count):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify
+from . import masking, verify
 from .audio_data import (check_sample_rate, load_manifest_triples, read_manifest,
                          read_pair, synth_dataset, wav_read, wav_write, WavClip)
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
@@ -24,7 +24,7 @@ from .lifting import BlockSpec, LiftingConfig, LiftingTransform
 from .masking import EnhancementPipeline, MaskEstimator
 from .numerics import Rng
 from .objective import LossConfig, MetricReport, si_sdr
-from .optim import TrainConfig, TrainingDiverged, train
+from .optim import TrainConfig, TrainingDiverged, prepare, train
 from .stft import StftConfig, stft_forward
 
 __all__ = ["main", "entry", "ConfigError", "load_config"]
@@ -73,7 +73,7 @@ def _parse_choice(*options):
 CONFIG_SCHEMA = {
     "seed": (int, 0),
     "pipeline.transform": (_parse_choice("lifting", "stft"), "lifting"),
-    "pipeline.mask": (_parse_choice("binary", "estimator", "ones"), "binary"),
+    "pipeline.mask": (_parse_choice(*masking.MASK_SOURCES), "binary"),
     "lifting.stages": (int, 6),
     "lifting.base_channels": (int, 4),
     "lifting.block_kernels": (_parse_int_list, (3, 3)),
@@ -85,14 +85,14 @@ CONFIG_SCHEMA = {
     "stft.dft_length": (int, 512),
     "mask.depth": (int, 3),
     "mask.base_channels": (int, 16),
-    "mask.norm": (_parse_choice("none", "instance", "spectral"), "none"),
+    "mask.norm": (_parse_choice(*masking.NORM_KINDS), "none"),
     "loss.beta_clip": (_parse_float, 20.0),
     "loss.eps": (_parse_float, 1e-8),
     "train.epochs": (int, 10),
     "train.batch_size": (int, 16),
     "train.lr": (_parse_float, 1e-4),
     "train.val_fraction": (_parse_float, 0.1),
-    "train.trainable": (_parse_choice("transform", "mask", "both"), "transform"),
+    "train.trainable": (_parse_choice(*masking.PARAMETER_GROUPS), "transform"),
     "train.max_steps": (int, 0),
     "train.crop": (int, 16384),
     "data.kind": (_parse_choice("synthetic", "manifest"), "synthetic"),
@@ -206,6 +206,7 @@ def cmd_train(args):
     train_cfg = build_train_config(cfg)
     pipeline = build_pipeline(cfg)
     dataset = build_dataset(cfg)
+    prepare(pipeline, dataset, train_cfg)
     out_dir = Path(cfg["out.dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -100,6 +100,8 @@ class MaskEstimator(Module):
             raise ValueError(f"unknown norm kind {norm!r}")
         if depth < 1:
             raise ValueError("need at least one encoder stage")
+        if base_channels < 1:
+            raise ValueError(f"mask estimator needs base_channels >= 1, got {base_channels}")
         rng = rng if rng is not None else Rng(0)
         self.depth = int(depth)
         self.norm_kind = norm
@@ -261,6 +263,7 @@ class MaskEstimator(Module):
 # ---------------------------------------------------------------------------
 
 MASK_SOURCES = ("binary", "estimator", "ones")
+PARAMETER_GROUPS = ("transform", "mask", "both")
 
 
 @dataclass
@@ -302,14 +305,10 @@ class EnhancementPipeline(Module):
                 raise ValueError("binary mask on the stft path needs an explicit "
                                  "BinaryMaskSpec (bin count is odd)")
 
-    @property
-    def kind(self):
-        return "lifting" if self.transform is not None else "stft"
-
     # -- inference ----------------------------------------------------------
 
     def _frame_hop(self):
-        return (self.transform.config.time_divisor if self.kind == "lifting"
+        return (self.transform.config.time_divisor if self.transform is not None
                 else self.stft_config.hop)
 
     @property
@@ -332,7 +331,7 @@ class EnhancementPipeline(Module):
         mask adds the estimator's frame receptive field times the frame hop.
         """
         hop = self._frame_hop()
-        if self.kind == "lifting":
+        if self.transform is not None:
             cfg = self.transform.config
             half = sum(k // 2 for k in cfg.block.kernel_sizes)
             reach = half * sum(2 ** j for j in range(1, cfg.num_stages + 1)) + hop - 1
@@ -393,58 +392,41 @@ class EnhancementPipeline(Module):
         return self._run(x, keep=True)
 
     def _run(self, x, keep):
-        """Estimate over all of x, plus its EnhanceCache (keep) or its mask."""
+        """Estimate over all of x, plus its EnhanceCache (keep) or its mask: the
+        transform's analysis, the mask, ``feature * mask``, synthesis, crop."""
         x = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite input signal")
-        if self.kind == "lifting":
-            return self._enhance_lifting(x, keep)
-        return self._enhance_stft(x, keep)
-
-    def _mask_2d(self, n_channels, n_frames):
-        if self.mask_source == "ones":
-            return np.ones((n_channels, n_frames))
-        return binary_mask_generate(self.binary_spec, n_frames)
-
-    def _estimate(self, feature, keep):
-        net = self.estimator
-        return net.forward_with_cache(feature) if keep else (net.forward(feature), None)
-
-    def _enhance_lifting(self, x, keep):
-        tf = self.transform
-        padded, t0 = pad_to_multiple(x, tf.config.time_divisor)
-        phi, fwd_cache = tf.forward_with_cache(padded) if keep else (tf.forward(padded), None)
-        est_cache = None
-        if self.mask_source == "estimator":
-            mask, est_cache = self._estimate(phi, keep)
+        tf, net, t0 = self.transform, self.estimator, x.shape[-1]
+        fwd_cache = inv_cache = est_cache = None
+        if tf is not None:
+            x, _ = pad_to_multiple(x, tf.config.time_divisor)
+            feature, fwd_cache = tf.forward_with_cache(x) if keep else (tf.forward(x), None)
         else:
-            mask = self._mask_2d(phi.shape[-2], phi.shape[-1])
-        masked = phi * mask
-        y, inv_cache = tf.inverse_with_cache(masked) if keep else (tf.inverse(masked), None)
-        s_hat = y[..., :t0]
-        if not keep:
-            return s_hat, mask
-        return s_hat, EnhanceCache(mask, phi, t0, est_cache, fwd_cache, inv_cache)
-
-    def _enhance_stft(self, x, keep):
-        t0 = x.shape[-1]
-        spec = stft_forward(x, self.stft_config)
-        est_cache = None
+            feature = stft_forward(x, self.stft_config)
         if self.mask_source == "estimator":
-            mask, est_cache = self._estimate(log_magnitude_feature(spec), keep)
+            img = feature if tf is not None else log_magnitude_feature(feature)
+            mask, est_cache = net.forward_with_cache(img) if keep else (net.forward(img), None)
+        elif self.mask_source == "ones":
+            mask = np.ones(feature.shape[-2:])
         else:
-            mask = self._mask_2d(self.stft_config.n_bins, spec.shape[-1])
-        s_hat = istft(spec * mask, self.stft_config, t0)
+            mask = binary_mask_generate(self.binary_spec, feature.shape[-1])
+        masked = feature * mask
+        if tf is not None:
+            y, inv_cache = (tf.inverse_with_cache(masked) if keep
+                            else (tf.inverse(masked), None))
+        else:
+            y = istft(masked, self.stft_config, t0)
         if not keep:
-            return s_hat, mask
-        return s_hat, EnhanceCache(mask, spec, t0, est_cache)
+            return y[..., :t0], mask
+        return y[..., :t0], EnhanceCache(mask, feature, t0, est_cache, fwd_cache, inv_cache)
 
     # -- training backward ----------------------------------------------------
 
     def backward(self, cache, grad_s_hat):
         """Accumulate parameter gradients for d(loss)/d(s_hat) and return
         d(loss)/d(x); the STFT path has no input VJP and returns None."""
-        if self.kind == "lifting":
+        if self.transform is not None:
             grad_y, _ = pad_to_multiple(grad_s_hat, self.transform.config.time_divisor)
             grad_masked = self.transform.inverse_vjp(cache.inverse, grad_y)
             grad_phi = cache.mask * grad_masked
@@ -463,7 +445,7 @@ class EnhancementPipeline(Module):
     # -- parameter plumbing ----------------------------------------------------
 
     def named_parameters(self, group="both"):
-        if group not in ("transform", "mask", "both"):
+        if group not in PARAMETER_GROUPS:
             raise ValueError(f"unknown parameter group {group!r}")
         for (name, part), own in zip(self.parts(), ("transform", "mask")):
             if group in (own, "both") and part is not None:

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_data import batch_iter
+from .masking import PARAMETER_GROUPS
 from .objective import LossConfig, sdr_loss_and_grad, si_sdr_improvement
 from .numerics import Rng
 
-__all__ = ["Adam", "TrainConfig", "TrainHistory", "TrainingDiverged", "train"]
+__all__ = ["Adam", "TrainConfig", "TrainHistory", "TrainingDiverged", "prepare", "train"]
 
 
 class TrainingDiverged(RuntimeError):
@@ -60,7 +61,7 @@ class TrainConfig:
     batch_size: int = 16
     lr: float = 1e-4
     seed: int = 0
-    trainable: str = "transform"      # transform | mask | both
+    trainable: str = "transform"      # one of masking.PARAMETER_GROUPS
     val_fraction: float = 0.1
     crop_len: int = 16384
     max_steps: int = 0                # 0 = no cap
@@ -73,7 +74,7 @@ class TrainConfig:
             raise ValueError(f"learning rate must be >= 0 and finite, got {self.lr}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("validation fraction must lie in [0, 1)")
-        if self.trainable not in ("transform", "mask", "both"):
+        if self.trainable not in PARAMETER_GROUPS:
             raise ValueError(f"unknown trainable group {self.trainable!r}")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
@@ -121,6 +122,20 @@ def _evaluate(pipeline, triples, loss_cfg):
     return float(np.mean(losses)), float(np.mean(improvements))
 
 
+def prepare(pipeline, dataset, cfg):
+    """``train``'s parameters to optimize and its (train, validation) split, or
+    a ValueError naming why training cannot start; changes nothing."""
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    params = list(pipeline.named_parameters(cfg.trainable))
+    if not params:
+        raise ValueError(f"pipeline has no parameters in group {cfg.trainable!r}")
+    train_set, val_set = _split_train_val(dataset, cfg.val_fraction, cfg.seed)
+    if not train_set:
+        raise ValueError(f"train split is empty (val_fraction {cfg.val_fraction:g})")
+    return params, train_set, val_set
+
+
 def train(pipeline, dataset, cfg):
     """Run the optimization loop; returns the per-epoch history.
 
@@ -129,15 +144,8 @@ def train(pipeline, dataset, cfg):
     one spectral-norm power iteration. The best-validation parameter
     snapshot is kept alongside the final parameters.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    params = list(pipeline.named_parameters(cfg.trainable))
-    if not params:
-        raise ValueError(f"pipeline has no parameters in group {cfg.trainable!r}")
+    params, train_set, val_set = prepare(pipeline, dataset, cfg)
     optimizer = Adam(params, lr=cfg.lr)
-    train_set, val_set = _split_train_val(dataset, cfg.val_fraction, cfg.seed)
-    if not train_set:
-        raise ValueError("train split is empty")
 
     history = TrainHistory()
     stop = False

@@ -28,6 +28,8 @@ __all__ = [
 PR_TOLERANCE = 1e-9
 GRAD_TOLERANCE = 1e-4
 STFT_PR_TOLERANCE = 1e-10
+FD_STEP = 1e-5                          # gradient_suite's central-difference step
+STFT_LENGTHS = (129, 512, 2048, 16000)  # signal lengths stft_reconstruction_suite runs
 
 
 def relative_error(a, b, floor=1e-8):
@@ -38,17 +40,15 @@ def relative_error(a, b, floor=1e-8):
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def reconstruction_suite(config=None, trials=100, length=None, seed=0,
-                         corrupt=False):
+def reconstruction_suite(config=None, trials=100, seed=0, corrupt=False):
     """Max |inverse(forward(x)) - x| over fresh random transforms and inputs."""
     config = config if config is not None else LiftingConfig()
-    if length is None:
-        length = config.time_divisor * max(4, 2048 // config.time_divisor)
+    length = config.time_divisor * max(4, 2048 // config.time_divisor)
     rng = Rng(seed)
     worst = 0.0
     for _ in range(trials):
         transform = LiftingTransform(config, rng.fork())
-        x = rng.normal((int(length),))
+        x = rng.normal((length,))
         phi = transform.forward(x)
         if corrupt:
             transform.blocks[0].convs[0].weight.data += 0.05
@@ -57,12 +57,12 @@ def reconstruction_suite(config=None, trials=100, length=None, seed=0,
     return worst
 
 
-def gradient_suite(seed=0, corrupt=False, h=1e-5, include_input=True):
+def gradient_suite(seed=0, corrupt=False):
     """Finite-difference check of the full training gradient.
 
     Tiny configuration (two lifting stages, 32 samples, fixed binary mask,
     clipped-SDR loss); compares the hand-written backward pass against
-    central differences for every parameter, and optionally for the input.
+    central differences for every parameter and for the input.
     """
     rng = Rng(seed)
     config = LiftingConfig(num_stages=2)
@@ -93,32 +93,28 @@ def gradient_suite(seed=0, corrupt=False, h=1e-5, include_input=True):
             p.data[...] = v
             return loss_of_input(mixture)
 
-        numeric = finite_difference_gradient(loss_of_param, orig, h)
+        numeric = finite_difference_gradient(loss_of_param, orig, FD_STEP)
         p.data[...] = orig
         worst = max(worst, relative_error(analytic, numeric))
 
-    if include_input:
-        # d loss / d mixture is the path through the transform plus a direct
-        # term, since the mixture also enters the loss residual
-        th2, grad_resid = _clipped_term(mixture - s_hat, noise, loss_cfg.beta_clip,
-                                        loss_cfg.eps)
-        analytic = grad_input - 0.5 * grad_resid / th2.size
-        numeric = finite_difference_gradient(loss_of_input, mixture, h)
-        worst = max(worst, relative_error(analytic, numeric))
-    return worst
+    # d loss / d mixture is the path through the transform plus a direct
+    # term, since the mixture also enters the loss residual
+    th2, grad_resid = _clipped_term(mixture - s_hat, noise, loss_cfg.beta_clip, loss_cfg.eps)
+    analytic = grad_input - 0.5 * grad_resid / th2.size
+    numeric = finite_difference_gradient(loss_of_input, mixture, FD_STEP)
+    return max(worst, relative_error(analytic, numeric))
 
 
-def stft_reconstruction_suite(cfg=None, lengths=(129, 512, 2048, 16000), seed=0,
-                              corrupt=False):
-    """Max |istft(stft(x)) - x| over the given signal lengths."""
+def stft_reconstruction_suite(cfg=None, seed=0, corrupt=False):
+    """Max |istft(stft(x)) - x| over the STFT_LENGTHS signal lengths."""
     cfg = cfg if cfg is not None else StftConfig()
     rng = Rng(seed)
     worst = 0.0
-    for t in lengths:
-        x = rng.normal((int(t),))
+    for t in STFT_LENGTHS:
+        x = rng.normal((t,))
         spec = stft_forward(x, cfg)
         if corrupt:
             spec.real *= 1.001
-        y = istft(spec, cfg, int(t))
+        y = istft(spec, cfg, t)
         worst = max(worst, float(np.max(np.abs(y - x))))
     return worst

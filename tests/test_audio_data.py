@@ -112,6 +112,9 @@ class TestSynthDataset:
         for triple in synth_dataset(9, 10, 0.05, 2.0, 4.0):
             assert 2.0 <= triple.snr_db < 4.0
 
+    def test_equal_snr_bounds_give_constant_snr(self):
+        assert [t.snr_db for t in synth_dataset(9, 3, 0.05, 5.0, 5.0)] == [5.0] * 3
+
 
 class TestManifest:
     def test_parse_and_load(self, tmp_path):

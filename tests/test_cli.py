@@ -9,7 +9,7 @@ import pytest
 
 from liftbank import cli
 from liftbank.audio_data import WavClip, synth_mixture, wav_read, wav_write
-from liftbank.checkpoint import save_checkpoint
+from liftbank.checkpoint import load_checkpoint, save_checkpoint
 from liftbank.cli import main
 from liftbank.masking import CHUNK_SAMPLES
 from liftbank.numerics import Rng
@@ -205,6 +205,42 @@ class TestTrainCommand:
         assert main(["train", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("data.snr_min = 20", "SNR range is empty: snr_min 20 dB > snr_max 10 dB"),
+        ("data.sample_rate = 0", "sample rate must be >= 1 Hz, got 0"),
+        ("data.duration = 0.00001", "a 1e-05 s clip at 16000 Hz has no samples"),
+        ("pipeline.mask = estimator\nmask.base_channels = 0",
+         "mask estimator needs base_channels >= 1, got 0"),
+        ("train.val_fraction = 0.999", "train split is empty (val_fraction 0.999)"),
+        ("train.trainable = mask", "pipeline has no parameters in group 'mask'"),
+    ])
+    def test_unusable_value_exits_2_before_out_dir(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{line}\n")
+        assert main(["train", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_joint_training_is_deterministic_and_moves_both_groups(self, tmp_path):
+        """train.trainable = both, the paper's joint path: two runs give identical
+        bytes, and every transform and every estimator entry leaves its initial value."""
+        text = ("pipeline.mask = estimator\ntrain.trainable = both\nlifting.stages = 3\n"
+                "mask.depth = 2\nmask.base_channels = 4\ntrain.batch_size = 2\n"
+                "train.crop = 512\ndata.count = 5\ndata.duration = 0.1\ntrain.epochs = 2\n")
+        runs = []
+        for tag in ("a", "b"):
+            cfg = write_config(tmp_path, text + f"out.dir = {tmp_path / tag}\n", f"{tag}.cfg")
+            assert main(["train", str(cfg)]) == 0
+            runs.append([(tmp_path / tag / name).read_bytes() for name in
+                         ("checkpoint_last.ckpt", "checkpoint_best.ckpt", "training_log.csv")])
+        assert runs[0] == runs[1]
+        initial = cli.build_pipeline(cli.load_config(cfg)).state_dict()
+        trained = load_checkpoint(tmp_path / "a" / "checkpoint_last.ckpt")
+        assert trained.keys() == initial.keys()
+        for group in ("lifting/", "mask/"):
+            names = [name for name in initial if name.startswith(group)]
+            assert names
+            assert all(not np.array_equal(trained[name], initial[name]) for name in names)
 
     def test_manifest_skips_bad_pairs_like_eval(self, tmp_path, capsys):
         manifest = write_rule_manifest(tmp_path)
