@@ -2,8 +2,8 @@
 
 Configuration is a flat key=value text file ("#" starts a comment); unknown
 keys are rejected and every value is validated before any work starts. Exit
-codes: 0 success, 1 property or metric failure, 2 usage/config error,
-3 runtime divergence. LIFTBANK_THREADS caps eval parallelism.
+codes: 0 success, 1 property or metric failure, 2 usage/config error or
+out of memory, 3 runtime divergence. LIFTBANK_THREADS caps eval parallelism.
 """
 
 from __future__ import annotations
@@ -151,15 +151,18 @@ def build_stft_config(cfg):
 def build_pipeline(cfg, mask_override=None):
     rng = Rng(cfg["seed"])
     mask_source = mask_override or cfg["pipeline.mask"]
-    transform = None
-    stft_config = None
+    transform = stft_config = estimator = None
     if cfg["pipeline.transform"] == "lifting":
         transform = LiftingTransform(build_lifting_config(cfg), rng.fork())
     else:
         stft_config = build_stft_config(cfg)
-    estimator = None
     if mask_source == "estimator":
-        estimator = MaskEstimator(depth=cfg["mask.depth"],
+        depth = cfg["mask.depth"]
+        height = transform.config.merged_channels if transform else stft_config.n_bins
+        if depth >= height.bit_length():      # a total stride 2**depth > height
+            raise ConfigError(f"mask.depth = {depth}: the estimator's total stride "
+                              f"2**{depth} exceeds the feature height {height}")
+        estimator = MaskEstimator(depth=depth,
                                   base_channels=cfg["mask.base_channels"],
                                   norm=cfg["mask.norm"], rng=rng.fork())
     return EnhancementPipeline(transform=transform, stft_config=stft_config,
@@ -395,8 +398,8 @@ def main(argv=None):
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -312,10 +312,10 @@ def _unit_vector(rng, n):
 class _Conv(Module):
     """Weight, bias and spectral-norm state shared by the convolutions.
 
-    The weight is (C_out, C_in, *kernel); with spectral normalization the
-    forward pass divides it by the largest singular value of its
-    (C_out, rest) matrix, estimated from the persistent vector ``sn_u``.
-    Initialization draws weight, then bias, then ``sn_u`` from ``rng``.
+    The weight is (C_out, C_in, *kernel); with spectral normalization each
+    pass divides it by the largest singular value of its (C_out, rest)
+    matrix, estimated from the persistent vector ``sn_u`` (no cache holds
+    it). Initialization draws weight, then bias, then ``sn_u`` from ``rng``.
     """
 
     def __init__(self, in_channels, out_channels, kernel, bias, spectral_norm, rng):
@@ -336,6 +336,10 @@ class _Conv(Module):
         if sigma <= _SIGMA_FLOOR:
             return self.weight.data, 1.0
         return self.weight.data / sigma, sigma
+
+    def _bias_grad(self, g, axis):
+        if self.bias is not None:
+            self.bias.grad += g.sum(axis=axis)
 
     def update_spectral_state(self, iters=1):
         if self.sn_u is not None:
@@ -365,22 +369,22 @@ class Conv1d(_Conv):
                          spectral_norm, rng)
 
     def forward_grid(self, grid, pad):
-        """Output grid for an input grid of pad ``pad`` >= kernel_size // 2,
-        plus the spectral scale the backward pass needs."""
+        """Output grid for an input grid of pad ``pad`` >= kernel_size // 2."""
         if grid.shape[0] != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {grid.shape[0]}")
-        w, sigma = self._effective_weight()
+        w, _ = self._effective_weight()
         taps = np.ascontiguousarray(np.moveaxis(w, 2, 0))          # (k, C_out, C_in)
         bias = self.bias.data if self.bias is not None else None
-        return _correlate_grid(taps, grid, pad, bias), sigma
+        return _correlate_grid(taps, grid, pad, bias)
 
-    def backward_grid(self, grid, sigma, grad, pad, out=None):
+    def backward_grid(self, grid, grad, pad, out=None):
         """Input-gradient grid for the output-gradient grid ``grad`` (zero pad
         columns) of ``forward_grid(grid, pad)``, written into ``out`` when
         given; accumulates parameter gradients. The weight gradient is one
         GEMM per tap against the forward pass's windows, the input gradient
         the correlation with the flipped, transposed kernel on the same grid.
         """
+        w, sigma = self._effective_weight()
         k = self.kernel_size
         g = _grid_interior(grad, pad)
         flat = grid.reshape(self.in_channels, -1)
@@ -389,9 +393,7 @@ class Conv1d(_Conv):
         for t in range(k):
             gemm(g, flat[:, first + t:first + t + g.shape[1]].T, gw[t], beta=0.0)
         self.weight.grad += np.moveaxis(gw, 0, 2) / sigma
-        if self.bias is not None:
-            self.bias.grad += g.sum(axis=1)
-        w, _ = self._effective_weight()
+        self._bias_grad(g, 1)
         taps = np.ascontiguousarray(w[:, :, ::-1].transpose(2, 1, 0))  # (k, C_in, C_out)
         return _correlate_grid(taps, grad, pad, out=out)
 
@@ -399,16 +401,15 @@ class Conv1d(_Conv):
         xb, lead = _flatten_batch(x, 2)
         pad = self.kernel_size // 2
         grid = to_grid(np.moveaxis(xb, 1, 0), pad)
-        out, sigma = self.forward_grid(grid, pad)
+        out = self.forward_grid(grid, pad)
         y = np.ascontiguousarray(np.moveaxis(grid_valid(out, pad), 0, 1))
-        return _restore_batch(y, lead), (grid, sigma)
+        return _restore_batch(y, lead), grid
 
-    def backward(self, cache, grad_out):
-        grid, sigma = cache
+    def backward(self, grid, grad_out):
         g, lead = _flatten_batch(grad_out, 2)
         pad = self.kernel_size // 2
         grad = to_grid(np.moveaxis(g, 1, 0), pad)
-        gx = self.backward_grid(grid, sigma, grad, pad)
+        gx = self.backward_grid(grid, grad, pad)
         gx = np.ascontiguousarray(np.moveaxis(grid_valid(gx, pad), 0, 1))
         return _restore_batch(gx, lead)
 
@@ -420,43 +421,48 @@ def _pair(v):
     return int(a), int(b)
 
 
-class Conv2d(_Conv):
-    """2-D convolution with per-axis stride and zero padding."""
+class _Conv2dBase(_Conv):
+    """Conv2d and Deconv2d's per-axis kernel, stride and padding, input
+    check and bias lookup; the defaults are Conv2d's."""
 
     def __init__(self, in_channels, out_channels, kernel_size=3, stride=1,
                  padding=0, bias=True, spectral_norm=False, rng=None):
-        self.kernel = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
+        self.kernel, self.stride, self.padding = map(_pair, (kernel_size, stride, padding))
         super().__init__(in_channels, out_channels, self.kernel, bias,
                          spectral_norm, rng)
 
-    def forward(self, x):
+    def _forward_inputs(self, x):
+        """What both forward passes start from: x as (B, C_in, H, W), its lead
+        shape, and the bias data or None."""
         xb, lead = _flatten_batch(x, 3)
-        _, cin, h, w = xb.shape
-        if cin != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} channels, got {cin}")
-        kh, kw = self.kernel
-        ph, pw = self.padding
-        if h + 2 * ph < kh or w + 2 * pw < kw:
+        if xb.shape[1] != self.in_channels:
+            raise ValueError(f"expected {self.in_channels} channels, got {xb.shape[1]}")
+        return xb, lead, None if self.bias is None else self.bias.data
+
+
+class Conv2d(_Conv2dBase):
+    """2-D convolution with per-axis stride and zero padding."""
+
+    def forward(self, x):
+        xb, lead, bias = self._forward_inputs(x)
+        if any(n + 2 * p < k for n, p, k in zip(xb.shape[2:], self.padding, self.kernel)):
             raise ValueError("input smaller than kernel")
-        weight, sigma = self._effective_weight()
-        phases = PhaseGrid((h, w), self.kernel, self.stride, self.padding)
+        weight, _ = self._effective_weight()
+        phases = PhaseGrid(xb.shape[2:], self.kernel, self.stride, self.padding)
         flat = phases.regroup(xb)
-        y = phases.correlate(flat, weight, None if self.bias is None else self.bias.data)
-        return _restore_batch(y, lead), (phases, flat, sigma)
+        y = phases.correlate(flat, weight, bias)
+        return _restore_batch(y, lead), (phases, flat)
 
     def backward(self, cache, grad_out):
-        phases, flat, sigma = cache
+        phases, flat = cache
         g, lead = _flatten_batch(grad_out, 3)
+        weight, sigma = self._effective_weight()
         self.weight.grad += phases.weight_adjoint(flat, g, 1.0 / sigma)
-        if self.bias is not None:
-            self.bias.grad += g.sum(axis=(0, 2, 3))
-        weight, _ = self._effective_weight()
+        self._bias_grad(g, (0, 2, 3))
         return _restore_batch(phases.input_adjoint(g, weight), lead)
 
 
-class Deconv2d(_Conv):
+class Deconv2d(_Conv2dBase):
     """Transposed 2-D convolution: Conv2d's input adjoint, channel axes swapped.
 
     With matching kernel/stride/padding the output size (in - 1) * stride -
@@ -466,11 +472,8 @@ class Deconv2d(_Conv):
 
     def __init__(self, in_channels, out_channels, kernel_size=4, stride=2,
                  padding=1, bias=True, spectral_norm=False, rng=None):
-        self.kernel = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        super().__init__(in_channels, out_channels, self.kernel, bias,
-                         spectral_norm, rng)
+        super().__init__(in_channels, out_channels, kernel_size, stride, padding,
+                         bias, spectral_norm, rng)
 
     def out_shape(self, h, w):
         kh, kw = self.kernel
@@ -481,11 +484,8 @@ class Deconv2d(_Conv):
     def forward(self, x, out=None):
         """Output and cache; the output is written into ``out`` (the output's
         shape, any layout whose batch axes merge) and returned as it when given."""
-        xb, lead = _flatten_batch(x, 3)
-        _, cin, h, w = xb.shape
-        if cin != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} channels, got {cin}")
-        ho, wo = self.out_shape(h, w)
+        xb, lead, bias = self._forward_inputs(x)
+        ho, wo = self.out_shape(*xb.shape[2:])
         if ho < 1 or wo < 1:
             raise ValueError("deconv output would be empty")
         shape = lead + (self.out_channels, ho, wo)
@@ -493,22 +493,19 @@ class Deconv2d(_Conv):
         if out is not None and (yb is None or not np.may_share_memory(yb, out)):
             raise ValueError(f"output buffer of shape {out.shape} is not a "
                              f"{shape} array whose batch axes merge")
-        weight, sigma = self._effective_weight()
+        weight, _ = self._effective_weight()
         phases = PhaseGrid((ho, wo), self.kernel, self.stride, self.padding)
-        y = phases.input_adjoint(xb, weight.transpose(1, 0, 2, 3),
-                                 None if self.bias is None else self.bias.data, yb)
-        return (_restore_batch(y, lead) if out is None else out), (xb, sigma)
+        y = phases.input_adjoint(xb, weight.transpose(1, 0, 2, 3), bias, yb)
+        return (_restore_batch(y, lead) if out is None else out), xb
 
-    def backward(self, cache, grad_out):
-        xb, sigma = cache
+    def backward(self, xb, grad_out):
         g, lead = _flatten_batch(grad_out, 3)
         phases = PhaseGrid(g.shape[2:], self.kernel, self.stride, self.padding)
         flat = phases.regroup(g)
-        weight, _ = self._effective_weight()
+        weight, sigma = self._effective_weight()
         gx = phases.correlate(flat, weight.transpose(1, 0, 2, 3))
         self.weight.grad += phases.weight_adjoint(flat, xb, 1.0 / sigma).transpose(1, 0, 2, 3)
-        if self.bias is not None:
-            self.bias.grad += g.sum(axis=(0, 2, 3))
+        self._bias_grad(g, (0, 2, 3))
         return _restore_batch(gx, lead)
 
 

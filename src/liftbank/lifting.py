@@ -184,8 +184,8 @@ class CouplingBlock(Module):
     ReLU then reads and writes that layout (see ``layers.to_grid``), and the
     output is a view of the last grid's signal columns. The leaky ReLU runs
     in place on the whole grid, whose zero pad columns stay zero both ways.
-    The cache is a list of (input grid, spectral scale) pairs, one per conv;
-    the leaky ReLU backward reads the sign of the next conv's input grid.
+    The cache is the list of the convs' input grids; the leaky ReLU backward
+    reads the sign of the next conv's input grid.
     """
 
     def __init__(self, channels, spec, linear, rng):
@@ -201,8 +201,8 @@ class CouplingBlock(Module):
         grid = to_grid(x, self.pad)
         cache = []
         for i, conv in enumerate(self.convs):
-            out, sigma = conv.forward_grid(grid, self.pad)
-            cache.append((grid, sigma))
+            out = conv.forward_grid(grid, self.pad)
+            cache.append(grid)
             if self.slope is not None and i < len(self.convs) - 1:
                 leaky_relu(out, self.slope, out)
             grid = out
@@ -211,10 +211,10 @@ class CouplingBlock(Module):
     def backward(self, cache, grad_out):
         grad = to_grid(grad_out, self.pad)
         spare = activated = None      # activated: the next conv's input grid
-        for conv, (grid, sigma) in zip(self.convs[::-1], cache[::-1]):
+        for conv, grid in zip(self.convs[::-1], cache[::-1]):
             if self.slope is not None and activated is not None:
                 leaky_relu_grad(grad, activated, self.slope, grad)
-            spare, grad = grad, conv.backward_grid(grid, sigma, grad, self.pad, out=spare)
+            spare, grad = grad, conv.backward_grid(grid, grad, self.pad, out=spare)
             activated = grid
         return grid_valid(grad, self.pad)
 

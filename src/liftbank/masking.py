@@ -272,7 +272,6 @@ class EnhanceCache:
 
     mask: np.ndarray          # the applied mask, feature-shaped
     feature: np.ndarray       # lifting feature phi, or the complex STFT spectrogram
-    length: int               # input length before any padding
     estimator: EstimatorCache = None   # set when the mask is estimated
     forward: list = None      # lifting: per-stage analysis caches
     inverse: list = None      # lifting: per-stage synthesis caches
@@ -419,7 +418,7 @@ class EnhancementPipeline(Module):
             y = istft(masked, self.stft_config, t0)
         if not keep:
             return y[..., :t0], mask
-        return y[..., :t0], EnhanceCache(mask, feature, t0, est_cache, fwd_cache, inv_cache)
+        return y[..., :t0], EnhanceCache(mask, feature, est_cache, fwd_cache, inv_cache)
 
     # -- training backward ----------------------------------------------------
 
@@ -427,16 +426,16 @@ class EnhancementPipeline(Module):
         """Accumulate parameter gradients for d(loss)/d(s_hat) and return
         d(loss)/d(x); the STFT path has no input VJP and returns None."""
         if self.transform is not None:
-            grad_y, _ = pad_to_multiple(grad_s_hat, self.transform.config.time_divisor)
+            grad_y, length = pad_to_multiple(grad_s_hat, self.transform.config.time_divisor)
             grad_masked = self.transform.inverse_vjp(cache.inverse, grad_y)
             grad_phi = cache.mask * grad_masked
             if cache.estimator is not None:
                 grad_mask = cache.feature * grad_masked
                 grad_phi = grad_phi + self.estimator.backward(cache.estimator, grad_mask)
             grad_x = self.transform.forward_vjp(cache.forward, grad_phi)
-            return grad_x[..., :cache.length]
+            return grad_x[..., :length]
         spec = cache.feature
-        gspec = istft_vjp(grad_s_hat, self.stft_config, spec.shape[-1], cache.length)
+        gspec = istft_vjp(grad_s_hat, self.stft_config, spec.shape[-1])
         if cache.estimator is not None:
             grad_mask = gspec.real * spec.real + gspec.imag * spec.imag
             self.estimator.backward(cache.estimator, grad_mask)

@@ -149,7 +149,7 @@ def istft(spec, cfg, out_length):
     return y[..., pad:pad + out_length]
 
 
-def istft_vjp(grad_y, cfg, n_frames, out_length):
+def istft_vjp(grad_y, cfg, n_frames):
     """Adjoint of ``istft`` as a real-linear map; returns a complex (..., F, M)
     gradient whose real and imaginary parts pair with the spectrogram's.
 
@@ -158,10 +158,10 @@ def istft_vjp(grad_y, cfg, n_frames, out_length):
     """
     wl, nfft = cfg.window_length, cfg.dft_length
     grad_y = np.asarray(grad_y, dtype=np.float64)
-    dual, cov = _synthesis_window(cfg, n_frames, out_length)
+    dual, cov = _synthesis_window(cfg, n_frames, grad_y.shape[-1])
     gy = np.zeros(grad_y.shape[:-1] + (cov.size,))
     pad = wl // 2
-    gy[..., pad:pad + out_length] = grad_y
+    gy[..., pad:pad + grad_y.shape[-1]] = grad_y
     # adjoint of the one-sided inverse real DFT: analysis with the dual window
     scale = np.full(nfft // 2 + 1, 2.0 / nfft)
     scale[0] = 1.0 / nfft

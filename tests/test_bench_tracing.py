@@ -1,9 +1,10 @@
 """The benchmark's tracer still fits the package it wraps.
 
 perfbench/tracing.py patches liftbank attributes by name (``forward``,
-``enc_convs``, ``kernel``, ...). Instrumenting the benchmark's own pipeline
-configs and running one short enhancement here makes a rename fail this
-suite, not a traced benchmark run.
+``enc_convs``, ``kernel``, ...) and reads call arguments by position.
+Instrumenting the benchmark's own pipeline configs and running one short
+enhancement and one training step here makes a rename or a signature change
+fail this suite, not a traced benchmark run.
 """
 
 import sys
@@ -15,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from liftbank import cli  # noqa: E402
+from liftbank import audio_data, cli, optim  # noqa: E402
 from liftbank.numerics import Rng  # noqa: E402
 
 
@@ -47,3 +48,29 @@ def test_tracer_instruments_benchmark_pipeline(name, tmp_path):
         assert set(tracing.ESTIMATOR_CONVS) <= names
     metrics, _ = tracing.layer_metrics(tracer.spans, 50.0, 10.0)
     assert set(metrics) <= {metric for metric, _, _ in tracing.per_layer_metrics()}
+
+
+def test_tracer_spans_one_training_step(tmp_path):
+    """One traced step on the training workload's config opens every span its
+    metrics read; the predictor-backward wrappers size their work from
+    ``CouplingBlock.backward``'s second argument, the output gradient."""
+    cfg = dict(workloads.WORKLOADS["train_lifting_binary"](0, tmp_path, None).cfg,
+               **{"train.max_steps": 1})
+    dataset = audio_data.synth_dataset(3, 2, 0.1, 0.0, 10.0, workloads.SAMPLE_RATE)
+    tracer = tracing.Tracer()
+    tracer.instrument_modules()
+    try:
+        pipeline = cli.build_pipeline(cfg)
+        tracer.begin("test.train", "op")
+        history = optim.train(pipeline, dataset, cli.build_train_config(cfg))
+    finally:
+        tracer.restore()
+    assert history.steps == 1
+
+    names = {span["name"] for span in tracer.spans}
+    assert {"lifting.stage%d.predictor_bwd" % j for j in tracing.STAGES} <= names
+    assert {"lifting.forward_vjp", "lifting.inverse_vjp"} <= names
+    metrics, _ = tracing.layer_metrics(tracer.spans, 50.0, 10.0)
+    assert set(metrics) <= {metric for metric, _, _ in tracing.per_layer_metrics()}
+    assert all(metrics["lifting.stage%d.predictor_bwd.gflops" % j] > 0
+               for j in tracing.STAGES)

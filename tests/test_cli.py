@@ -221,6 +221,42 @@ class TestTrainCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("lines, depth, height", [
+        ("lifting.stages = 2\nlifting.base_channels = 2", 4, 8),
+        ("pipeline.transform = stft\nstft.window_length = 32\nstft.hop = 8\n"
+         "stft.dft_length = 32", 5, 17),
+    ], ids=["lifting", "stft"])
+    def test_estimator_stride_above_feature_height_exits_2(self, tmp_path, capsys,
+                                                           monkeypatch, lines, depth, height):
+        """Checked before any estimator conv exists; one stage less still builds."""
+        text = BASE_CONFIG + f"pipeline.mask = estimator\nmask.base_channels = 2\n{lines}\n"
+        fits = dict(cli.load_config(write_config(tmp_path, text)), **{"mask.depth": depth - 1})
+        assert cli.build_pipeline(fits).estimator.total_stride <= height
+
+        def no_estimator(**kwargs):
+            raise AssertionError("estimator built before its depth was checked")
+
+        monkeypatch.setattr(cli, "MaskEstimator", no_estimator)
+        cfg = write_config(tmp_path, text + f"mask.depth = {depth}\nout.dir = {tmp_path}/run\n")
+        assert main(["train", str(cfg)]) == 2
+        assert (f"mask.depth = {depth}: the estimator's total stride 2**{depth} "
+                f"exceeds the feature height {height}") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 1.00 TiB"), "error: Unable to allocate 1.00 TiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["message", "bare"])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, exc, line):
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_pipeline", no_memory)
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n")
+        assert main(["train", str(cfg)]) == 2
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "run").exists()
+
     def test_joint_training_is_deterministic_and_moves_both_groups(self, tmp_path):
         """train.trainable = both, the paper's joint path: two runs give identical
         bytes, and every transform and every estimator entry leaves its initial value."""

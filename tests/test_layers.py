@@ -557,25 +557,36 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             power_iteration(np.eye(2), np.array([1.0, 0.0]), 0)
 
-    def test_sn_conv_grad_scales_by_sigma(self):
-        """Backward treats the spectral scale as constant for the step."""
+    @pytest.mark.parametrize("make, x_shape", [
+        (lambda **kw: Conv1d(2, 2, 3, **kw), (2, 6)),
+        (lambda **kw: Conv2d(2, 3, 4, stride=2, padding=1, **kw), (2, 2, 6, 8)),
+        (lambda **kw: Deconv2d(2, 3, 4, stride=2, padding=1, **kw), (2, 2, 3, 4)),
+    ], ids=["conv1d", "conv2d", "deconv2d"])
+    def test_sn_conv_grad_scales_by_sigma(self, make, x_shape):
+        """Backward treats the spectral scale as constant for the step: the
+        output and both gradients are the plain layer's divided by sigma.
+        The backward pass derives sigma with the weight, in one call."""
         rng = Rng(3)
-        plain = Conv1d(2, 2, 3, bias=False, rng=Rng(30))
-        normed = Conv1d(2, 2, 3, bias=False, spectral_norm=True, rng=Rng(30))
-        normed.weight.data[...] = plain.weight.data
-        x = rng.normal((2, 6))
-        g = rng.normal((2, 6))
-        plain.weight.zero_grad()
-        normed.weight.zero_grad()
+        plain = make(bias=False, rng=Rng(30))
+        normed = make(bias=False, spectral_norm=True, rng=Rng(30))
+        np.testing.assert_array_equal(normed.weight.data, plain.weight.data)
+        x = rng.normal(x_shape)
         yp, cp = plain.forward(x)
         yn, cn = normed.forward(x)
-        w2d = normed.weight.data.reshape(2, -1)
+        w2d = normed.weight.data.reshape(normed.out_channels, -1)
         sigma = float(np.linalg.norm(w2d.T @ normed.sn_u))
+        assert abs(sigma - 1.0) > 0.1
         np.testing.assert_allclose(yn, yp / sigma, atol=1e-12)
-        plain.backward(cp, g)
-        normed.backward(cn, g)
+        g = rng.normal(yp.shape)
+        gxp = plain.backward(cp, g)
+        calls = []
+        effective = normed._effective_weight
+        normed._effective_weight = lambda: calls.append(1) or effective()
+        gxn = normed.backward(cn, g)
+        assert len(calls) == 1
         np.testing.assert_allclose(normed.weight.grad, plain.weight.grad / sigma,
                                    atol=1e-12)
+        np.testing.assert_allclose(gxn, gxp / sigma, atol=1e-12)
 
     def test_update_spectral_state_converges(self):
         conv = Conv1d(3, 3, 3, spectral_norm=True, rng=Rng(4))

@@ -446,7 +446,7 @@ class TestGridBlock:
         grid = to_grid(rng.normal((3, 4, 9)), pad)
         grids = [grid]
         for i, conv in enumerate(block.convs):
-            out, _ = conv.forward_grid(grids[-1], pad)
+            out = conv.forward_grid(grids[-1], pad)
             assert np.all(grid_pads(out, pad) == 0.0)
             if block.slope is not None and i < len(block.convs) - 1:
                 leaky_relu(out, block.slope, out)
@@ -454,14 +454,14 @@ class TestGridBlock:
             grids.append(out)
         y, cache = block.forward(grid_valid(grid, pad))
         np.testing.assert_array_equal(y, grid_valid(grids[-1], pad))
-        for (cached, _), expected in zip(cache, grids):
+        for cached, expected in zip(cache, grids):
             np.testing.assert_array_equal(cached, expected)
         grad = to_grid(rng.normal((3, 4, 9)), pad)
         for i in range(len(block.convs) - 1, -1, -1):
             if block.slope is not None and i < len(block.convs) - 1:
                 leaky_relu_grad(grad, grids[i + 1], block.slope, grad)
                 assert np.all(grid_pads(grad, pad) == 0.0)
-            grad = block.convs[i].backward_grid(grids[i], cache[i][1], grad, pad)
+            grad = block.convs[i].backward_grid(grids[i], grad, pad)
             assert np.all(grid_pads(grad, pad) == 0.0)
 
     def test_peak_memory_is_the_grids(self):
