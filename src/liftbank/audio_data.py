@@ -53,15 +53,17 @@ class WavClip:
 
 
 def wav_read(path):
-    """Read 16-bit mono PCM; other formats are rejected."""
+    """Read 16-bit mono PCM; other formats and truncated data are rejected."""
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1:
                 raise ValueError(f"{path}: mono required")
             if fh.getsampwidth() != 2:
                 raise ValueError(f"{path}: 16-bit PCM required")
-            rate = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
+            rate, n_frames = fh.getframerate(), fh.getnframes()
+            raw = fh.readframes(n_frames)
+            if len(raw) < 2 * n_frames:
+                raise wave.Error(f"data chunk holds {len(raw)} of its {2 * n_frames} bytes")
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a readable WAV file ({exc})") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM_SCALE

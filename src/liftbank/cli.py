@@ -149,14 +149,15 @@ def build_stft_config(cfg):
 
 
 def build_pipeline(cfg, mask_override=None):
+    """The configured pipeline; ``mask_override`` replaces only its mask source,
+    so the parameters, and which checkpoints load, stay the configured ones."""
     rng = Rng(cfg["seed"])
-    mask_source = mask_override or cfg["pipeline.mask"]
     transform = stft_config = estimator = None
     if cfg["pipeline.transform"] == "lifting":
         transform = LiftingTransform(build_lifting_config(cfg), rng.fork())
     else:
         stft_config = build_stft_config(cfg)
-    if mask_source == "estimator":
+    if cfg["pipeline.mask"] == "estimator":
         depth = cfg["mask.depth"]
         height = transform.config.merged_channels if transform else stft_config.n_bins
         if depth >= height.bit_length():      # a total stride 2**depth > height
@@ -166,7 +167,8 @@ def build_pipeline(cfg, mask_override=None):
                                   base_channels=cfg["mask.base_channels"],
                                   norm=cfg["mask.norm"], rng=rng.fork())
     return EnhancementPipeline(transform=transform, stft_config=stft_config,
-                               mask_source=mask_source, estimator=estimator)
+                               mask_source=mask_override or cfg["pipeline.mask"],
+                               estimator=estimator)
 
 
 def build_dataset(cfg):
@@ -247,7 +249,8 @@ def cmd_enhance(args):
     cfg, pipeline = _load_pipeline(args)
     clip = wav_read(args.input)
     check_sample_rate(args.input, [clip.sample_rate], cfg["data.sample_rate"])
-    s_hat, mask = pipeline.enhance_with_mask(clip.samples)
+    s_hat, mask = (pipeline.enhance_with_mask(clip.samples) if args.export_mask
+                   else (pipeline.enhance(clip.samples)[0], None))
     wav_write(WavClip(s_hat, clip.sample_rate), args.output)
     if args.export_mask:
         with atomic_write(args.export_mask) as fh:
@@ -259,6 +262,8 @@ def cmd_enhance(args):
 
 
 def cmd_check(args):
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     cfg = load_config(args.config)
     if args.kind == "pr":
         worst = verify.reconstruction_suite(build_lifting_config(cfg),

@@ -274,16 +274,15 @@ def _zero_pad_columns(grid, pad):
     grid[:, :, grid.shape[2] - pad:] = 0.0
 
 
-def _correlate_grid(taps, grid, pad, bias=None, out=None):
+def _correlate_grid(taps, grid, pad, bias=None):
     """Stride-1 correlation of a padded (C_in, B, Lp) grid with taps (k, C_out, C_in).
 
-    Returns a (C_out, B, Lp) grid with zero pad columns, ``out`` or a new one:
+    Returns a new (C_out, B, Lp) grid with zero pad columns:
     ``out[:, P:N-P] = sum_t taps[t] @ flat[:, s_t : s_t + n] (+ bias)`` with
     s_t = P - k // 2 + t.
     """
     k, cout = taps.shape[:2]
-    if out is None:
-        out = np.empty((cout,) + grid.shape[1:])
+    out = np.empty((cout,) + grid.shape[1:])
     acc = _grid_interior(out, pad)
     first = pad - k // 2
     tap_gemms(taps, grid.reshape(grid.shape[0], -1), range(first, first + k), acc)
@@ -377,12 +376,12 @@ class Conv1d(_Conv):
         bias = self.bias.data if self.bias is not None else None
         return _correlate_grid(taps, grid, pad, bias)
 
-    def backward_grid(self, grid, grad, pad, out=None):
-        """Input-gradient grid for the output-gradient grid ``grad`` (zero pad
-        columns) of ``forward_grid(grid, pad)``, written into ``out`` when
-        given; accumulates parameter gradients. The weight gradient is one
-        GEMM per tap against the forward pass's windows, the input gradient
-        the correlation with the flipped, transposed kernel on the same grid.
+    def backward_grid(self, grid, grad, pad):
+        """New input-gradient grid for the output-gradient grid ``grad`` (zero
+        pad columns) of ``forward_grid(grid, pad)``; accumulates parameter
+        gradients. The weight gradient is one GEMM per tap against the forward
+        pass's windows, the input gradient the correlation with the flipped,
+        transposed kernel on the same grid.
         """
         w, sigma = self._effective_weight()
         k = self.kernel_size
@@ -395,7 +394,7 @@ class Conv1d(_Conv):
         self.weight.grad += np.moveaxis(gw, 0, 2) / sigma
         self._bias_grad(g, 1)
         taps = np.ascontiguousarray(w[:, :, ::-1].transpose(2, 1, 0))  # (k, C_in, C_out)
-        return _correlate_grid(taps, grad, pad, out=out)
+        return _correlate_grid(taps, grad, pad)
 
     def forward(self, x):
         xb, lead = _flatten_batch(x, 2)

@@ -95,33 +95,28 @@ class LiftingConfig:
 def split(x, n_channels):
     """Polyphase split of (..., T) into two (n_channels, ..., T/2) branches.
 
-    Branches use the transform's channels-first (C, ..., L) layout. Channel 0
-    of branch a holds the even-index samples, channel 0 of branch b the
-    odd-index samples; the remaining channels are zero padding that gives the
-    couplings room to work in.
+    Branches use the transform's channels-first (C, ..., L) layout. It is the
+    first invertible down-sample, zero-padded: channel 0 of branch a holds the
+    even-index samples, channel 0 of branch b the odd-index samples; the other
+    channels give the couplings room to work in.
     """
     x = np.asarray(x, dtype=np.float64)
-    t = x.shape[-1]
-    if t < 2 or t % 2 != 0:
+    if x.shape[-1] < 2 or x.shape[-1] % 2 != 0:
         raise ValueError("length not even")
-    shape = (int(n_channels),) + x.shape[:-1] + (t // 2,)
-    a = np.zeros(shape)
-    b = np.zeros(shape)
-    a[0] = x[..., 0::2]
-    b[0] = x[..., 1::2]
+    phases = invertible_downsample(x[None])         # (2, ..., T/2): even, odd
+    a = np.zeros((int(n_channels),) + phases.shape[1:])
+    b = np.zeros_like(a)
+    a[0], b[0] = phases
     return a, b
 
 
 def split_inverse(a, b):
-    """Interleave channel 0 of two (C, ..., L) branches into a (..., 2L) waveform."""
+    """Up-sample channel 0 of two (C, ..., L) branches into a (..., 2L) waveform."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"branch shapes differ: {a.shape} vs {b.shape}")
-    x = np.empty(a.shape[1:-1] + (2 * a.shape[-1],))
-    x[..., 0::2] = a[0]
-    x[..., 1::2] = b[0]
-    return x
+    return invertible_upsample(np.stack([a[0], b[0]]))[0]
 
 
 def invertible_downsample(x):
@@ -210,11 +205,11 @@ class CouplingBlock(Module):
 
     def backward(self, cache, grad_out):
         grad = to_grid(grad_out, self.pad)
-        spare = activated = None      # activated: the next conv's input grid
+        activated = None      # the next conv's input grid
         for conv, grid in zip(self.convs[::-1], cache[::-1]):
             if self.slope is not None and activated is not None:
                 leaky_relu_grad(grad, activated, self.slope, grad)
-            spare, grad = grad, conv.backward_grid(grid, grad, self.pad, out=spare)
+            grad = conv.backward_grid(grid, grad, self.pad)
             activated = grid
         return grid_valid(grad, self.pad)
 
@@ -246,12 +241,6 @@ class LiftingTransform(Module):
 
     # -- shape helpers ----------------------------------------------------
 
-    def check_length(self, t):
-        div = self.config.time_divisor
-        if t % div != 0 or t == 0:
-            raise ValueError(
-                f"input length {t} must be a positive multiple of {div}")
-
     def _merge(self, a, b, lead):
         """(C, B, M) branches -> (..., 2C, M) channels-second feature."""
         phi = np.ascontiguousarray(np.moveaxis(np.concatenate([a, b], axis=0), 0, 1))
@@ -278,7 +267,9 @@ class LiftingTransform(Module):
 
     def _walk_down(self, x, couple, predictors):
         x = np.asarray(x, dtype=np.float64)
-        self.check_length(x.shape[-1])
+        t, div = x.shape[-1], self.config.time_divisor
+        if t % div != 0 or t == 0:
+            raise ValueError(f"input length {t} must be a positive multiple of {div}")
         a, b = split(x.reshape(-1, x.shape[-1]), self.config.base_channels)
         for j, predict in enumerate(predictors, start=1):
             if j >= 2:
@@ -295,17 +286,17 @@ class LiftingTransform(Module):
         x = split_inverse(a, b)
         return x.reshape(lead + x.shape[1:])
 
+    @staticmethod
+    def _predict(block, caches, v):
+        y, cache = block.forward(v)
+        if caches is not None:
+            caches.append(cache)
+        return y
+
     def _predictors(self, caches):
         """The blocks as coupling predictors; each evaluation's layer caches
         go on ``caches``, or nowhere when it is None (inference)."""
-        def predictor(block):
-            def predict(v):
-                y, cache = block.forward(v)
-                if caches is not None:
-                    caches.append(cache)
-                return y
-            return predict
-        return [predictor(block) for block in self.blocks]
+        return [partial(self._predict, block, caches) for block in self.blocks]
 
     # -- forward / inverse ------------------------------------------------
 

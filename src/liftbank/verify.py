@@ -42,6 +42,8 @@ def relative_error(a, b, floor=1e-8):
 
 def reconstruction_suite(config=None, trials=100, seed=0, corrupt=False):
     """Max |inverse(forward(x)) - x| over fresh random transforms and inputs."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     config = config if config is not None else LiftingConfig()
     length = config.time_divisor * max(4, 2048 // config.time_divisor)
     rng = Rng(seed)

@@ -1,5 +1,6 @@
 """WAV round trips, synthetic mixtures, manifests, and batching."""
 
+import re
 import wave
 
 import numpy as np
@@ -55,6 +56,18 @@ class TestWavIO:
         path = tmp_path / "bad.wav"
         path.write_bytes(b"definitely not RIFF data")
         with pytest.raises(ValueError):
+            wav_read(path)
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_truncated_data_chunk_rejected(self, tmp_path, cut):
+        """A data chunk shorter than its header declares is unreadable, whether
+        the cut leaves a whole sample count or not."""
+        path = tmp_path / "cut.wav"
+        wav_write(WavClip(0.1 * Rng(5).normal((1000,))), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not a readable WAV file (data chunk holds {2000 - cut} "
+                "of its 2000 bytes)")):
             wav_read(path)
 
 

@@ -2,12 +2,13 @@
 
 import csv
 import os
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
 
-from liftbank import cli
+from liftbank import cli, verify
 from liftbank.audio_data import WavClip, synth_mixture, wav_read, wav_write
 from liftbank.checkpoint import load_checkpoint, save_checkpoint
 from liftbank.cli import main
@@ -99,6 +100,28 @@ def skip_warnings(err):
     return [line for line in err.splitlines() if line.startswith("warning: skipped ")]
 
 
+def truncate(path, cut):
+    """Cut the last ``cut`` bytes off a file, leaving its header as written."""
+    path.write_bytes(path.read_bytes()[:-cut])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while fn runs, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def lifting_convs(cfg):
+    return [conv for block in cli.build_pipeline(cfg).transform.blocks
+            for conv in block.convs]
+
+
 def nan_checkpoint(tmp_path):
     """The default pipeline's checkpoint with one NaN weight."""
     from liftbank.checkpoint import save_checkpoint
@@ -125,6 +148,29 @@ class TestConfig:
 
     def test_usage_error_exits_2(self):
         assert main(["no-such-command"]) == 2
+
+    @pytest.mark.parametrize("text, on", [("yes", True), ("true", True), ("1", True),
+                                          ("no", False), ("false", False), ("0", False)])
+    def test_spectral_norm_boolean(self, tmp_path, text, on):
+        cfg = cli.load_config(write_config(tmp_path, f"lifting.spectral_norm = {text}\n"))
+        assert [conv.sn_u is not None for conv in lifting_convs(cfg)] == [on] * 12
+
+    def test_linear_removes_predictor_biases(self, tmp_path):
+        assert all(conv.bias is not None for conv in lifting_convs(cli.load_config()))
+        cfg = cli.load_config(write_config(tmp_path, "lifting.linear = true\n"))
+        assert [conv.bias for conv in lifting_convs(cfg)] == [None] * 12
+
+    def test_block_kernels_list(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path, "lifting.block_kernels = 5,3\n"))
+        pipeline = cli.build_pipeline(cfg)
+        assert [[conv.kernel_size for conv in block.convs]
+                for block in pipeline.transform.blocks] == [[5, 3]] * 6
+
+    def test_repeated_key_last_wins(self, tmp_path):
+        cfg = cli.load_config(write_config(
+            tmp_path, "lifting.linear = yes\nlifting.block_kernels = 5\n"
+                      "lifting.linear = no\nlifting.block_kernels = 3,1\n"))
+        assert (cfg["lifting.linear"], cfg["lifting.block_kernels"]) == (False, (3, 1))
 
 
 class TestTrainCommand:
@@ -214,6 +260,11 @@ class TestTrainCommand:
          "mask estimator needs base_channels >= 1, got 0"),
         ("train.val_fraction = 0.999", "train split is empty (val_fraction 0.999)"),
         ("train.trainable = mask", "pipeline has no parameters in group 'mask'"),
+        ("lifting.spectral_norm = maybe",
+         "bad value for lifting.spectral_norm: expected a boolean, got 'maybe'"),
+        ("lifting.block_kernels = 3,x",
+         "bad value for lifting.block_kernels: expected comma-separated integers, got '3,x'"),
+        ("lifting.block_kernels = 4", "block kernel sizes must be odd and positive"),
     ])
     def test_unusable_value_exits_2_before_out_dir(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{line}\n")
@@ -385,6 +436,51 @@ class TestEnhanceCommand:
         assert (tmp_path / "out.wav").read_bytes() == (tmp_path / "plain.wav").read_bytes()
 
 
+    def test_ones_mask_loads_an_estimator_checkpoint(self, tmp_path):
+        """The override replaces the mask source only: the estimator is still
+        built, from the same RNG forks, so its own checkpoint loads."""
+        cfg = write_config(tmp_path, "lifting.stages = 3\nlifting.base_channels = 2\n"
+                           "pipeline.mask = estimator\nmask.depth = 2\n"
+                           "mask.base_channels = 2\n")
+        config = cli.load_config(cfg)
+        state = cli.build_pipeline(config).state_dict()
+        ones = cli.build_pipeline(config, mask_override="ones").state_dict()
+        assert list(ones) == list(state)
+        assert all(ones[name].tobytes() == state[name].tobytes() for name in state)
+        save_checkpoint(tmp_path / "est.ckpt", state)
+        x = 0.5 * Rng(11).normal((2100,))
+        wav_write(WavClip(x), tmp_path / "in.wav")
+        assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
+                     "--config", str(cfg), "--checkpoint", str(tmp_path / "est.ckpt"),
+                     "--ones-mask"]) == 0
+        out = wav_read(tmp_path / "out.wav")
+        src = wav_read(tmp_path / "in.wav")
+        assert out.samples.shape == src.samples.shape
+        assert float(np.max(np.abs(out.samples - src.samples))) <= 2.0 / 32768.0
+
+    def test_without_export_holds_no_mask(self, tmp_path):
+        """Without --export-mask the command's peak exceeds plain enhance's on
+        the same samples by less than the mask's bytes (256 x 5,000 doubles on
+        a 20 s input with the default lifting/estimator config)."""
+        cfg = write_config(tmp_path, "pipeline.mask = estimator\n")
+        wav_write(WavClip(0.1 * Rng(12).normal((20 * 16000,))), tmp_path / "in.wav")
+        samples = wav_read(tmp_path / "in.wav").samples
+        pipeline = cli.build_pipeline(cli.load_config(cfg))
+        peak_enhance = traced_peak(pipeline.enhance, samples)
+        peak_command = traced_peak(main, ["enhance", str(tmp_path / "in.wav"),
+                                          str(tmp_path / "out.wav"), "--config", str(cfg)])
+        mask_bytes = pipeline.transform.config.merged_channels * (samples.size // 64) * 8
+        assert peak_command - peak_enhance < mask_bytes
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_truncated_input_exits_2_naming_the_file(self, tmp_path, capsys, cut):
+        wav_write(WavClip(0.1 * Rng(13).normal((1000,))), tmp_path / "in.wav")
+        truncate(tmp_path / "in.wav", cut)
+        assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav")]) == 2
+        assert (f"error: {tmp_path / 'in.wav'}: not a readable WAV file (data chunk "
+                f"holds {2000 - cut} of its 2000 bytes)") in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
+
     def test_export_mask_runs_in_chunks_and_matches_whole_file(self, tmp_path):
         """A 3-chunk input: the exported mask is the whole-file training
         path's mask, and the WAV is plain enhance's, byte for byte."""
@@ -454,6 +550,28 @@ class TestCheckCommand:
         assert main(["check", "pr", "--config", str(cfg), "--trials", "2",
                      "--corrupt"]) == 1
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("pr", []), ("pr", ["--corrupt"]), ("gradcheck", []), ("stft-pr", []),
+    ], ids=["pr", "pr-corrupt", "gradcheck", "stft-pr"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exits_2_before_any_suite(self, capsys, monkeypatch,
+                                                       kind, extra, trials):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        for suite in ("reconstruction_suite", "gradient_suite",
+                      "stft_reconstruction_suite"):
+            monkeypatch.setattr(verify, suite, no_suite)
+        assert main(["check", kind, "--trials", trials, *extra]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: --trials must be >= 1, got {trials}\n"
+        assert out.out == ""
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_reconstruction_suite_rejects_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            verify.reconstruction_suite(trials=trials)
+
     def test_gradcheck_suite(self):
         assert main(["check", "gradcheck"]) == 0
         assert main(["check", "gradcheck", "--corrupt"]) == 1
@@ -506,6 +624,35 @@ class TestEvalCommand:
         assert [r.split(",")[0] for r in rows] == ["noisy0"]
         err = capsys.readouterr().err
         assert err.count("skipped unreadable pair") == 2
+
+    def test_truncated_wav_skips_as_unreadable(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, n_pairs=3)
+        truncate(tmp_path / "noisy1.wav", 1)
+        truncate(tmp_path / "clean2.wav", 2)
+        out_csv = tmp_path / "metrics.csv"
+        code = main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
+                     "--ones-mask"])
+        assert code == 1
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["noisy0"]
+        err = skip_warnings(capsys.readouterr().err)
+        assert len(err) == 2
+        assert all("unreadable pair" in line and "data chunk holds" in line for line in err)
+
+    def test_ones_mask_loads_an_estimator_checkpoint(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "lifting.stages = 3\nlifting.base_channels = 2\n"
+                           "pipeline.mask = estimator\nmask.depth = 2\n"
+                           "mask.base_channels = 2\n")
+        save_checkpoint(tmp_path / "est.ckpt",
+                        cli.build_pipeline(cli.load_config(cfg)).state_dict())
+        manifest = write_manifest(tmp_path, n_pairs=2)
+        out_csv = tmp_path / "metrics.csv"
+        assert main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
+                     "--config", str(cfg), "--checkpoint", str(tmp_path / "est.ckpt"),
+                     "--ones-mask"]) == 0
+        rows = out_csv.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(abs(float(r.split(",")[3])) <= 1e-6 for r in rows)
 
     def test_sample_rate_mismatch_skips_and_exits_1(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, n_pairs=2)
