@@ -20,8 +20,8 @@ from .stft import (StftConfig, canonical_dual_window, hann_window, istft,
                    log_magnitude_feature, stft_forward)
 from .masking import (BinaryMaskSpec, EnhancementPipeline, MaskEstimator,
                       binary_mask_generate)
-from .objective import (LossConfig, MetricReport, clip, sdr, sdr_loss,
-                        sdr_loss_and_grad, si_sdr, si_sdr_improvement)
+from .objective import (LossConfig, MetricReport, sdr_loss, sdr_loss_and_grad,
+                        si_sdr, si_sdr_improvement)
 from .optim import Adam, TrainConfig, TrainHistory, TrainingDiverged, train
 from .audio_data import (MixtureTriple, WavClip, batch_iter, read_manifest,
                          synth_dataset, synth_mixture, wav_read, wav_write)

@@ -262,12 +262,14 @@ def cmd_enhance(args):
 
 
 def cmd_check(args):
-    if args.trials < 1:
+    if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials is not None and args.kind != "pr":
+        raise ConfigError(f"--trials applies to check pr only, not check {args.kind}")
     cfg = load_config(args.config)
     if args.kind == "pr":
         worst = verify.reconstruction_suite(build_lifting_config(cfg),
-                                            trials=args.trials, seed=cfg["seed"],
+                                            trials=args.trials or 100, seed=cfg["seed"],
                                             corrupt=args.corrupt)
         tol = verify.PR_TOLERANCE
         print(f"pr: max abs round-trip error {worst:.3e} (tolerance {tol:g})")
@@ -307,14 +309,21 @@ def _eval_one(pipeline, clean_path, noisy_path, name, oracle, export_dir, stft_c
 
 
 def cmd_eval(args):
+    threads = os.environ.get("LIFTBANK_THREADS", "0")
+    try:
+        workers = int(threads)
+    except ValueError:
+        workers = -1
+    if workers < 0:
+        raise ConfigError(f"LIFTBANK_THREADS must be an integer >= 0, got {threads!r}")
+    workers = workers or min(4, os.cpu_count() or 1)
     cfg, pipeline = _load_pipeline(args)
     pairs = read_manifest(args.manifest)
     if not pairs:
         raise ConfigError(f"{args.manifest}: empty manifest")
     stft_cfg = pipeline.stft_config or build_stft_config(cfg)
 
-    workers = int(os.environ.get("LIFTBANK_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(
             lambda pair: _eval_one(pipeline, *pair, args.oracle,
                                    args.export_spectrogram, stft_cfg,
@@ -367,7 +376,8 @@ def _build_parser():
     p_chk = sub.add_parser("check", help="run a property suite")
     p_chk.add_argument("kind", choices=("pr", "gradcheck", "stft-pr"))
     p_chk.add_argument("--config", default=None)
-    p_chk.add_argument("--trials", type=int, default=100)
+    p_chk.add_argument("--trials", type=int, default=None,
+                       help="check pr only: random transforms to test (default 100)")
     p_chk.add_argument("--corrupt", action="store_true",
                        help="negative control: inject a fault, suite must fail")
 

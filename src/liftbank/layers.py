@@ -513,13 +513,13 @@ class Deconv2d(_Conv2dBase):
 # ---------------------------------------------------------------------------
 
 class InstanceNorm2d(Module):
-    """Per-channel standardization over the spatial axes of each sample."""
+    """Per-channel standardization over each sample's spatial axes, then gamma * xhat + beta."""
 
-    def __init__(self, channels, eps=1e-5, affine=True):
+    def __init__(self, channels, eps=1e-5):
         self.channels = int(channels)
         self.eps = float(eps)
-        self.gamma = Parameter(np.ones(channels)) if affine else None
-        self.beta = Parameter(np.zeros(channels)) if affine else None
+        self.gamma = Parameter(np.ones(channels))
+        self.beta = Parameter(np.zeros(channels))
 
     def forward(self, x):
         xb, lead = _flatten_batch(x, 3)
@@ -529,9 +529,7 @@ class InstanceNorm2d(Module):
         var = xb.var(axis=(2, 3), keepdims=True)
         scale = np.sqrt(var + self.eps)
         xhat = (xb - mu) / scale
-        y = xhat
-        if self.gamma is not None:
-            y = self.gamma.data[:, None, None] * xhat + self.beta.data[:, None, None]
+        y = self.gamma.data[:, None, None] * xhat + self.beta.data[:, None, None]
         return _restore_batch(y, lead), (xhat, scale)
 
     def backward(self, cache, grad_out):
@@ -543,10 +541,9 @@ class InstanceNorm2d(Module):
         m1 = g.mean(axis=(2, 3), keepdims=True)
         m2 = gx.mean(axis=(2, 3), keepdims=True)
         coef = 1.0 / scale
-        if self.gamma is not None:
-            self.gamma.grad += gx.sum(axis=(0, 2, 3))
-            self.beta.grad += g.sum(axis=(0, 2, 3))
-            coef *= self.gamma.data[:, None, None]
+        self.gamma.grad += gx.sum(axis=(0, 2, 3))
+        self.beta.grad += g.sum(axis=(0, 2, 3))
+        coef *= self.gamma.data[:, None, None]
         np.multiply(xhat, m2, out=gx)
         gx += m1
         np.subtract(g, gx, out=gx)

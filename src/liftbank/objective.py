@@ -21,8 +21,6 @@ import numpy as np
 __all__ = [
     "LossConfig",
     "MetricReport",
-    "sdr",
-    "clip",
     "sdr_loss",
     "sdr_loss_and_grad",
     "si_sdr",
@@ -61,24 +59,6 @@ class MetricReport:
             [self.utterance_id] + [f"{v:.6f}" for v in
                                    (self.si_sdr_in, self.si_sdr_out, self.improvement)])
         return row.getvalue()
-
-
-def sdr(reference, estimate, eps=1e-8):
-    """10 log10((|ref|^2 + eps) / (|ref - est|^2 + eps)) in dB."""
-    reference = np.asarray(reference, dtype=np.float64)
-    estimate = np.asarray(estimate, dtype=np.float64)
-    if not np.any(reference):
-        raise ValueError("undefined SDR: reference is all-zero")
-    num = float(np.sum(reference * reference)) + eps
-    den = float(np.sum((reference - estimate) ** 2)) + eps
-    return 10.0 * math.log10(num / den)
-
-
-def clip(v, beta):
-    """Soft clip beta * tanh(v / beta): odd, bounded by beta, slope 1 at 0."""
-    if beta <= 0.0:
-        raise ValueError("clipping parameter must be positive")
-    return beta * np.tanh(np.asarray(v, dtype=np.float64) / beta)
 
 
 def _clipped_term(u, v, beta, eps):

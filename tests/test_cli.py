@@ -265,6 +265,11 @@ class TestTrainCommand:
         ("lifting.block_kernels = 3,x",
          "bad value for lifting.block_kernels: expected comma-separated integers, got '3,x'"),
         ("lifting.block_kernels = 4", "block kernel sizes must be odd and positive"),
+        ("seed 7", "run.cfg:17: expected key=value"),
+        ("pipeline.mask = bogus", "bad value for pipeline.mask: expected one of "
+                                  "('binary', 'estimator', 'ones'), got 'bogus'"),
+        ("data.kind = manifest", "data.kind=manifest needs data.manifest"),
+        ("data.count = 0", "data.count must be >= 1"),
     ])
     def test_unusable_value_exits_2_before_out_dir(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{line}\n")
@@ -567,6 +572,30 @@ class TestCheckCommand:
         assert out.err == f"error: --trials must be >= 1, got {trials}\n"
         assert out.out == ""
 
+    @pytest.mark.parametrize("kind", ["gradcheck", "stft-pr"])
+    def test_trials_outside_pr_exits_2_before_any_suite(self, capsys, monkeypatch, kind):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        for suite in ("reconstruction_suite", "gradient_suite",
+                      "stft_reconstruction_suite"):
+            monkeypatch.setattr(verify, suite, no_suite)
+        assert main(["check", kind, "--trials", "1000"]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: --trials applies to check pr only, not check {kind}\n"
+        assert out.out == ""
+
+    def test_pr_trials_default_to_100(self, monkeypatch):
+        seen = []
+
+        def suite(config, trials, seed, corrupt):
+            seen.append(trials)
+            return 0.0
+
+        monkeypatch.setattr(verify, "reconstruction_suite", suite)
+        assert main(["check", "pr"]) == 0
+        assert seen == [100]
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_reconstruction_suite_rejects_trials_below_one(self, trials):
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
@@ -742,6 +771,22 @@ class TestEvalCommand:
         assert main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
                      "--checkpoint", str(ckpt)]) == 2
         assert "lifting/stage1/conv0/weight" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_bad_thread_count_exits_2_before_any_pair(self, tmp_path, capsys, monkeypatch,
+                                                      threads):
+        def no_read(*args):
+            raise AssertionError("a pair was read")
+
+        monkeypatch.setattr(cli, "read_manifest", no_read)
+        monkeypatch.setattr(cli, "read_pair", no_read)
+        monkeypatch.setenv("LIFTBANK_THREADS", threads)
+        out_csv = tmp_path / "metrics.csv"
+        assert main(["eval", "--manifest", str(tmp_path / "pairs.tsv"),
+                     "--out", str(out_csv)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: LIFTBANK_THREADS must be an integer >= 0, got {threads!r}\n")
         assert not out_csv.exists()
 
     def test_empty_manifest_exits_2(self, tmp_path):

@@ -226,10 +226,9 @@ class TestLayerBackward:
     def test_instance_norm_gradients_random_instances(self):
         rng = Rng(14)
         for i in range(N_INSTANCES):
-            norm = InstanceNorm2d(2, affine=i % 2 == 0)
-            if norm.gamma is not None:
-                norm.gamma.data[...] = rng.uniform((2,), 0.5, 1.5)
-                norm.beta.data[...] = rng.normal((2,))
+            norm = InstanceNorm2d(2)
+            norm.gamma.data[...] = rng.uniform((2,), 0.5, 1.5)
+            norm.beta.data[...] = rng.normal((2,))
             x = rng.normal((2, 4, 4))
             assert check_input_gradient(norm, x, seed=4000 + i) <= GRAD_TOL
         norm = InstanceNorm2d(3)
@@ -452,18 +451,18 @@ class TestActivations:
 
 class TestInstanceNorm:
     def test_constant_channel_maps_to_zero(self):
-        norm = InstanceNorm2d(1, affine=False)
+        norm = InstanceNorm2d(1)
         y, _ = norm.forward(np.full((1, 3, 3), 7.0))
         np.testing.assert_allclose(y, 0.0, atol=1e-6)
 
     def test_two_point_channel(self):
-        norm = InstanceNorm2d(1, affine=False)
+        norm = InstanceNorm2d(1)
         y, _ = norm.forward(np.array([1.0, -1.0]).reshape(1, 1, 2))
         np.testing.assert_allclose(y.ravel(), [1.0, -1.0], atol=1e-4)
 
     def test_standardizes_any_input(self):
         rng = Rng(5)
-        norm = InstanceNorm2d(4, affine=False)
+        norm = InstanceNorm2d(4)
         x = 3.0 * rng.normal((4, 6, 5)) + 2.0
         y, _ = norm.forward(x)
         means = y.mean(axis=(1, 2))

@@ -99,6 +99,29 @@ class TestMaskEstimator:
         for i in range(3):
             np.testing.assert_allclose(mask[i], net.forward(feat[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("norm", ["none", "instance", "spectral"])
+    def test_batched_backward(self, norm):
+        """Input-gradient rows are the per-item input gradients, and the
+        parameter gradients are the sum of the per-item ones."""
+        net = MaskEstimator(depth=2, base_channels=4, norm=norm, rng=Rng(16))
+        net.head.weight.data[...] = Rng(17).normal(net.head.weight.shape)
+        feat = Rng(18).normal((3, 20, 14))
+        r = Rng(19).normal((3, 20, 14))
+        net.zero_grad()
+        _, cache = net.forward_with_cache(feat)
+        grad_in = net.backward(cache, r)
+        batched = {name: p.grad.copy() for name, p in net.named_parameters()}
+        summed = {name: np.zeros_like(g) for name, g in batched.items()}
+        for i in range(3):
+            net.zero_grad()
+            _, cache = net.forward_with_cache(feat[i])
+            np.testing.assert_allclose(grad_in[i], net.backward(cache, r[i]), rtol=0,
+                                       atol=1e-12)
+            for name, p in net.named_parameters():
+                summed[name] += p.grad
+        for name, g in batched.items():
+            np.testing.assert_allclose(g, summed[name], rtol=0, atol=1e-12, err_msg=name)
+
     def test_gradients_match_finite_differences(self):
         net = MaskEstimator(depth=2, base_channels=3, norm="instance", rng=Rng(12))
         net.head.weight.data[...] = Rng(13).normal(net.head.weight.shape)

@@ -1,61 +1,11 @@
 """SDR, the clipped training loss, and SI-SDR algebra."""
 
-import math
-
 import numpy as np
 import pytest
 
 from liftbank.numerics import Rng
-from liftbank.objective import (LossConfig, MetricReport, clip, sdr, sdr_loss,
-                                sdr_loss_and_grad, si_sdr, si_sdr_improvement)
-
-
-class TestSdr:
-    def test_perfect_estimate_saturates_at_eps(self):
-        s = np.array([1.0, 2.0, -3.0])
-        value = sdr(s, s, eps=1e-8)
-        expected = 10.0 * math.log10((float(s @ s) + 1e-8) / 1e-8)
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_hand_case_zero_db(self):
-        assert sdr(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == pytest.approx(0.0)
-
-    def test_scale_invariance(self):
-        rng = Rng(0)
-        s = rng.normal((64,))
-        y = rng.normal((64,))
-        a = sdr(s, y)
-        b = sdr(100.0 * s, 100.0 * y)
-        assert a == pytest.approx(b, abs=1e-6)
-
-    def test_all_zero_reference_rejected(self):
-        with pytest.raises(ValueError, match="undefined SDR"):
-            sdr(np.zeros(4), np.ones(4))
-
-
-class TestClip:
-    def test_zero(self):
-        assert clip(0.0, 20.0) == 0.0
-
-    def test_saturation_limit(self):
-        assert float(clip(1e9, 20.0)) == pytest.approx(20.0)
-        assert float(clip(-1e9, 20.0)) == pytest.approx(-20.0)
-
-    def test_value_at_beta(self):
-        # derived: 20 * tanh(1)
-        assert float(clip(20.0, 20.0)) == pytest.approx(20.0 * math.tanh(1.0),
-                                                        rel=1e-12)
-
-    def test_odd_increasing_bounded(self):
-        v = np.linspace(-200.0, 200.0, 1001)
-        c = clip(v, 20.0)
-        np.testing.assert_allclose(c, -clip(-v, 20.0), atol=1e-12)
-        assert np.all(np.diff(c) > 0.0)
-        assert np.all(np.abs(c) < 20.0)
-
-    def test_bad_beta(self):
-        with pytest.raises(ValueError):
-            clip(1.0, 0.0)
+from liftbank.objective import (LossConfig, MetricReport, sdr_loss, sdr_loss_and_grad,
+                                si_sdr, si_sdr_improvement)
 
 
 class TestSdrLoss:
@@ -77,6 +27,23 @@ class TestSdrLoss:
         s = np.zeros(2)
         n = x.copy()
         assert sdr_loss(s_hat, s, x, n) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [20.0, 3.0])
+    def test_matches_docstring_formula(self, beta):
+        rng = Rng(8)
+        s = rng.normal((5, 300))
+        n = 0.6 * rng.normal((5, 300))
+        x = s + n
+        s_hat = s + 0.4 * rng.normal((5, 300))
+        eps = 1e-8
+
+        def clipped_sdr(u, v):
+            ratio = (np.sum(u * u, axis=-1) + eps) / (np.sum((u - v) ** 2, axis=-1) + eps)
+            return beta * np.tanh(10.0 * np.log10(ratio) / beta)
+
+        want = -np.mean(0.5 * (clipped_sdr(s_hat, s) + clipped_sdr(x - s_hat, n)))
+        got = sdr_loss(s_hat, s, x, n, LossConfig(beta_clip=beta, eps=eps))
+        assert got == pytest.approx(float(want), rel=1e-12)
 
     @pytest.mark.parametrize("field, value", [
         ("beta_clip", float("nan")), ("beta_clip", float("inf")), ("beta_clip", 0.0),

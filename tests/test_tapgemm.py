@@ -1,6 +1,7 @@
 """The tap-GEMM engine: the accumulating GEMM against numpy's matmul, its
 fallback, and every convolution on both paths."""
 
+import functools
 import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -119,7 +120,11 @@ class TestAccumulatingGemm:
 
     @pytest.mark.parametrize("cls, cin, cout, kernel, stride, padding", [
         (Conv2d, 3, 4, 4, 2, 1), (Conv2d, 2, 3, 3, 1, 1), (Deconv2d, 4, 3, 4, 2, 1),
-        (Deconv2d, 3, 2, 3, (2, 1), (1, 0))])
+        (Deconv2d, 3, 2, 3, (2, 1), (1, 0)),
+        pytest.param(functools.partial(Conv2d, spectral_norm=True), 3, 4, 4, 2, 1,
+                     id="Conv2d-spectral_norm-3-4-4-2-1"),
+        pytest.param(functools.partial(Deconv2d, spectral_norm=True), 4, 3, 4, 2, 1,
+                     id="Deconv2d-spectral_norm-4-3-4-2-1")])
     def test_fallback_matches_blas_for_2d(self, cls, cin, cout, kernel, stride, padding,
                                           monkeypatch):
         rng = Rng(34)
