@@ -15,9 +15,10 @@ predictors chain. A strided 2-D correlation (Conv2d's forward pass,
 Deconv2d's backward pass) is regrouped space-to-depth into a stride-1 one,
 and its input adjoint (Conv2d's input gradient, Deconv2d's forward pass) is
 the matching stride-1 correlation regrouped depth-to-space
-(``tapgemm.PhaseGrid``). The leaky ReLU, the sigmoid and their gradients are
-one kernel each over cache-sized blocks (``_in_blocks``), writing a given
-output that may be the input, for the lifting grids and the estimator alike.
+(``tapgemm.PhaseGrid``); given a head, Deconv2d streams its row blocks on
+through an activation and a 1x1 conv. The leaky ReLU, the sigmoid and their
+gradients are one kernel each over cache-sized blocks (``_in_blocks``), writing
+a given output that may be the input, for the lifting grids and the estimator.
 """
 
 from __future__ import annotations
@@ -480,22 +481,51 @@ class Deconv2d(_Conv2dBase):
         ph, pw = self.padding
         return (h - 1) * sh - 2 * ph + kh, (w - 1) * sw - 2 * pw + kw
 
-    def forward(self, x, out=None):
+    def forward(self, x, out=None, head=None, keep=False):
         """Output and cache; the output is written into ``out`` (the output's
-        shape, any layout whose batch axes merge) and returned as it when given."""
+        shape, any layout whose batch axes merge) and returned as it when given.
+        With ``head``, an (Activation, 1x1 Conv2d) pair, see ``_forward_head``."""
+        if head is not None:
+            return self._forward_head(x, *head, keep)
         xb, lead, bias = self._forward_inputs(x)
         ho, wo = self.out_shape(*xb.shape[2:])
         if ho < 1 or wo < 1:
             raise ValueError("deconv output would be empty")
         shape = lead + (self.out_channels, ho, wo)
         yb = None if out is None or out.shape != shape else out.reshape((-1,) + shape[-3:])
-        if out is not None and (yb is None or not np.may_share_memory(yb, out)):
+        if out is not None and (yb is None or out.size and not np.may_share_memory(yb, out)):
             raise ValueError(f"output buffer of shape {out.shape} is not a "
                              f"{shape} array whose batch axes merge")
         weight, _ = self._effective_weight()
         phases = PhaseGrid((ho, wo), self.kernel, self.stride, self.padding)
         y = phases.input_adjoint(xb, weight.transpose(1, 0, 2, 3), bias, yb)
         return (_restore_batch(y, lead) if out is None else out), xb
+
+    def _forward_head(self, x, act, head, keep):
+        """head(act(self(x))) and the three layers' caches, the last two None unless ``keep``;
+        each row block of the output (plus bias) goes through both: only ``keep`` builds it."""
+        xb, lead, bias = self._forward_inputs(x)
+        phases = PhaseGrid(self.out_shape(*xb.shape[2:]), self.kernel, self.stride, self.padding)
+        if not phases.covers or head.kernel + head.stride + head.padding != (1, 1, 1, 1, 0, 0):
+            raise ValueError("fusing needs kernel >= stride and a 1x1 head")
+        weight, _ = self._effective_weight()
+        outs = [np.empty((len(xb), c) + phases.in_hw)
+                for c in (head.out_channels, self.out_channels)[:1 + bool(keep)]]
+
+        def step(block, logits, *act_map):
+            # 16 | columns, as in a whole image: BLAS sums the last n % 8 in another order
+            n = block[0].size
+            v = np.zeros((1, len(block), 1, -(-n // 16) * 16))
+            vb = v[0, :, 0, :n].reshape(block.shape)
+            act.forward(np.add(block, bias[:, None, None], out=vb), out=vb)
+            for a in act_map:
+                a[...] = vb
+            logits[...] = head.forward(v)[0][0, :, 0, :n].reshape(logits.shape)
+
+        phases.input_adjoint(xb, weight.transpose(1, 0, 2, 3), None, outs, step)
+        hg = PhaseGrid(phases.in_hw, head.kernel, head.stride, head.padding)
+        rest = [_restore_batch(outs[1], lead), (hg, hg.regroup(outs[1]))] if keep else [None] * 2
+        return _restore_batch(outs[0], lead), (xb, *rest)
 
     def backward(self, xb, grad_out):
         g, lead = _flatten_batch(grad_out, 3)

@@ -186,6 +186,8 @@ class MaskEstimator(Module):
         return conv.backward(c1, g)
 
     def _run(self, feature, keep):
+        """Mask and, with ``keep``, its EstimatorCache. The top decoder stage streams
+        into the head (``Deconv2d.forward`` given it) unless instance norm needs its map."""
         feature = np.asarray(feature, dtype=np.float64)
         h0, w0 = feature.shape[-2], feature.shape[-1]
         enc_caches = [] if keep else None
@@ -197,10 +199,7 @@ class MaskEstimator(Module):
             skips.append(h)
         skips.pop()      # the deepest output is the decoder's input, not a skip
 
-        for conv, nrm in zip(self.dec_convs, self.dec_norms):
-            if not skips:
-                h = self._stage(conv, nrm, h, dec_caches)
-                continue
+        for conv, nrm in zip(self.dec_convs[:-1], self.dec_norms[:-1]):
             # the stage writes the front channels of the skip concatenation;
             # the skip is dropped once copied, so inference does not hold it
             # through the larger decoder stages
@@ -212,7 +211,13 @@ class MaskEstimator(Module):
             self._stage(conv, nrm, h, dec_caches, out=cat[..., :nc, :, :])
             h = cat
 
-        h, head_cache = self.head.forward(h)
+        top, nrm = self.dec_convs[-1], self.dec_norms[-1]
+        if nrm is None:
+            h, (c1, c3, head_cache) = top.forward(h, head=(self.act, self.head), keep=keep)
+            if keep:
+                dec_caches.append((c1, None, c3))
+        else:
+            h, head_cache = self.head.forward(self._stage(top, nrm, h, dec_caches))
         mask_img, sig_cache = self.sigmoid.forward(h, out=h)
         mask = mask_img[..., 0, :h0, :w0]
         if not keep:

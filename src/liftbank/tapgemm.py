@@ -7,7 +7,8 @@ cblas_dgemm of the OpenBLAS in numpy's wheel through ctypes with beta = 1,
 reading the windows in place through their leading dimension, and falls back
 to numpy's matmul plus an add, which gives the same sums, where that library
 is missing or cannot take the operands. ``PhaseGrid`` runs strided 2-D
-correlations and their adjoints on the same engine.
+correlations and their adjoints on the same engine, in cache-sized row blocks
+that the input adjoint can hand to a per-block step instead of writing out.
 """
 
 from __future__ import annotations
@@ -118,29 +119,32 @@ def tap_gemms(taps, flat, offsets, acc):
 _ACC_BLOCK = 1 << 17   # elements of one row-block accumulator (1 MiB)
 
 
-def _grid_rows(taps, flat, offsets, wg, dsts, bias=None):
-    """sum_t taps[t] @ window_t on the flat grid ``flat`` of row width wg,
-    written out through ``dsts``: for each (c0, dst, m0, n0), channels c0
-    onwards of row m, column n go to dst[:, m - m0, n - n0] (+ bias), dst any
-    (C, rows, columns) view. Rows go through in blocks whose accumulator
-    stays in cache, one strided copy per dst and block."""
-    cout = taps.shape[1]
-    nh = max(m0 + dst.shape[1] for _, dst, m0, _ in dsts)
-    nw = max(n0 + dst.shape[2] for _, dst, _, n0 in dsts)
+def _grid_rows(taps, flat, offsets, wg, dsts, bias=None, step=None):
+    """sum_t taps[t] @ window_t on the flat grid ``flat`` of row width wg, in
+    row blocks whose accumulator stays in cache, written out through ``dsts``,
+    one per equal share of the channels: share i of row m, column n goes (+
+    bias) to views[0][:, m - m0, n - n0] for the i-th (views, m0, n0), or, as
+    a block of the accumulator, to step(block, *the views' rows) instead."""
+    cout, nc = taps.shape[1], taps.shape[1] // len(dsts)
+    nh = max(m0 + views[0].shape[1] for views, m0, _ in dsts)
+    nw = max(n0 + views[0].shape[2] for views, _, n0 in dsts)
     block = max(1, min(nh, _ACC_BLOCK // (cout * wg)))
     acc = np.empty((cout, block * wg))
     for r0 in range(0, nh, block):
         r = min(block, nh - r0)
         tap_gemms(taps, flat, [off + r0 * wg for off in offsets], acc[:, :(r - 1) * wg + nw])
         rows = acc[:, :r * wg].reshape(cout, r, wg)
-        for c0, dst, m0, n0 in dsts:
-            lo, hi = max(r0, m0), min(r0 + r, m0 + dst.shape[1])
+        for c0, (views, m0, n0) in zip(range(0, cout, nc), dsts):
+            lo, hi = max(r0, m0), min(r0 + r, m0 + views[0].shape[1])
             if lo < hi:
-                src = rows[c0:c0 + dst.shape[0], lo - r0:hi - r0, n0:n0 + dst.shape[2]]
-                if bias is None:
-                    dst[:, lo - m0:hi - m0] = src
+                src = rows[c0:c0 + nc, lo - r0:hi - r0, n0:n0 + views[0].shape[2]]
+                parts = [view[:, lo - m0:hi - m0] for view in views]
+                if step is not None:
+                    step(src, *parts)
+                elif bias is None:
+                    parts[0][...] = src
                 else:
-                    np.add(src, bias[:, None, None], out=dst[:, lo - m0:hi - m0])
+                    np.add(src, bias[:, None, None], out=parts[0])
 
 
 def _phase_span(a, s, p, n, nq):
@@ -178,12 +182,12 @@ class PhaseGrid:
 
     def regroup(self, x):
         if self.identity:
-            return x.reshape(x.shape[:2] + (-1,))
+            return x.reshape(x.shape[:2] + (x.shape[2] * x.shape[3],))
         grid = np.zeros((x.shape[0], len(self.residues), x.shape[1], self.hq, self.wq))
         for i, (m0, n0, ys, xs) in enumerate(self.residues):
             part = x[:, :, ys, xs]
             grid[:, i, :, m0:m0 + part.shape[2], n0:n0 + part.shape[3]] = part
-        return grid.reshape(x.shape[0], -1, self.hq * self.wq)
+        return grid.reshape(x.shape[0], grid.shape[1] * x.shape[1], self.hq * self.wq)
 
     def _kernel(self, cout, cin):
         """A zero (C_out, C, q_h s_h, q_w s_w) kernel and its phase-tap view
@@ -210,7 +214,7 @@ class PhaseGrid:
                 if bias is not None:
                     dst += bias[:, None, None]
             else:
-                _grid_rows(taps, image, offsets, self.wq, [(0, dst, 0, 0)], bias)
+                _grid_rows(taps, image, offsets, self.wq, [((dst,), 0, 0)], bias)
         return y
 
     def weight_adjoint(self, flat, g, alpha):
@@ -229,10 +233,11 @@ class PhaseGrid:
         view[...] = taps.reshape(view.shape)
         return full[:, :, :self.kernel[0], :self.kernel[1]]
 
-    def input_adjoint(self, g, w, bias=None, out=None):
+    def input_adjoint(self, g, w, bias=None, out=None, step=None):
         """Input gradient (B, C, H, W) of ``correlate`` with the kernel w for the
         output gradient g, plus ``bias``, written into ``out`` when given;
-        pixels that no tap reads get the bias alone."""
+        pixels that no tap reads get the bias alone. With ``step`` (all pixels
+        read, no bias), ``out`` lists (B, *, H, W) arrays for ``_grid_rows``."""
         (batch, cout, ho, wo), cin = g.shape, w.shape[1]
         grid = np.zeros((batch, cout, ho + 2 * self.qh - 2, wo + 2 * self.qw - 2))
         grid[:, :, self.qh - 1:self.qh - 1 + ho, self.qw - 1:self.qw - 1 + wo] = g
@@ -242,8 +247,8 @@ class PhaseGrid:
         if not self.covers:
             out[...] = 0.0 if bias is None else bias[:, None, None]
         wg = grid.shape[3]
-        for image, dst in zip(grid, out):
-            dsts = [(i * cin, dst[:, ys, xs], m0, n0)
-                    for i, (m0, n0, ys, xs) in enumerate(self.residues)]
-            _grid_rows(taps, image.reshape(cout, -1), self.offsets(wg), wg, dsts, bias)
+        for b, image in enumerate(grid):
+            dsts = [(tuple(o[b][:, ys, xs] for o in (out if step else [out])), m0, n0)
+                    for m0, n0, ys, xs in self.residues]
+            _grid_rows(taps, image.reshape(cout, -1), self.offsets(wg), wg, dsts, bias, step)
         return out
