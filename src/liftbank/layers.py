@@ -15,10 +15,11 @@ predictors chain. A strided 2-D correlation (Conv2d's forward pass,
 Deconv2d's backward pass) is regrouped space-to-depth into a stride-1 one,
 and its input adjoint (Conv2d's input gradient, Deconv2d's forward pass) is
 the matching stride-1 correlation regrouped depth-to-space
-(``tapgemm.PhaseGrid``); given a head, Deconv2d streams its row blocks on
-through an activation and a 1x1 conv. The leaky ReLU, the sigmoid and their
-gradients are one kernel each over cache-sized blocks (``_in_blocks``), writing
-a given output that may be the input, for the lifting grids and the estimator.
+(``tapgemm.PhaseGrid``); given an activation, each runs it on every row
+block while the block is in cache, and given a head, Deconv2d applies the
+1x1 conv there too. The leaky ReLU, the sigmoid and their gradients are one
+kernel each over cache-sized blocks (``_in_blocks``), writing a given output
+that may be the input, for the lifting grids and the estimator.
 """
 
 from __future__ import annotations
@@ -197,6 +198,10 @@ class Activation:
         if self.kind == "leaky_relu":
             return leaky_relu(x, self.slope, out), out
         return _sigmoid(x, out), out
+
+    def inplace(self, x):
+        """The activation of x, written over it (a conv's row-block epilogue)."""
+        return leaky_relu(x, self.slope, x) if self.kind == "leaky_relu" else _sigmoid(x, x)
 
     def backward(self, cache, grad_out):
         """Input gradient from the cached output y; only the result is allocated."""
@@ -439,19 +444,32 @@ class _Conv2dBase(_Conv):
             raise ValueError(f"expected {self.in_channels} channels, got {xb.shape[1]}")
         return xb, lead, None if self.bias is None else self.bias.data
 
+    @staticmethod
+    def _batched(out, shape):
+        """``out`` viewed as (B, *shape[-3:]), or None when it is None."""
+        yb = None if out is None or out.shape != shape else out.reshape((-1,) + shape[-3:])
+        if out is not None and (yb is None or out.size and not np.may_share_memory(yb, out)):
+            raise ValueError(f"output buffer of shape {out.shape} is not a "
+                             f"{shape} array whose batch axes merge")
+        return yb
+
 
 class Conv2d(_Conv2dBase):
     """2-D convolution with per-axis stride and zero padding."""
 
-    def forward(self, x):
+    def forward(self, x, act=None, out=None):
+        """Output, after the Activation ``act`` when given, and cache; the
+        output is written into ``out`` and returned as it when given, as in
+        ``Deconv2d.forward``."""
         xb, lead, bias = self._forward_inputs(x)
         if any(n + 2 * p < k for n, p, k in zip(xb.shape[2:], self.padding, self.kernel)):
             raise ValueError("input smaller than kernel")
         weight, _ = self._effective_weight()
         phases = PhaseGrid(xb.shape[2:], self.kernel, self.stride, self.padding)
+        yb = self._batched(out, lead + (self.out_channels,) + phases.out_hw)
         flat = phases.regroup(xb)
-        y = phases.correlate(flat, weight, bias)
-        return _restore_batch(y, lead), (phases, flat)
+        y = phases.correlate(flat, weight, bias, act and act.inplace, yb)
+        return (_restore_batch(y, lead) if out is None else out), (phases, flat)
 
     def backward(self, cache, grad_out):
         phases, flat = cache
@@ -481,51 +499,34 @@ class Deconv2d(_Conv2dBase):
         ph, pw = self.padding
         return (h - 1) * sh - 2 * ph + kh, (w - 1) * sw - 2 * pw + kw
 
-    def forward(self, x, out=None, head=None, keep=False):
-        """Output and cache; the output is written into ``out`` (the output's
-        shape, any layout whose batch axes merge) and returned as it when given.
-        With ``head``, an (Activation, 1x1 Conv2d) pair, see ``_forward_head``."""
-        if head is not None:
-            return self._forward_head(x, *head, keep)
+    def forward(self, x, out=None, act=None, head=None, keep=False):
+        """Output, after the Activation ``act`` when given, and cache; the output
+        is written into ``out`` (the output's shape, any layout whose batch axes
+        merge) and returned as it when given. With ``head``, an (Activation, 1x1
+        Conv2d) pair, it is head(act(output)) with the three layers' caches, the
+        last two None unless ``keep``: each row block goes through both, and only
+        ``keep`` builds the activated output."""
         xb, lead, bias = self._forward_inputs(x)
         ho, wo = self.out_shape(*xb.shape[2:])
         if ho < 1 or wo < 1:
             raise ValueError("deconv output would be empty")
-        shape = lead + (self.out_channels, ho, wo)
-        yb = None if out is None or out.shape != shape else out.reshape((-1,) + shape[-3:])
-        if out is not None and (yb is None or out.size and not np.may_share_memory(yb, out)):
-            raise ValueError(f"output buffer of shape {out.shape} is not a "
-                             f"{shape} array whose batch axes merge")
-        weight, _ = self._effective_weight()
+        weight = self._effective_weight()[0].transpose(1, 0, 2, 3)
         phases = PhaseGrid((ho, wo), self.kernel, self.stride, self.padding)
-        y = phases.input_adjoint(xb, weight.transpose(1, 0, 2, 3), bias, yb)
+        if head is not None:
+            act, conv = head
+            if not phases.covers or conv.kernel + conv.stride + conv.padding != (1, 1, 1, 1, 0, 0):
+                raise ValueError("fusing needs kernel >= stride and a 1x1 head")
+            outs = [np.empty((len(xb), c, ho, wo))
+                    for c in (conv.out_channels, self.out_channels)[:1 + bool(keep)]]
+            w1 = conv._effective_weight()[0][:, :, 0, 0]
+            phases.input_adjoint(xb, weight, bias, outs, act.inplace,
+                                 (w1, None if conv.bias is None else conv.bias.data))
+            hg = PhaseGrid((ho, wo), conv.kernel, conv.stride, conv.padding)
+            rest = [_restore_batch(outs[1], lead), (hg, hg.regroup(outs[1]))] if keep else [None] * 2
+            return _restore_batch(outs[0], lead), (xb, *rest)
+        yb = self._batched(out, lead + (self.out_channels, ho, wo))
+        y = phases.input_adjoint(xb, weight, bias, yb, act and act.inplace)
         return (_restore_batch(y, lead) if out is None else out), xb
-
-    def _forward_head(self, x, act, head, keep):
-        """head(act(self(x))) and the three layers' caches, the last two None unless ``keep``;
-        each row block of the output (plus bias) goes through both: only ``keep`` builds it."""
-        xb, lead, bias = self._forward_inputs(x)
-        phases = PhaseGrid(self.out_shape(*xb.shape[2:]), self.kernel, self.stride, self.padding)
-        if not phases.covers or head.kernel + head.stride + head.padding != (1, 1, 1, 1, 0, 0):
-            raise ValueError("fusing needs kernel >= stride and a 1x1 head")
-        weight, _ = self._effective_weight()
-        outs = [np.empty((len(xb), c) + phases.in_hw)
-                for c in (head.out_channels, self.out_channels)[:1 + bool(keep)]]
-
-        def step(block, logits, *act_map):
-            # 16 | columns, as in a whole image: BLAS sums the last n % 8 in another order
-            n = block[0].size
-            v = np.zeros((1, len(block), 1, -(-n // 16) * 16))
-            vb = v[0, :, 0, :n].reshape(block.shape)
-            act.forward(np.add(block, bias[:, None, None], out=vb), out=vb)
-            for a in act_map:
-                a[...] = vb
-            logits[...] = head.forward(v)[0][0, :, 0, :n].reshape(logits.shape)
-
-        phases.input_adjoint(xb, weight.transpose(1, 0, 2, 3), None, outs, step)
-        hg = PhaseGrid(phases.in_hw, head.kernel, head.stride, head.padding)
-        rest = [_restore_batch(outs[1], lead), (hg, hg.regroup(outs[1]))] if keep else [None] * 2
-        return _restore_batch(outs[0], lead), (xb, *rest)
 
     def backward(self, xb, grad_out):
         g, lead = _flatten_batch(grad_out, 3)

@@ -10,13 +10,15 @@ the lifting filterbank (mask applied to its feature) or the STFT baseline
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .layers import Activation, Conv2d, Deconv2d, InstanceNorm2d, Module
 from .numerics import Rng, pad_to_multiple
-from .stft import istft, istft_vjp, log_magnitude_feature, stft_forward
+from .stft import frame_count, istft, istft_vjp, log_magnitude_feature, stft_forward
 
 __all__ = [
     "BinaryMaskSpec",
@@ -134,6 +136,7 @@ class MaskEstimator(Module):
         self.head.weight.data[...] = 0.0
         self.head.bias.data[...] = 0.0
         self.sigmoid = Activation("sigmoid")
+        self._held = threading.local()
 
     @property
     def total_stride(self):
@@ -160,22 +163,31 @@ class MaskEstimator(Module):
         h, w = a.shape[-2:]
         return np.pad(a[..., None, :, :], [(0, 0)] * (a.ndim - 1) + [(0, -h % s), (0, -w % s)])
 
+    def _resident(self, shape):
+        """An array of ``shape`` over this thread's resident buffer, grown to
+        fit with an eighth to spare (a file's middle chunks are a little wider
+        than its first), so chunks and calls reuse it instead of faulting it in."""
+        n, buf = math.prod(shape), getattr(self._held, "buf", None)
+        if buf is None or buf.size < n:
+            self._held.buf = None       # free the smaller one first
+            self._held.buf = buf = np.empty(n + n // 8)
+        return buf[:n].reshape(shape)
+
     def _stage(self, conv, nrm, h, caches, out=None):
         """conv -> optional norm -> leaky ReLU; appends the three layer caches
         to ``caches``, or drops them when it is None.
 
-        The activation runs in place on the conv's or the norm's output, a
-        fresh array that no cache holds. A decoder stage given ``out``, its
-        part of the skip-concat buffer, has its conv and its activation write
-        there.
+        Without a norm the conv runs the activation on each row block as it
+        finishes it. A stage given ``out``, its part of a skip-concat buffer,
+        writes its output there.
         """
-        h, c1 = conv.forward(h) if out is None else conv.forward(h, out=out)
+        h, c1 = conv.forward(h, act=self.act if nrm is None else None, out=out)
         c2 = None
         if nrm is not None:
             h, c2 = nrm.forward(h)
-        h, c3 = self.act.forward(h, out=h if out is None else out)
+            h, _ = self.act.forward(h, out=h if out is None else out)
         if caches is not None:
-            caches.append((c1, c2, c3))
+            caches.append((c1, c2, h))     # the activation's cache is its output
         return h
 
     def _stage_backward(self, conv, nrm, caches, g):
@@ -193,22 +205,20 @@ class MaskEstimator(Module):
         enc_caches = [] if keep else None
         dec_caches = [] if keep else None
         h = self._image(feature)
-        skips = []
-        for conv, nrm in zip(self.enc_convs, self.enc_norms):
-            h = self._stage(conv, nrm, h, enc_caches)
-            skips.append(h)
-        skips.pop()      # the deepest output is the decoder's input, not a skip
-
+        # level j's skip-concat buffer: encoder stage j writes its back channels
+        # (the skip), the decoder stage above it its front channels. The top
+        # one, the largest and live at the peak, is resident, unless caches
+        # hold it or instance norm makes every input a whole file.
+        shapes = [h.shape[:-3] + (2 * conv.out_channels,) + tuple(n >> (j + 1) for n in h.shape[-2:])
+                  for j, conv in enumerate(self.enc_convs[:-1])]
+        fresh = keep or self.frame_receptive_field is None
+        cats = [np.empty(c) if fresh or j else self._resident(c) for j, c in enumerate(shapes)]
+        for conv, nrm, cat in zip(self.enc_convs, self.enc_norms, cats + [None]):
+            skip = None if cat is None else cat[..., conv.out_channels:, :, :]
+            h = self._stage(conv, nrm, h, enc_caches, skip)
         for conv, nrm in zip(self.dec_convs[:-1], self.dec_norms[:-1]):
-            # the stage writes the front channels of the skip concatenation;
-            # the skip is dropped once copied, so inference does not hold it
-            # through the larger decoder stages
-            skip = skips.pop()
-            nc = conv.out_channels
-            cat = np.empty(skip.shape[:-3] + (nc + skip.shape[-3],) + skip.shape[-2:])
-            cat[..., nc:, :, :] = skip
-            del skip
-            self._stage(conv, nrm, h, dec_caches, out=cat[..., :nc, :, :])
+            cat = cats.pop()
+            self._stage(conv, nrm, h, dec_caches, out=cat[..., :conv.out_channels, :, :])
             h = cat
 
         top, nrm = self.dec_convs[-1], self.dec_norms[-1]
@@ -229,7 +239,8 @@ class MaskEstimator(Module):
         return self._run(feature, keep=True)
 
     def forward(self, feature):
-        """Same-shape mask in (0, 1); keeps no training caches."""
+        """Same-shape mask in (0, 1); keeps no training caches, but each
+        thread keeps its largest buffer for the next call (``_resident``)."""
         mask, _ = self._run(feature, keep=False)
         return mask
 
@@ -354,20 +365,19 @@ class EnhancementPipeline(Module):
         result equals one run over the whole input up to rounding, with memory
         bounded in the input's length (see ``_chunked``)."""
         x = np.asarray(x, dtype=np.float64)
-        s_hat = self._chunked(x)
+        s_hat, _ = self._chunked(x, False)
         return s_hat, x - s_hat
 
     def enhance_with_mask(self, x):
         """``enhance``'s estimate plus the applied mask, feature-shaped."""
-        masks = []
-        s_hat = self._chunked(np.asarray(x, dtype=np.float64), masks)
-        return s_hat, np.concatenate(masks, axis=-1)
+        return self._chunked(np.asarray(x, dtype=np.float64), True)
 
-    def _chunked(self, x, masks=None):
-        """Estimate from chunks of CHUNK_SAMPLES run one after another, each
-        with ``context`` input samples on both sides (one chunk when the
-        receptive field is unbounded); appends each chunk's mask, cropped to
-        its own frames, to ``masks`` when given. Checks the whole input first."""
+    def _chunked(self, x, with_mask):
+        """Estimate, and the mask when asked, from chunks of CHUNK_SAMPLES run
+        one after another, each with ``context`` input samples on both sides
+        (one chunk when the receptive field is unbounded); each chunk's mask,
+        cropped to its own frames, goes into one feature-shaped array. Checks
+        the whole input first."""
         t = x.shape[-1]
         if t == 0:
             raise ValueError("empty input signal")
@@ -379,17 +389,20 @@ class EnhancementPipeline(Module):
         else:
             step = _round_up(CHUNK_SAMPLES, self.alignment)
         hop = self._frame_hop()
-        s_hat = np.empty_like(x)
+        s_hat, out = np.empty_like(x), None
         for start in range(0, t, step):
             stop = min(start + step, t)
             lo, hi = max(start - ctx, 0), min(stop + ctx, t)
             y, mask = self._run(x[..., lo:hi], keep=False)
             s_hat[..., start:stop] = y[..., start - lo:stop - lo]
-            if masks is not None:
-                end = (stop - lo) // hop if stop < t else None
-                masks.append(mask[..., (start - lo) // hop:end])
+            if with_mask:
+                mask = mask[..., (start - lo) // hop:(stop - lo) // hop if stop < t else None]
+                if out is None:
+                    frames = frame_count(t, hop) if self.transform is None else -(-t // hop)
+                    out = np.empty(mask.shape[:-1] + (frames,))
+                out[..., start // hop:start // hop + mask.shape[-1]] = mask
             del y, mask     # neither is held while the next chunk runs
-        return s_hat
+        return s_hat, out
 
     def enhance_training(self, x):
         """Estimated target plus the EnhanceCache that ``backward`` needs."""

@@ -8,7 +8,7 @@ reading the windows in place through their leading dimension, and falls back
 to numpy's matmul plus an add, which gives the same sums, where that library
 is missing or cannot take the operands. ``PhaseGrid`` runs strided 2-D
 correlations and their adjoints on the same engine, in cache-sized row blocks
-that the input adjoint can hand to a per-block step instead of writing out.
+that get their bias, activation and 1x1 head while in cache.
 """
 
 from __future__ import annotations
@@ -119,32 +119,42 @@ def tap_gemms(taps, flat, offsets, acc):
 _ACC_BLOCK = 1 << 17   # elements of one row-block accumulator (1 MiB)
 
 
-def _grid_rows(taps, flat, offsets, wg, dsts, bias=None, step=None):
+def _grid_rows(taps, flat, offsets, wg, dsts, bias=None, act=None, head=None):
     """sum_t taps[t] @ window_t on the flat grid ``flat`` of row width wg, in
-    row blocks whose accumulator stays in cache, written out through ``dsts``,
-    one per equal share of the channels: share i of row m, column n goes (+
-    bias) to views[0][:, m - m0, n - n0] for the i-th (views, m0, n0), or, as
-    a block of the accumulator, to step(block, *the views' rows) instead."""
+    row blocks whose accumulator stays in cache, one equal share of its
+    channels per (views, m0, n0) of ``dsts``. Each block gets ``bias`` (per
+    channel of a share) and act(block) in place; then share i of row m,
+    column n goes to views[0][:, m - m0, n - n0] for the i-th of ``dsts``.
+    With head = (w, b), a 1x1 conv, w @ share + b goes there instead and the
+    share to any further view. A block's rows are a multiple of 16 columns
+    long, so the head's GEMM sums every pixel in BLAS's main kernel, as in a
+    whole image (it sums the last n % 8 columns in another order)."""
     cout, nc = taps.shape[1], taps.shape[1] // len(dsts)
     nh = max(m0 + views[0].shape[1] for views, m0, _ in dsts)
     nw = max(n0 + views[0].shape[2] for views, _, n0 in dsts)
     block = max(1, min(nh, _ACC_BLOCK // (cout * wg)))
-    acc = np.empty((cout, block * wg))
+    buf = np.zeros(cout * -(-block * wg // 16) * 16)     # finite past any block
+    bias = None if bias is None else np.tile(bias, len(dsts))[:, None]
+    logits = None if head is None else np.empty((head[0].shape[0], len(buf) // cout))
     for r0 in range(0, nh, block):
         r = min(block, nh - r0)
+        acc = buf[:cout * -(-r * wg // 16) * 16].reshape(cout, -1)
         tap_gemms(taps, flat, [off + r0 * wg for off in offsets], acc[:, :(r - 1) * wg + nw])
-        rows = acc[:, :r * wg].reshape(cout, r, wg)
+        if bias is not None:
+            acc += bias
+        if act is not None:
+            act(acc)
         for c0, (views, m0, n0) in zip(range(0, cout, nc), dsts):
             lo, hi = max(r0, m0), min(r0 + r, m0 + views[0].shape[1])
             if lo < hi:
-                src = rows[c0:c0 + nc, lo - r0:hi - r0, n0:n0 + views[0].shape[2]]
-                parts = [view[:, lo - m0:hi - m0] for view in views]
-                if step is not None:
-                    step(src, *parts)
-                elif bias is None:
-                    parts[0][...] = src
-                else:
-                    np.add(src, bias[:, None, None], out=parts[0])
+                srcs = [acc[c0:c0 + nc]]
+                if head is not None:
+                    srcs.insert(0, gemm(head[0], srcs[0], logits[:, :acc.shape[1]], beta=0.0))
+                    if head[1] is not None:
+                        srcs[0] += head[1][:, None]
+                for src, view in zip(srcs, views):
+                    rows = src[:, :r * wg].reshape(-1, r, wg)
+                    view[:, lo - m0:hi - m0] = rows[:, lo - r0:hi - r0, n0:n0 + view.shape[2]]
 
 
 def _phase_span(a, s, p, n, nq):
@@ -203,18 +213,21 @@ class PhaseGrid:
         full[:, :, :w.shape[2], :w.shape[3]] = w
         return view.reshape(self.qh * self.qw, w.shape[0], -1)
 
-    def correlate(self, flat, w, bias=None):
+    def correlate(self, flat, w, bias=None, act=None, out=None):
         """(B, C_out, H_o, W_o) correlation of the regrouped images ``flat``
-        with the kernel w, plus ``bias``."""
+        with the kernel w, plus ``bias``, then act(output) in place, written
+        into ``out`` when given."""
         taps, offsets = self.taps(w), self.offsets(self.wq)
-        y = np.empty((flat.shape[0], w.shape[0]) + self.out_hw)
+        y = np.empty((flat.shape[0], w.shape[0]) + self.out_hw) if out is None else out
         for image, dst in zip(flat, y):
-            if self.wq == self.out_hw[1]:      # no discarded columns: write in place
+            if self.wq == self.out_hw[1] and dst.flags.c_contiguous:   # flat view: in place
                 tap_gemms(taps, image, offsets, dst.reshape(w.shape[0], -1))
                 if bias is not None:
                     dst += bias[:, None, None]
+                if act is not None:
+                    act(dst)
             else:
-                _grid_rows(taps, image, offsets, self.wq, [((dst,), 0, 0)], bias)
+                _grid_rows(taps, image, offsets, self.wq, [((dst,), 0, 0)], bias, act)
         return y
 
     def weight_adjoint(self, flat, g, alpha):
@@ -233,11 +246,12 @@ class PhaseGrid:
         view[...] = taps.reshape(view.shape)
         return full[:, :, :self.kernel[0], :self.kernel[1]]
 
-    def input_adjoint(self, g, w, bias=None, out=None, step=None):
+    def input_adjoint(self, g, w, bias=None, out=None, act=None, head=None):
         """Input gradient (B, C, H, W) of ``correlate`` with the kernel w for the
-        output gradient g, plus ``bias``, written into ``out`` when given;
-        pixels that no tap reads get the bias alone. With ``step`` (all pixels
-        read, no bias), ``out`` lists (B, *, H, W) arrays for ``_grid_rows``."""
+        output gradient g, plus ``bias``, then act(gradient) in place, written
+        into ``out`` when given; pixels that no tap reads get act(bias) alone.
+        With ``head`` (all pixels read), ``out`` lists (B, *, H, W) arrays for
+        ``_grid_rows``."""
         (batch, cout, ho, wo), cin = g.shape, w.shape[1]
         grid = np.zeros((batch, cout, ho + 2 * self.qh - 2, wo + 2 * self.qw - 2))
         grid[:, :, self.qh - 1:self.qh - 1 + ho, self.qw - 1:self.qw - 1 + wo] = g
@@ -246,9 +260,11 @@ class PhaseGrid:
             out = np.empty((batch, cin) + self.in_hw)
         if not self.covers:
             out[...] = 0.0 if bias is None else bias[:, None, None]
+            if act is not None:
+                act(out)
         wg = grid.shape[3]
         for b, image in enumerate(grid):
-            dsts = [(tuple(o[b][:, ys, xs] for o in (out if step else [out])), m0, n0)
+            dsts = [(tuple(o[b][:, ys, xs] for o in (out if head else [out])), m0, n0)
                     for m0, n0, ys, xs in self.residues]
-            _grid_rows(taps, image.reshape(cout, -1), self.offsets(wg), wg, dsts, bias, step)
+            _grid_rows(taps, image.reshape(cout, -1), self.offsets(wg), wg, dsts, bias, act, head)
         return out

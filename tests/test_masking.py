@@ -1,10 +1,13 @@
 """Masks, the estimator network, and the end-to-end pipelines."""
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from liftbank.layers import Activation, Conv2d
 from liftbank.lifting import LiftingConfig, LiftingTransform
 from liftbank.masking import (CHUNK_SAMPLES, BinaryMaskSpec, EnhancementPipeline,
                               MaskEstimator, binary_mask_generate)
@@ -221,6 +224,34 @@ class TestFusedTopStage:
         assert cache.head[0].identity and (cache.decoder[-1][1] is None) == (norm != "instance")
 
     @pytest.mark.parametrize("norm", ["none", "spectral", "instance"])
+    def test_norm_free_stages_run_no_head_or_leaky_relu_layer(self, norm, monkeypatch):
+        """Without a norm each stage adds its bias and runs its leaky ReLU, and
+        the top stage its 1x1 head, inside the conv's row-block pass: neither
+        pass makes a ``head.forward`` or a leaky-ReLU ``Activation.forward``
+        call. Instance norm sits between conv and activation, so it keeps the
+        layer route and makes both."""
+        net = _with_head(MaskEstimator(depth=3, base_channels=4, norm=norm, rng=Rng(67)), 68)
+        calls = []
+        conv_forward, act_forward = Conv2d.forward, Activation.forward
+
+        def conv_spy(layer, *args, **kwargs):
+            calls.extend(["head"] if layer is net.head else [])
+            return conv_forward(layer, *args, **kwargs)
+
+        def act_spy(act, *args, **kwargs):
+            calls.extend([act.kind] if act.kind == "leaky_relu" else [])
+            return act_forward(act, *args, **kwargs)
+        monkeypatch.setattr(Conv2d, "forward", conv_spy)
+        monkeypatch.setattr(Activation, "forward", act_spy)
+        feature = Rng(69).normal((2, 24, 40))
+        net.forward(feature)
+        net.forward_with_cache(feature)
+        if norm == "instance":
+            assert calls.count("head") == 2 and calls.count("leaky_relu") == 12
+        else:
+            assert calls == []
+
+    @pytest.mark.parametrize("norm", ["none", "spectral", "instance"])
     def test_empty_batch_gives_empty_mask(self, norm):
         net = MaskEstimator(depth=2, base_channels=4, norm=norm, rng=Rng(66))
         feature = np.zeros((0, 24, 20))
@@ -415,6 +446,24 @@ class TestChunkedEnhance:
             assert np.max(np.abs(s_hat - whole)) <= 1e-9
             np.testing.assert_array_equal(residual, x - s_hat)
 
+    def test_threads_sharing_a_pipeline_equal_serial_runs(self):
+        """Each thread gets its own resident estimator buffer: enhance calls
+        of different lengths running at once on one pipeline, in more threads
+        than cores and with a short switch interval, give the serial results."""
+        pipe = small_pipeline("lifting/estimator")
+        inputs = [Rng(70 + i).normal((20000 + 9000 * i,)) for i in range(6)]
+        serial = [pipe.enhance(x)[0] for x in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(2):
+                    futures = [pool.submit(pipe.enhance, x) for x in inputs]
+                    for fut, want in zip(futures, serial):
+                        np.testing.assert_array_equal(fut.result(timeout=120)[0], want)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_instance_norm_runs_whole_file(self):
         pipe = small_pipeline("lifting/estimator", "instance")
         assert pipe.context is None
@@ -468,6 +517,15 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def _cold_peak(pipe, fn, *args):
+    """``_traced_peak`` of a call that allocates the estimator's resident
+    buffer afresh, as a pipeline's first call does, so that first and later
+    calls compare: a later call finds it and would not count it."""
+    if pipe.estimator is not None:
+        vars(pipe.estimator._held).clear()
+    return _traced_peak(fn, *args)
+
+
 class TestInferenceMemory:
     def test_enhance_builds_no_training_caches(self):
         """Inference on the lifting/estimator pipeline keeps no layer caches:
@@ -476,7 +534,7 @@ class TestInferenceMemory:
                                    mask_source="estimator",
                                    estimator=MaskEstimator(rng=Rng(39)))
         x = Rng(40).normal((32000,))
-        peak_enhance = _traced_peak(pipe.enhance, x)
+        peak_enhance = _cold_peak(pipe, pipe.enhance, x)
         peak_training = _traced_peak(pipe.enhance_training, x)
         assert peak_enhance < 0.75 * peak_training
 
@@ -493,7 +551,7 @@ class TestInferenceMemory:
         x = Rng(40).normal((32000,))
         feature = pipe.transform.forward(x)
         assert feature.shape == (256, 500)
-        assert _traced_peak(pipe.enhance, x) < 25 * feature.nbytes
+        assert _cold_peak(pipe, pipe.enhance, x) < 25 * feature.nbytes
 
     def test_enhance_peak_bounded_in_input_length(self):
         """Chunked enhancement: a 60 s lifting/estimator input peaks at most
@@ -501,8 +559,8 @@ class TestInferenceMemory:
         pipe = EnhancementPipeline(transform=LiftingTransform(LiftingConfig(), Rng(38)),
                                    mask_source="estimator",
                                    estimator=MaskEstimator(rng=Rng(39)))
-        peak_10 = _traced_peak(pipe.enhance, Rng(41).normal((160000,)))
-        peak_60 = _traced_peak(pipe.enhance, Rng(42).normal((960000,)))
+        peak_10 = _cold_peak(pipe, pipe.enhance, Rng(41).normal((160000,)))
+        peak_60 = _cold_peak(pipe, pipe.enhance, Rng(42).normal((960000,)))
         assert peak_60 <= 1.25 * peak_10
 
 
@@ -516,8 +574,8 @@ class TestInferenceMemory:
         step = -(-CHUNK_SAMPLES // pipe.alignment) * pipe.alignment
         x = Rng(56).normal((3 * step,))
         widest = x[step - pipe.context:2 * step + pipe.context]
-        run_peak = _traced_peak(pipe._run, widest, False)
-        assert _traced_peak(pipe.enhance, x) <= x.nbytes + 1.05 * run_peak
+        run_peak = _cold_peak(pipe, pipe._run, widest, False)
+        assert _cold_peak(pipe, pipe.enhance, x) <= x.nbytes + 1.05 * run_peak
 
     @pytest.mark.parametrize("kind", ["lifting/estimator", "lifting/binary",
                                       "stft/estimator"])
@@ -535,15 +593,54 @@ class TestInferenceMemory:
     def test_enhance_with_mask_peak_bounded_in_input_length(self):
         """Past the mask it returns, which holds as many numbers as the
         feature, the peak at 6 chunks' length is at most 1.25 times the peak
-        at one chunk's."""
+        at one chunk's. The one-chunk call is the pipeline's first, so it
+        allocates the estimator's resident buffer; the 6-chunk call reuses it."""
         tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2), Rng(53))
         net = _with_head(MaskEstimator(depth=2, base_channels=4, rng=Rng(51)), 52)
         pipe = EnhancementPipeline(transform=tf, mask_source="estimator", estimator=net)
         step = -(-CHUNK_SAMPLES // pipe.alignment) * pipe.alignment
-        peak_1 = _traced_peak(pipe.enhance_with_mask, Rng(57).normal((step,)))
+        peak_1 = _cold_peak(pipe, pipe.enhance_with_mask, Rng(57).normal((step,)))
         x = Rng(58).normal((6 * step,))
         mask_bytes = pipe.enhance_with_mask(x)[1].nbytes
         assert _traced_peak(pipe.enhance_with_mask, x) - mask_bytes <= 1.25 * peak_1
+
+    def test_enhance_with_mask_holds_the_mask_once(self):
+        """At a length where the mask outgrows one chunk's working set, the
+        export peaks at most at its mask, its estimate and one run over the
+        widest chunk (5% to spare): each chunk's frames go into one mask
+        array, so the mask is never held twice."""
+        tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2), Rng(53))
+        net = _with_head(MaskEstimator(depth=2, base_channels=4, rng=Rng(51)), 52)
+        pipe = EnhancementPipeline(transform=tf, mask_source="estimator", estimator=net)
+        step = -(-CHUNK_SAMPLES // pipe.alignment) * pipe.alignment
+        x = Rng(59).normal((16 * step,))
+        run_peak = _cold_peak(pipe, pipe._run, x[step - pipe.context:2 * step + pipe.context],
+                              False)
+        s_hat, mask = pipe.enhance_with_mask(x)
+        assert mask.nbytes > 1.5 * run_peak
+        peak = _cold_peak(pipe, pipe.enhance_with_mask, x)
+        assert peak <= mask.nbytes + s_hat.nbytes + 1.05 * run_peak
+
+    def test_second_enhance_leaves_no_new_large_block(self):
+        """Inference keeps its largest buffer, the top skip-concat buffer,
+        across chunks and calls: a first enhance leaves it behind, a block of
+        1 MiB or more, and a second one of the same length leaves no new block
+        of that size (it reuses the one it finds)."""
+        pipe = EnhancementPipeline(transform=LiftingTransform(LiftingConfig(), Rng(38)),
+                                   mask_source="estimator",
+                                   estimator=MaskEstimator(rng=Rng(39)))
+        x = Rng(43).normal((CHUNK_SAMPLES + 5000,))
+
+        def left_behind():
+            tracemalloc.start()
+            try:
+                s_hat, residual = pipe.enhance(x)
+                del s_hat, residual
+                return [t.size for t in tracemalloc.take_snapshot().traces if t.size >= 2 ** 20]
+            finally:
+                tracemalloc.stop()
+        assert len(left_behind()) == 1
+        assert left_behind() == []
 
 
 class TestPipelineTrainingGradients:

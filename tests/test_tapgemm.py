@@ -145,3 +145,50 @@ class TestAccumulatingGemm:
                 futures = [pool.submit(conv.forward, x) for x in inputs]
                 for fut, want in zip(futures, serial):
                     np.testing.assert_array_equal(fut.result(timeout=60)[0], want)
+
+
+class _Tally(np.ndarray):
+    """An array that adds what is written into it: a pixel written twice
+    reads double, one never written reads 0."""
+
+    def __setitem__(self, key, value):
+        np.ndarray.__setitem__(self, key, np.asarray(self[key]) + value)
+
+
+class TestRowBlocks:
+    """``_grid_rows`` finishes each row block of the accumulator (bias,
+    activation, 1x1 head) while it is in cache, then writes it out."""
+
+    @pytest.mark.parametrize("acc_block", [1, 300, 1 << 17])
+    @pytest.mark.parametrize("kernel, stride", [((4, 4), (2, 2)), ((3, 3), (2, 1))])
+    @pytest.mark.parametrize("with_head", [False, True])
+    def test_block_step_covers_each_output_pixel_once(self, kernel, stride, acc_block,
+                                                      with_head, monkeypatch):
+        """Blocks of one row, of a few rows with a shorter last one, and of the
+        whole image: the block step runs once on every output pixel of every
+        residue, and only on finite values, so nothing from the accumulator's
+        unwritten or padding columns (which the head's GEMM reads too) reaches
+        the output."""
+        rng = Rng(36)
+        phases = tapgemm.PhaseGrid((13, 11), kernel, stride, (1, 1))
+        g = rng.normal((2, 5) + phases.out_hw)
+        w, bias = rng.normal((5, 3) + kernel), rng.normal((3,))
+        head_w, head_b = rng.normal((2, 3)), rng.normal((2,))
+        want = phases.input_adjoint(g, w, bias) + 1.0
+        monkeypatch.setattr(tapgemm, "_ACC_BLOCK", acc_block)
+        blocks = []
+
+        def step(block):
+            assert np.all(np.isfinite(block))
+            blocks.append(block.shape)
+            block += 1.0
+        outs = [np.zeros((2, c, 13, 11)).view(_Tally) for c in ((2, 3) if with_head else (3,))]
+        phases.input_adjoint(g, w, bias, outs if with_head else outs[0], step,
+                             (head_w, head_b) if with_head else None)
+        per_image = len(blocks) // 2
+        assert per_image == 1 if acc_block == 1 << 17 else per_image > 2
+        np.testing.assert_array_equal(np.asarray(outs[-1]), want)
+        if with_head:
+            np.testing.assert_allclose(np.asarray(outs[0]),
+                                       np.einsum("oc,bchw->bohw", head_w, want)
+                                       + head_b[:, None, None], rtol=1e-12, atol=1e-12)
