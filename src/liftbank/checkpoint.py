@@ -43,9 +43,13 @@ def atomic_write(path, mode="w"):
     """
     while True:
         tmp = f"{os.fspath(path)}.{os.getpid()}.{next(_tmp_ids)}.tmp"
-        with contextlib.suppress(FileExistsError):   # left by an earlier process
+        try:
             fh = open(tmp, mode.replace("w", "x"))
             break
+        except FileExistsError:     # left by an earlier process
+            continue
+        except OSError as exc:      # name the caller's path, not the temporary one
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             yield fh

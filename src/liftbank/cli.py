@@ -245,7 +245,15 @@ def _load_pipeline(args):
     return cfg, pipeline
 
 
+def _check_output_paths(*paths):
+    """Exit 2 before any work unless each output path names a file in an existing directory."""
+    for path in filter(None, paths):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise ConfigError(f"{path}: not a file path in an existing directory")
+
+
 def cmd_enhance(args):
+    _check_output_paths(args.output, args.export_mask)
     cfg, pipeline = _load_pipeline(args)
     clip = wav_read(args.input)
     check_sample_rate(args.input, [clip.sample_rate], cfg["data.sample_rate"])
@@ -317,6 +325,7 @@ def cmd_eval(args):
     if workers < 0:
         raise ConfigError(f"LIFTBANK_THREADS must be an integer >= 0, got {threads!r}")
     workers = workers or min(4, os.cpu_count() or 1)
+    _check_output_paths(args.out)
     cfg, pipeline = _load_pipeline(args)
     pairs = read_manifest(args.manifest)
     if not pairs:

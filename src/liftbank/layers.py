@@ -16,10 +16,10 @@ Deconv2d's backward pass) is regrouped space-to-depth into a stride-1 one,
 and its input adjoint (Conv2d's input gradient, Deconv2d's forward pass) is
 the matching stride-1 correlation regrouped depth-to-space
 (``tapgemm.PhaseGrid``); given an activation, each runs it on every row
-block while the block is in cache, and given a head, Deconv2d applies the
-1x1 conv there too. The leaky ReLU, the sigmoid and their gradients are one
-kernel each over cache-sized blocks (``_in_blocks``), writing a given output
-that may be the input, for the lifting grids and the estimator.
+block while the block is in cache, and given a 1x1 head, Deconv2d runs it
+there too, with no cache. The leaky ReLU, the sigmoid and their gradients are
+one kernel each over cache-sized blocks (``_in_blocks``), writing a given
+output that may be the input, for the lifting grids and the estimator.
 """
 
 from __future__ import annotations
@@ -499,34 +499,27 @@ class Deconv2d(_Conv2dBase):
         ph, pw = self.padding
         return (h - 1) * sh - 2 * ph + kh, (w - 1) * sw - 2 * pw + kw
 
-    def forward(self, x, out=None, act=None, head=None, keep=False):
+    def forward(self, x, out=None, act=None, head=None):
         """Output, after the Activation ``act`` when given, and cache; the output
         is written into ``out`` (the output's shape, any layout whose batch axes
-        merge) and returned as it when given. With ``head``, an (Activation, 1x1
-        Conv2d) pair, it is head(act(output)) with the three layers' caches, the
-        last two None unless ``keep``: each row block goes through both, and only
-        ``keep`` builds the activated output."""
+        merge) and returned as it when given. With ``head``, a 1x1 Conv2d, the
+        output is head(output) with a None cache: each row block goes through
+        the head while in cache, and the map before it is never built."""
         xb, lead, bias = self._forward_inputs(x)
         ho, wo = self.out_shape(*xb.shape[2:])
         if ho < 1 or wo < 1:
             raise ValueError("deconv output would be empty")
         weight = self._effective_weight()[0].transpose(1, 0, 2, 3)
         phases = PhaseGrid((ho, wo), self.kernel, self.stride, self.padding)
+        fused = None
         if head is not None:
-            act, conv = head
-            if not phases.covers or conv.kernel + conv.stride + conv.padding != (1, 1, 1, 1, 0, 0):
+            if not phases.covers or head.kernel + head.stride + head.padding != (1, 1, 1, 1, 0, 0):
                 raise ValueError("fusing needs kernel >= stride and a 1x1 head")
-            outs = [np.empty((len(xb), c, ho, wo))
-                    for c in (conv.out_channels, self.out_channels)[:1 + bool(keep)]]
-            w1 = conv._effective_weight()[0][:, :, 0, 0]
-            phases.input_adjoint(xb, weight, bias, outs, act.inplace,
-                                 (w1, None if conv.bias is None else conv.bias.data))
-            hg = PhaseGrid((ho, wo), conv.kernel, conv.stride, conv.padding)
-            rest = [_restore_batch(outs[1], lead), (hg, hg.regroup(outs[1]))] if keep else [None] * 2
-            return _restore_batch(outs[0], lead), (xb, *rest)
-        yb = self._batched(out, lead + (self.out_channels, ho, wo))
-        y = phases.input_adjoint(xb, weight, bias, yb, act and act.inplace)
-        return (_restore_batch(y, lead) if out is None else out), xb
+            fused = (head._effective_weight()[0][:, :, 0, 0],
+                     None if head.bias is None else head.bias.data)
+        yb = self._batched(out, lead + ((self if head is None else head).out_channels, ho, wo))
+        y = phases.input_adjoint(xb, weight, bias, yb, act and act.inplace, fused)
+        return (_restore_batch(y, lead) if out is None else out), (xb if head is None else None)
 
     def backward(self, xb, grad_out):
         g, lead = _flatten_batch(grad_out, 3)

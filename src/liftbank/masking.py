@@ -198,8 +198,8 @@ class MaskEstimator(Module):
         return conv.backward(c1, g)
 
     def _run(self, feature, keep):
-        """Mask and, with ``keep``, its EstimatorCache. The top decoder stage streams
-        into the head (``Deconv2d.forward`` given it) unless instance norm needs its map."""
+        """Mask and, with ``keep``, its EstimatorCache. Inference without a norm streams
+        the top decoder stage into the head; training and instance norm need its map."""
         feature = np.asarray(feature, dtype=np.float64)
         h0, w0 = feature.shape[-2], feature.shape[-1]
         enc_caches = [] if keep else None
@@ -222,10 +222,8 @@ class MaskEstimator(Module):
             h = cat
 
         top, nrm = self.dec_convs[-1], self.dec_norms[-1]
-        if nrm is None:
-            h, (c1, c3, head_cache) = top.forward(h, head=(self.act, self.head), keep=keep)
-            if keep:
-                dec_caches.append((c1, None, c3))
+        if nrm is None and not keep:
+            h, head_cache = top.forward(h, act=self.act, head=self.head)
         else:
             h, head_cache = self.head.forward(self._stage(top, nrm, h, dec_caches))
         mask_img, sig_cache = self.sigmoid.forward(h, out=h)

@@ -122,16 +122,15 @@ _ACC_BLOCK = 1 << 17   # elements of one row-block accumulator (1 MiB)
 def _grid_rows(taps, flat, offsets, wg, dsts, bias=None, act=None, head=None):
     """sum_t taps[t] @ window_t on the flat grid ``flat`` of row width wg, in
     row blocks whose accumulator stays in cache, one equal share of its
-    channels per (views, m0, n0) of ``dsts``. Each block gets ``bias`` (per
+    channels per (view, m0, n0) of ``dsts``. Each block gets ``bias`` (per
     channel of a share) and act(block) in place; then share i of row m,
-    column n goes to views[0][:, m - m0, n - n0] for the i-th of ``dsts``.
-    With head = (w, b), a 1x1 conv, w @ share + b goes there instead and the
-    share to any further view. A block's rows are a multiple of 16 columns
-    long, so the head's GEMM sums every pixel in BLAS's main kernel, as in a
-    whole image (it sums the last n % 8 columns in another order)."""
+    column n goes to view[:, m - m0, n - n0] for the i-th of ``dsts``, or with
+    head = (w, b), a 1x1 conv, w @ share + b goes there instead. A block's
+    rows are a multiple of 16 columns long, so the head's GEMM sums every
+    pixel in BLAS's main kernel (the last n % 8 of n columns sum in its tail)."""
     cout, nc = taps.shape[1], taps.shape[1] // len(dsts)
-    nh = max(m0 + views[0].shape[1] for views, m0, _ in dsts)
-    nw = max(n0 + views[0].shape[2] for views, _, n0 in dsts)
+    nh = max(m0 + view.shape[1] for view, m0, _ in dsts)
+    nw = max(n0 + view.shape[2] for view, _, n0 in dsts)
     block = max(1, min(nh, _ACC_BLOCK // (cout * wg)))
     buf = np.zeros(cout * -(-block * wg // 16) * 16)     # finite past any block
     bias = None if bias is None else np.tile(bias, len(dsts))[:, None]
@@ -144,17 +143,16 @@ def _grid_rows(taps, flat, offsets, wg, dsts, bias=None, act=None, head=None):
             acc += bias
         if act is not None:
             act(acc)
-        for c0, (views, m0, n0) in zip(range(0, cout, nc), dsts):
-            lo, hi = max(r0, m0), min(r0 + r, m0 + views[0].shape[1])
+        for c0, (view, m0, n0) in zip(range(0, cout, nc), dsts):
+            lo, hi = max(r0, m0), min(r0 + r, m0 + view.shape[1])
             if lo < hi:
-                srcs = [acc[c0:c0 + nc]]
+                src = acc[c0:c0 + nc]
                 if head is not None:
-                    srcs.insert(0, gemm(head[0], srcs[0], logits[:, :acc.shape[1]], beta=0.0))
+                    src = gemm(head[0], src, logits[:, :acc.shape[1]], beta=0.0)
                     if head[1] is not None:
-                        srcs[0] += head[1][:, None]
-                for src, view in zip(srcs, views):
-                    rows = src[:, :r * wg].reshape(-1, r, wg)
-                    view[:, lo - m0:hi - m0] = rows[:, lo - r0:hi - r0, n0:n0 + view.shape[2]]
+                        src += head[1][:, None]
+                rows = src[:, :r * wg].reshape(-1, r, wg)
+                view[:, lo - m0:hi - m0] = rows[:, lo - r0:hi - r0, n0:n0 + view.shape[2]]
 
 
 def _phase_span(a, s, p, n, nq):
@@ -220,14 +218,7 @@ class PhaseGrid:
         taps, offsets = self.taps(w), self.offsets(self.wq)
         y = np.empty((flat.shape[0], w.shape[0]) + self.out_hw) if out is None else out
         for image, dst in zip(flat, y):
-            if self.wq == self.out_hw[1] and dst.flags.c_contiguous:   # flat view: in place
-                tap_gemms(taps, image, offsets, dst.reshape(w.shape[0], -1))
-                if bias is not None:
-                    dst += bias[:, None, None]
-                if act is not None:
-                    act(dst)
-            else:
-                _grid_rows(taps, image, offsets, self.wq, [((dst,), 0, 0)], bias, act)
+            _grid_rows(taps, image, offsets, self.wq, [(dst, 0, 0)], bias, act)
         return y
 
     def weight_adjoint(self, flat, g, alpha):
@@ -250,21 +241,19 @@ class PhaseGrid:
         """Input gradient (B, C, H, W) of ``correlate`` with the kernel w for the
         output gradient g, plus ``bias``, then act(gradient) in place, written
         into ``out`` when given; pixels that no tap reads get act(bias) alone.
-        With ``head`` (all pixels read), ``out`` lists (B, *, H, W) arrays for
-        ``_grid_rows``."""
+        With ``head`` (all pixels read), it is the head's output instead."""
         (batch, cout, ho, wo), cin = g.shape, w.shape[1]
         grid = np.zeros((batch, cout, ho + 2 * self.qh - 2, wo + 2 * self.qw - 2))
         grid[:, :, self.qh - 1:self.qh - 1 + ho, self.qw - 1:self.qw - 1 + wo] = g
         taps = np.ascontiguousarray(self.taps(w)[::-1].transpose(0, 2, 1))
         if out is None:
-            out = np.empty((batch, cin) + self.in_hw)
+            out = np.empty((batch, cin if head is None else len(head[0])) + self.in_hw)
         if not self.covers:
             out[...] = 0.0 if bias is None else bias[:, None, None]
             if act is not None:
                 act(out)
         wg = grid.shape[3]
-        for b, image in enumerate(grid):
-            dsts = [(tuple(o[b][:, ys, xs] for o in (out if head else [out])), m0, n0)
-                    for m0, n0, ys, xs in self.residues]
+        for image, dst in zip(grid, out):
+            dsts = [(dst[:, ys, xs], m0, n0) for m0, n0, ys, xs in self.residues]
             _grid_rows(taps, image.reshape(cout, -1), self.offsets(wg), wg, dsts, bias, act, head)
         return out

@@ -125,6 +125,17 @@ class TestCheckpoint:
             fh.write("x\n")
         assert atomic.stat().st_mode == plain.stat().st_mode
 
+    def test_atomic_write_into_missing_directory_names_the_path(self, tmp_path):
+        """A temporary file that cannot be opened raises naming the caller's
+        path, not the temporary one."""
+        path = tmp_path / "nodir" / "log.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_write(path) as fh:
+                fh.write("x\n")
+        assert info.value.filename == str(path)
+        assert f"'{path}'" in str(info.value) and ".tmp" not in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_atomic_write_failure_keeps_previous_file(self, tmp_path):
         path = tmp_path / "log.csv"
         with atomic_write(path) as fh:

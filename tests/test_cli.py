@@ -510,6 +510,27 @@ class TestEnhanceCommand:
         assert mask.shape == cache.mask.shape
         assert np.max(np.abs(mask - cache.mask)) <= 1e-9
 
+    @pytest.mark.parametrize("bad_name", ["nodir/out", "adir"])
+    @pytest.mark.parametrize("missing", ["output", "export_mask"])
+    def test_output_in_missing_directory_exits_2_before_any_work(self, tmp_path, capsys,
+                                                                 monkeypatch, missing, bad_name):
+        """An output path whose directory does not exist, or that is a
+        directory, exits 2 naming that path before the enhancement runs, and
+        no file is written."""
+        wav_write(WavClip(0.1 * Rng(8).normal((1500,))), tmp_path / "in.wav")
+        (tmp_path / "adir").mkdir()
+        bad = str(tmp_path / bad_name)
+        args = ([bad] if missing == "output"
+                else [str(tmp_path / "out.wav"), "--export-mask", bad])
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline was loaded")
+        monkeypatch.setattr(cli, "_load_pipeline", no_work)
+        assert main(["enhance", str(tmp_path / "in.wav"), *args]) == 2
+        assert bad in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "in.wav"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
     def test_failed_wav_write_keeps_previous_output(self, tmp_path, monkeypatch):
         """A write that raises midway (a full disk) leaves an earlier output
         byte-identical and no temporary file behind."""
@@ -622,6 +643,21 @@ class TestEvalCommand:
         improvements = [float(r.split(",")[3]) for r in rows[1:]]
         assert all(abs(v) <= 1e-6 for v in improvements)
         assert "mean improvement" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad_name", ["nodir/e.csv", "adir"])
+    def test_out_in_missing_directory_exits_2_before_scoring(self, tmp_path, capsys,
+                                                             monkeypatch, bad_name):
+        manifest = write_manifest(tmp_path)
+        (tmp_path / "adir").mkdir()
+        files = sorted(p.name for p in tmp_path.iterdir())
+        bad = str(tmp_path / bad_name)
+
+        def no_score(*args, **kwargs):
+            raise AssertionError("a pair was scored")
+        monkeypatch.setattr(cli, "_eval_one", no_score)
+        assert main(["eval", "--manifest", str(manifest), "--out", bad, "--ones-mask"]) == 2
+        assert bad in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
 
     def test_oracle_estimate_caps(self, tmp_path):
         manifest = write_manifest(tmp_path)

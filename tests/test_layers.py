@@ -378,35 +378,24 @@ class TestPhaseInputAdjoint:
         with pytest.raises(ValueError):
             deconv.forward(x, out=cat[:, :3])
 
-    @pytest.mark.parametrize("keep", [False, True])
     @pytest.mark.parametrize("lead, hw", [((), (5, 6)), ((2, 3), (7, 10)), ((2,), (64, 40))])
-    def test_deconv2d_forward_head_matches_layer_by_layer(self, keep, lead, hw):
+    def test_deconv2d_forward_head_matches_layer_by_layer(self, lead, hw):
         """``forward`` with a head equals Deconv2d.forward -> leaky ReLU -> the
-        1x1 head bitwise, and with ``keep`` returns the caches those layers build:
-        the input, the activated map and the head's (grid, flat) pair. Each
-        output's pixel count is 0 mod 8; the next test covers 4 mod 8."""
+        1x1 head bitwise, and returns no cache. Each output's pixel count is 0
+        mod 8; the next test covers 4 mod 8."""
         rng = Rng(23)
         deconv = Deconv2d(6, 16, rng=rng.fork())
         head = Conv2d(16, 1, kernel_size=1, rng=rng.fork())
         act = Activation("leaky_relu", 0.2)
         x = rng.normal(lead + (6,) + hw)
-        y, x_cache = deconv.forward(x)
-        a, _ = act.forward(y)
-        ref, (grid, flat) = head.forward(a)
-        got, (c1, c3, head_cache) = deconv.forward(x, head=(act, head), keep=keep)
-        assert got.shape == ref.shape and got.flags.c_contiguous
+        ref, _ = head.forward(act.forward(deconv.forward(x)[0])[0])
+        got, cache = deconv.forward(x, act=act, head=head)
+        assert got.shape == ref.shape and got.flags.c_contiguous and cache is None
         np.testing.assert_array_equal(got, ref)
-        np.testing.assert_array_equal(c1, x_cache)
-        if not keep:
-            assert c3 is None and head_cache is None
-            return
-        np.testing.assert_array_equal(c3, a)
-        assert head_cache[0].identity and head_cache[0].out_hw == grid.out_hw
-        np.testing.assert_array_equal(head_cache[1], flat)
 
     def test_deconv2d_forward_head_tail_pixels_within_rounding(self):
-        """The fused head sums every pixel in BLAS's main GEMM kernel. A
-        whole-image head GEMM over a pixel count of 4 mod 8 (22 x 22 here)
+        """The fused head sums every pixel in BLAS's main GEMM kernel. The
+        layer route's head GEMM over a pixel count of 4 mod 8 (22 x 22 here)
         sums its last four pixels in the kernel's tail, in another order: only
         those four may differ, by rounding. In the mask estimator this needs
         depth 1 and a padded height and width that are both 2 mod 4."""
@@ -415,9 +404,10 @@ class TestPhaseInputAdjoint:
         for _ in range(10):
             deconv = Deconv2d(32, 16, rng=rng.fork())
             head = Conv2d(16, 1, kernel_size=1, rng=rng.fork())
+            act = Activation("leaky_relu", 0.2)
             x = rng.normal((2, 32, 11, 11))
-            ref, _ = head.forward(Activation("leaky_relu", 0.2).forward(deconv.forward(x)[0])[0])
-            got, _ = deconv.forward(x, head=(Activation("leaky_relu", 0.2), head))
+            ref, _ = head.forward(act.forward(deconv.forward(x)[0])[0])
+            got, _ = deconv.forward(x, act=act, head=head)
             flat_ref, flat_got = ref.reshape(2, -1), got.reshape(2, -1)
             np.testing.assert_array_equal(flat_got[:, :-4], flat_ref[:, :-4])
             worst = max(worst, float(np.max(np.abs(flat_got - flat_ref) / np.abs(flat_ref))))
@@ -427,10 +417,10 @@ class TestPhaseInputAdjoint:
         rng = Rng(25)
         x, act = rng.normal((3, 4, 5)), Activation("leaky_relu", 0.2)
         with pytest.raises(ValueError, match="1x1 head"):
-            Deconv2d(3, 2, rng=rng.fork()).forward(x, head=(act, Conv2d(2, 1, 3, padding=1)))
+            Deconv2d(3, 2, rng=rng.fork()).forward(x, act=act, head=Conv2d(2, 1, 3, padding=1))
         with pytest.raises(ValueError, match="kernel >= stride"):
             Deconv2d(3, 2, kernel_size=1, stride=2, padding=0).forward(
-                x, head=(act, Conv2d(2, 1, 1)))
+                x, act=act, head=Conv2d(2, 1, 1))
 
     @pytest.mark.parametrize("cin, cout, kernel, stride, padding", [
         (16, 1, 1, 1, 0), (3, 4, 4, 2, 1), (2, 3, 3, (2, 1), 1)])

@@ -183,16 +183,18 @@ def _layer_by_layer_mask(net, feature):
 
 
 class TestFusedTopStage:
-    """Without a norm, the top decoder stage streams into the 1x1 head and no
-    full-resolution map is built at inference; instance norm keeps the layer
-    route."""
+    """At inference without a norm, the top decoder stage streams into the
+    1x1 head and no full-resolution map is built; training caches that map,
+    and instance norm needs it, so both keep the layer route."""
 
     @pytest.mark.parametrize("norm", ["none", "spectral", "instance"])
     @pytest.mark.parametrize("depth, shape", [
-        (1, (24, 20)), (1, (2, 2, 17, 33)), (3, (2, 21, 35)), (3, (64, 70))])
+        (1, (24, 20)), (1, (2, 2, 17, 33)), (1, (21, 22)), (3, (2, 21, 35)), (3, (64, 70))])
     def test_matches_layer_by_layer_bitwise(self, norm, depth, shape):
         """Depth 1 makes the top stage the only decoder stage; lead batch axes
-        and heights and widths off the total stride crop the padding."""
+        and heights and widths off the total stride crop the padding. (21, 22)
+        pads to 22 x 22, 4 mod 8 pixels; the 4-channel head's GEMM sums them
+        in the same order in BLAS's main and tail kernels."""
         net = MaskEstimator(depth=depth, base_channels=4, norm=norm, rng=Rng(60))
         net.head.weight.data[...] = Rng(61).normal(net.head.weight.shape)
         net.head.bias.data[...] = 0.25
@@ -225,11 +227,12 @@ class TestFusedTopStage:
 
     @pytest.mark.parametrize("norm", ["none", "spectral", "instance"])
     def test_norm_free_stages_run_no_head_or_leaky_relu_layer(self, norm, monkeypatch):
-        """Without a norm each stage adds its bias and runs its leaky ReLU, and
-        the top stage its 1x1 head, inside the conv's row-block pass: neither
-        pass makes a ``head.forward`` or a leaky-ReLU ``Activation.forward``
-        call. Instance norm sits between conv and activation, so it keeps the
-        layer route and makes both."""
+        """Without a norm each stage adds its bias and runs its leaky ReLU
+        inside the conv's row-block pass, and at inference the top stage its
+        1x1 head too: inference makes no ``head.forward`` or leaky-ReLU
+        ``Activation.forward`` call, and training one ``head.forward``.
+        Instance norm sits between conv and activation, so it keeps the layer
+        route and makes both in each pass."""
         net = _with_head(MaskEstimator(depth=3, base_channels=4, norm=norm, rng=Rng(67)), 68)
         calls = []
         conv_forward, act_forward = Conv2d.forward, Activation.forward
@@ -245,11 +248,13 @@ class TestFusedTopStage:
         monkeypatch.setattr(Activation, "forward", act_spy)
         feature = Rng(69).normal((2, 24, 40))
         net.forward(feature)
+        inference = calls[:]
         net.forward_with_cache(feature)
+        training = calls[len(inference):]
         if norm == "instance":
             assert calls.count("head") == 2 and calls.count("leaky_relu") == 12
         else:
-            assert calls == []
+            assert inference == [] and training == ["head"]
 
     @pytest.mark.parametrize("norm", ["none", "spectral", "instance"])
     def test_empty_batch_gives_empty_mask(self, norm):
