@@ -8,7 +8,8 @@ perfectly no matter what the predictor blocks compute, and the synthesis path
 reuses the analysis parameters.
 
 With the defaults (6 stages, 4 base channels) the feature is
-``(256, T / 64)`` and carries exactly 4 * T numbers.
+``(256, T / 64)`` and carries exactly 4 * T numbers. Its upper half is the top
+stage's predicted branch; a caller that discards it skips that predictor.
 """
 
 from __future__ import annotations
@@ -274,13 +275,13 @@ class LiftingTransform(Module):
         for j, predict in enumerate(predictors, start=1):
             if j >= 2:
                 a, b = invertible_downsample(a), invertible_downsample(b)
-            a, b = couple(a, b, predict)
+            a, b = (b, np.zeros_like(a)) if predict is None else couple(a, b, predict)
         return self._merge(a, b, x.shape[:-1])
 
     def _walk_up(self, phi, couple, predictors):
         a, b, lead = self._unmerge(phi)
-        for j in range(len(predictors), 0, -1):
-            a, b = couple(a, b, predictors[j - 1])
+        for j, predict in zip(range(len(predictors), 0, -1), predictors[::-1]):
+            a, b = (b, a) if predict is None else couple(a, b, predict)
             if j >= 2:
                 a, b = invertible_upsample(a), invertible_upsample(b)
         x = split_inverse(a, b)
@@ -293,20 +294,24 @@ class LiftingTransform(Module):
             caches.append(cache)
         return y
 
-    def _predictors(self, caches):
+    def _predictors(self, caches, discard_top=False):
         """The blocks as coupling predictors; each evaluation's layer caches
         go on ``caches``, or nowhere when it is None (inference)."""
-        return [partial(self._predict, block, caches) for block in self.blocks]
+        predictors = [partial(self._predict, block, caches) for block in self.blocks]
+        return predictors[:-1] + [None] if discard_top else predictors
 
     # -- forward / inverse ------------------------------------------------
 
-    def forward_with_cache(self, x):
-        """Feature plus the per-stage predictor caches the VJPs need."""
+    def forward_with_cache(self, x, discard_top=False):
+        """Feature plus the per-stage predictor caches the VJPs need. With
+        ``discard_top`` the upper half, stage J's b' = a + F_J(b), is left at
+        zero for a caller that discards it: F_J does not run, stage J's cache is None."""
         caches = []
-        return self._walk_down(x, coupling_forward, self._predictors(caches)), caches
+        phi = self._walk_down(x, coupling_forward, self._predictors(caches, discard_top))
+        return phi, caches + [None] if discard_top else caches
 
-    def forward(self, x):
-        return self._walk_down(x, coupling_forward, self._predictors(None))
+    def forward(self, x, discard_top=False):
+        return self._walk_down(x, coupling_forward, self._predictors(None, discard_top))
 
     def inverse_with_cache(self, phi):
         """Waveform plus the per-stage predictor caches, indexed by stage."""
@@ -319,9 +324,10 @@ class LiftingTransform(Module):
     # -- vector-Jacobian products ------------------------------------------
 
     def forward_vjp(self, caches, grad_phi):
-        # stage output was (a', b') = (b, a + F(b))
+        # stage output was (a', b') = (b, a + F(b)); a None cache: b' discarded, zero gradient
         return self._walk_up(grad_phi, coupling_forward, [
-            partial(block.backward, cache) for block, cache in zip(self.blocks, caches)])
+            None if cache is None else partial(block.backward, cache)
+            for block, cache in zip(self.blocks, caches)])
 
     def inverse_vjp(self, caches, grad_x):
         # stage output was (a, b) = (b' - F(a'), a'); F's output entered

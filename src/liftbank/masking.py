@@ -2,10 +2,12 @@
 
 Two mask sources: a fixed, time-constant binary channel partition (the
 transform must learn to route target and interference energy into disjoint
-channels), and a small encoder/decoder network with skip connections whose
-sigmoid head emits values in (0, 1). Both plug into either transform path:
-the lifting filterbank (mask applied to its feature) or the STFT baseline
-(mask applied to the complex spectrogram, estimated from the log magnitude).
+channels; blocking the lifting feature's upper half, as the default does,
+spares the analysis the top predictor), and a small encoder/decoder network
+with skip connections whose sigmoid head emits values in (0, 1). Both plug
+into either transform path: the lifting filterbank (mask applied to its
+feature) or the STFT baseline (mask applied to the complex spectrogram,
+estimated from the log magnitude).
 """
 
 from __future__ import annotations
@@ -285,7 +287,7 @@ class EnhanceCache:
     """What EnhancementPipeline.backward needs from one enhance_training call."""
 
     mask: np.ndarray          # the applied mask, feature-shaped
-    feature: np.ndarray       # lifting feature phi, or the complex STFT spectrogram
+    feature: np.ndarray       # lifting phi (upper half zero if discard_top) or STFT spectrogram
     estimator: EstimatorCache = None   # set when the mask is estimated
     forward: list = None      # lifting: per-stage analysis caches
     inverse: list = None      # lifting: per-stage synthesis caches
@@ -311,12 +313,18 @@ class EnhancementPipeline(Module):
         self.binary_spec = binary_spec
         if mask_source == "estimator" and estimator is None:
             raise ValueError("estimator mask source needs a MaskEstimator")
+        height = transform.config.merged_channels if transform is not None else stft_config.n_bins
         if mask_source == "binary" and binary_spec is None:
-            if transform is not None:
-                self.binary_spec = BinaryMaskSpec(transform.config.merged_channels)
-            else:
+            if transform is None:
                 raise ValueError("binary mask on the stft path needs an explicit "
                                  "BinaryMaskSpec (bin count is odd)")
+            self.binary_spec = BinaryMaskSpec(height)
+        spec = self.binary_spec if mask_source == "binary" else None
+        if spec is not None and spec.n_channels != height:
+            raise ValueError(f"BinaryMaskSpec has {spec.n_channels} channels, the feature {height}")
+        # a mask blocking the lifting feature's upper half lets the analysis skip F_J
+        self.discard_top = (transform is not None and spec is not None
+                            and all(c < height // 2 for c in spec.speech_channels))
 
     # -- inference ----------------------------------------------------------
 
@@ -416,7 +424,8 @@ class EnhancementPipeline(Module):
         fwd_cache = inv_cache = est_cache = None
         if tf is not None:
             x, _ = pad_to_multiple(x, tf.config.time_divisor)
-            feature, fwd_cache = tf.forward_with_cache(x) if keep else (tf.forward(x), None)
+            feature, fwd_cache = (tf.forward_with_cache(x, self.discard_top) if keep
+                                  else (tf.forward(x, self.discard_top), None))
         else:
             feature = stft_forward(x, self.stft_config)
         if self.mask_source == "estimator":

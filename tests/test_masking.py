@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from liftbank.layers import Activation, Conv2d
-from liftbank.lifting import LiftingConfig, LiftingTransform
+from liftbank.lifting import CouplingBlock, LiftingConfig, LiftingTransform
 from liftbank.masking import (CHUNK_SAMPLES, BinaryMaskSpec, EnhancementPipeline,
                               MaskEstimator, binary_mask_generate)
-from liftbank.numerics import Rng
+from liftbank.numerics import Rng, pad_to_multiple
 from liftbank.objective import LossConfig, sdr_loss, sdr_loss_and_grad
 from liftbank.stft import StftConfig
 
@@ -351,6 +351,20 @@ class TestEnhancementPipeline:
         with pytest.raises(ValueError, match="odd"):
             EnhancementPipeline(stft_config=StftConfig(), mask_source="binary")
 
+    @pytest.mark.parametrize("kind", ["lifting", "stft"])
+    def test_binary_spec_height_mismatch_rejected(self, kind):
+        """A spec must partition the feature's rows: 32 merged channels for a
+        3-stage transform, 33 bins for a 64-point DFT."""
+        if kind == "lifting":
+            args, height = {"transform": LiftingTransform(LiftingConfig(num_stages=3), Rng(0))}, 32
+        else:
+            args, height = {"stft_config": StftConfig(window_length=64, hop=16, dft_length=64)}, 33
+        with pytest.raises(ValueError, match=f"has 8 channels, the feature {height}"):
+            EnhancementPipeline(mask_source="binary", binary_spec=BinaryMaskSpec(8), **args)
+        spec = BinaryMaskSpec(height, tuple(range(height // 2)))
+        pipe = EnhancementPipeline(mask_source="binary", binary_spec=spec, **args)
+        assert pipe.enhance(Rng(1).normal((500,)))[0].shape == (500,)
+
     def test_state_dict_round_trip(self):
         pipe = lifting_pipeline("estimator", seed=32, num_stages=2)
         state = {k: v.copy() for k, v in pipe.state_dict().items()}
@@ -508,6 +522,100 @@ class TestChunkedEnhance:
         with pytest.raises(ValueError, match="non-finite"):
             pipe.enhance(x)
         assert calls == []
+
+
+def _full_walk_step(pipe, clean, noise):
+    """A training step built from the transform's unskipped walks: s_hat,
+    dL/dx and the parameter gradients by name."""
+    tf, mix = pipe.transform, clean + noise
+    pipe.zero_grad()
+    phi, fwd_caches = tf.forward_with_cache(mix)
+    mask = binary_mask_generate(pipe.binary_spec, phi.shape[-1])
+    s_hat, inv_caches = tf.inverse_with_cache(phi * mask)
+    _, grad = sdr_loss_and_grad(s_hat, clean, mix, noise, LossConfig())
+    grad_x = tf.forward_vjp(fwd_caches, mask * tf.inverse_vjp(inv_caches, grad))
+    return s_hat, grad_x, {name: p.grad.copy() for name, p in pipe.named_parameters()}
+
+
+def _pipeline_step(pipe, clean, noise):
+    mix = clean + noise
+    pipe.zero_grad()
+    s_hat, cache = pipe.enhance_training(mix)
+    _, grad = sdr_loss_and_grad(s_hat, clean, mix, noise, LossConfig())
+    grad_x = pipe.backward(cache, grad)
+    return s_hat, grad_x, {name: p.grad.copy() for name, p in pipe.named_parameters()}
+
+
+def _partition(n_channels, kind):
+    """The default partition, none, or one with an upper-half channel."""
+    return {"default": None, "none": (), "upper": (0, n_channels // 2)}[kind]
+
+
+class TestDiscardedTopBranch:
+    """When the binary mask blocks the lifting feature's upper half, stage J's
+    predicted branch, the analysis and its VJP do not evaluate F_J; the
+    results are the full walk's."""
+
+    @pytest.mark.parametrize("partition", ["default", "none", "upper"])
+    def test_training_step_equals_full_walk(self, partition):
+        tf = LiftingTransform(LiftingConfig(num_stages=4, base_channels=2), Rng(80))
+        spec = BinaryMaskSpec(32, _partition(32, partition))
+        pipe = EnhancementPipeline(transform=tf, mask_source="binary", binary_spec=spec)
+        assert pipe.discard_top == (partition != "upper")
+        rng = Rng(81)
+        clean, noise = 0.5 * rng.normal((3, 512)), 0.3 * rng.normal((3, 512))
+        want = _full_walk_step(pipe, clean, noise)
+        got = _pipeline_step(pipe, clean, noise)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2].keys() == want[2].keys()
+        for name in want[2]:
+            np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
+
+    @pytest.mark.parametrize("partition", ["default", "upper"])
+    def test_enhance_equals_full_walk(self, partition, monkeypatch):
+        """Chunk by chunk, each chunk run through the unskipped analysis."""
+        tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2), Rng(84))
+        spec = BinaryMaskSpec(16, _partition(16, partition))
+        pipe = EnhancementPipeline(transform=tf, mask_source="binary", binary_spec=spec)
+        chunk = -(-CHUNK_SAMPLES // pipe.alignment) * pipe.alignment
+        inputs = [Rng(t).normal((t,)) for t in (chunk - 1, chunk + 1, 2 * chunk + 777)]
+        got = [pipe.enhance(x)[0] for x in inputs]
+
+        def full_walk_run(x, keep):
+            xp, _ = pad_to_multiple(x, tf.config.time_divisor)
+            phi = tf.forward(xp)
+            mask = binary_mask_generate(pipe.binary_spec, phi.shape[-1])
+            return tf.inverse(phi * mask)[..., :x.shape[-1]], mask
+        monkeypatch.setattr(pipe, "_run", full_walk_run)
+        for x, y in zip(inputs, got):
+            np.testing.assert_array_equal(y, pipe.enhance(x)[0])
+
+    @pytest.mark.parametrize("partition, per_step", [("default", 11), ("upper", 12)])
+    def test_predictor_call_counts(self, partition, per_step, monkeypatch):
+        """A 6-stage step runs 6 predictors in the synthesis and its VJP, and
+        5 in the analysis and its VJP when stage J's branch is blocked (6
+        otherwise); ``enhance`` runs the step's forwards once per chunk."""
+        calls = []
+
+        def spy(method):
+            original = getattr(CouplingBlock, method)
+
+            def counted(block, *args):
+                calls.append(method)
+                return original(block, *args)
+            return counted
+        monkeypatch.setattr(CouplingBlock, "forward", spy("forward"))
+        monkeypatch.setattr(CouplingBlock, "backward", spy("backward"))
+        tf = LiftingTransform(LiftingConfig(num_stages=6, base_channels=1), Rng(82))
+        spec = BinaryMaskSpec(64, _partition(64, partition))
+        pipe = EnhancementPipeline(transform=tf, mask_source="binary", binary_spec=spec)
+        rng = Rng(83)
+        _pipeline_step(pipe, rng.normal((2, 640)), rng.normal((2, 640)))
+        assert (calls.count("forward"), calls.count("backward")) == (per_step, per_step)
+        calls.clear()
+        pipe.enhance(rng.normal((CHUNK_SAMPLES + 1,)))      # two chunks
+        assert calls == ["forward"] * 2 * per_step
 
 
 def _traced_peak(fn, *args):
