@@ -10,7 +10,7 @@ finite-difference oracle.
 """
 
 from .numerics import Rng, finite_difference_gradient, pad_to_multiple
-from .layers import Activation, Conv1d, Conv2d, Deconv2d, InstanceNorm2d, Parameter
+from .layers import Activation, Conv1d, Conv2d, Deconv2d, Parameter
 from .checkpoint import load_checkpoint, save_checkpoint
 from .lifting import (BlockSpec, LiftingConfig, LiftingTransform,
                       coupling_forward, coupling_inverse,

@@ -40,7 +40,6 @@ __all__ = [
     "grid_valid",
     "Conv2d",
     "Deconv2d",
-    "InstanceNorm2d",
     "power_iteration",
     "spectral_sigma",
 ]
@@ -530,49 +529,3 @@ class Deconv2d(_Conv2dBase):
         self.weight.grad += phases.weight_adjoint(flat, xb, 1.0 / sigma).transpose(1, 0, 2, 3)
         self._bias_grad(g, (0, 2, 3))
         return _restore_batch(gx, lead)
-
-
-# ---------------------------------------------------------------------------
-# instance normalization
-# ---------------------------------------------------------------------------
-
-class InstanceNorm2d(Module):
-    """Per-channel standardization over each sample's spatial axes, then gamma * xhat + beta."""
-
-    def __init__(self, channels, eps=1e-5):
-        self.channels = int(channels)
-        self.eps = float(eps)
-        self.gamma = Parameter(np.ones(channels))
-        self.beta = Parameter(np.zeros(channels))
-
-    def forward(self, x):
-        xb, lead = _flatten_batch(x, 3)
-        if xb.shape[1] != self.channels:
-            raise ValueError(f"expected {self.channels} channels, got {xb.shape[1]}")
-        mu = xb.mean(axis=(2, 3), keepdims=True)
-        var = xb.var(axis=(2, 3), keepdims=True)
-        scale = np.sqrt(var + self.eps)
-        xhat = (xb - mu) / scale
-        y = self.gamma.data[:, None, None] * xhat + self.beta.data[:, None, None]
-        return _restore_batch(y, lead), (xhat, scale)
-
-    def backward(self, cache, grad_out):
-        """Input gradient (gamma / scale) * (g - mean(g) - xhat * mean(g * xhat)),
-        built in place in the one array that first holds g * xhat."""
-        xhat, scale = cache
-        g, lead = _flatten_batch(grad_out, 3)
-        gx = g * xhat
-        m1 = g.mean(axis=(2, 3), keepdims=True)
-        m2 = gx.mean(axis=(2, 3), keepdims=True)
-        coef = 1.0 / scale
-        self.gamma.grad += gx.sum(axis=(0, 2, 3))
-        self.beta.grad += g.sum(axis=(0, 2, 3))
-        coef *= self.gamma.data[:, None, None]
-        np.multiply(xhat, m2, out=gx)
-        gx += m1
-        np.subtract(g, gx, out=gx)
-        gx *= coef
-        return _restore_batch(gx, lead)
-
-    def parts(self):
-        return ("gamma", self.gamma), ("beta", self.beta)

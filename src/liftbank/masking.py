@@ -4,10 +4,10 @@ Two mask sources: a fixed, time-constant binary channel partition (the
 transform must learn to route target and interference energy into disjoint
 channels; blocking the lifting feature's upper half, as the default does,
 spares the analysis the top predictor), and a small encoder/decoder network
-with skip connections whose sigmoid head emits values in (0, 1). Both plug
-into either transform path: the lifting filterbank (mask applied to its
-feature) or the STFT baseline (mask applied to the complex spectrogram,
-estimated from the log magnitude).
+with skip connections, spectral-normalised or not, whose sigmoid head emits
+values in (0, 1). Both plug into either transform path: the lifting
+filterbank (mask applied to its feature) or the STFT baseline (mask applied
+to the complex spectrogram, estimated from the log magnitude).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Activation, Conv2d, Deconv2d, InstanceNorm2d, Module
+from .layers import Activation, Conv2d, Deconv2d, Module
 from .numerics import Rng, pad_to_multiple
 from .stft import frame_count, istft, istft_vjp, log_magnitude_feature, stft_forward
 
@@ -31,7 +31,7 @@ __all__ = [
     "EnhanceCache",
 ]
 
-NORM_KINDS = ("none", "instance", "spectral")
+NORM_KINDS = ("none", "spectral")
 
 # ``EnhancementPipeline.enhance`` runs an input in chunks of this many samples
 # (rounded up to the pipeline's alignment), so its memory does not grow with
@@ -82,7 +82,7 @@ def binary_mask_generate(spec, n_frames):
 class EstimatorCache:
     """Layer caches of one MaskEstimator.forward_with_cache call."""
 
-    encoder: list        # per encoder stage: (conv, norm, activation) caches
+    encoder: list        # per encoder stage: (conv, activation) caches
     decoder: list        # per decoder stage, in run order
     head: tuple
     sigmoid: np.ndarray
@@ -108,31 +108,21 @@ class MaskEstimator(Module):
             raise ValueError(f"mask estimator needs base_channels >= 1, got {base_channels}")
         rng = rng if rng is not None else Rng(0)
         self.depth = int(depth)
-        self.norm_kind = norm
         self.act = Activation("leaky_relu", 0.2)
         sn = norm == "spectral"
-        # instance norm cancels any conv bias (mean subtraction), so the bias
-        # is dropped there and the norm's shift parameter takes its role
-        use_bias = norm != "instance"
         chans = [base_channels * (2 ** i) for i in range(depth)]
         self.enc_convs = []
-        self.enc_norms = []
         prev = 1
         for c in chans:
-            self.enc_convs.append(Conv2d(prev, c, kernel_size=4, stride=2,
-                                         padding=1, bias=use_bias,
+            self.enc_convs.append(Conv2d(prev, c, kernel_size=4, stride=2, padding=1,
                                          spectral_norm=sn, rng=rng))
-            self.enc_norms.append(InstanceNorm2d(c) if norm == "instance" else None)
             prev = c
         self.dec_convs = []
-        self.dec_norms = []
         for i in range(depth - 1, -1, -1):
             in_c = chans[depth - 1] if i == depth - 1 else 2 * chans[i]
             out_c = chans[i - 1] if i >= 1 else base_channels
-            self.dec_convs.append(Deconv2d(in_c, out_c, kernel_size=4, stride=2,
-                                           padding=1, bias=use_bias,
+            self.dec_convs.append(Deconv2d(in_c, out_c, kernel_size=4, stride=2, padding=1,
                                            spectral_norm=sn, rng=rng))
-            self.dec_norms.append(InstanceNorm2d(out_c) if norm == "instance" else None)
         # zero-init head: the estimator starts out as a flat 0.5 mask
         self.head = Conv2d(base_channels, 1, kernel_size=1, rng=rng)
         self.head.weight.data[...] = 0.0
@@ -147,15 +137,12 @@ class MaskEstimator(Module):
     @property
     def frame_receptive_field(self):
         """Frames on either side of an output frame that its mask value can
-        depend on, or None when instance norm, whose statistics span the
-        whole input, makes it unbounded.
+        depend on.
 
         Encoder level i (4 taps, stride 2, padding 1, read at a 2**i frame
         grid) and its transposed mirror in the decoder together widen the
         dependence by 3 * 2**i frames, 3 * (total_stride - 1) over all levels.
         """
-        if self.norm_kind == "instance":
-            return None
         return 3 * (self.total_stride - 1)
 
     def _image(self, a):
@@ -175,33 +162,24 @@ class MaskEstimator(Module):
             self._held.buf = buf = np.empty(n + n // 8)
         return buf[:n].reshape(shape)
 
-    def _stage(self, conv, nrm, h, caches, out=None):
-        """conv -> optional norm -> leaky ReLU; appends the three layer caches
-        to ``caches``, or drops them when it is None.
-
-        Without a norm the conv runs the activation on each row block as it
-        finishes it. A stage given ``out``, its part of a skip-concat buffer,
-        writes its output there.
+    def _stage(self, conv, h, caches, out=None):
+        """conv -> leaky ReLU, the conv running the activation on each row
+        block as it finishes it; appends the two layer caches to ``caches``,
+        or drops them when it is None. A stage given ``out``, its part of a
+        skip-concat buffer, writes its output there.
         """
-        h, c1 = conv.forward(h, act=self.act if nrm is None else None, out=out)
-        c2 = None
-        if nrm is not None:
-            h, c2 = nrm.forward(h)
-            h, _ = self.act.forward(h, out=h if out is None else out)
+        h, c1 = conv.forward(h, act=self.act, out=out)
         if caches is not None:
-            caches.append((c1, c2, h))     # the activation's cache is its output
+            caches.append((c1, h))     # the activation's cache is its output
         return h
 
-    def _stage_backward(self, conv, nrm, caches, g):
-        c1, c2, c3 = caches
-        g = self.act.backward(c3, g)
-        if nrm is not None:
-            g = nrm.backward(c2, g)
-        return conv.backward(c1, g)
+    def _stage_backward(self, conv, caches, g):
+        c1, c2 = caches
+        return conv.backward(c1, self.act.backward(c2, g))
 
     def _run(self, feature, keep):
-        """Mask and, with ``keep``, its EstimatorCache. Inference without a norm streams
-        the top decoder stage into the head; training and instance norm need its map."""
+        """Mask and, with ``keep``, its EstimatorCache. Inference streams the
+        top decoder stage into the head; training caches its map."""
         feature = np.asarray(feature, dtype=np.float64)
         h0, w0 = feature.shape[-2], feature.shape[-1]
         enc_caches = [] if keep else None
@@ -209,25 +187,24 @@ class MaskEstimator(Module):
         h = self._image(feature)
         # level j's skip-concat buffer: encoder stage j writes its back channels
         # (the skip), the decoder stage above it its front channels. The top
-        # one, the largest and live at the peak, is resident, unless caches
-        # hold it or instance norm makes every input a whole file.
+        # one, the largest and live at the peak, is resident unless caches
+        # hold it.
         shapes = [h.shape[:-3] + (2 * conv.out_channels,) + tuple(n >> (j + 1) for n in h.shape[-2:])
                   for j, conv in enumerate(self.enc_convs[:-1])]
-        fresh = keep or self.frame_receptive_field is None
-        cats = [np.empty(c) if fresh or j else self._resident(c) for j, c in enumerate(shapes)]
-        for conv, nrm, cat in zip(self.enc_convs, self.enc_norms, cats + [None]):
+        cats = [np.empty(c) if keep or j else self._resident(c) for j, c in enumerate(shapes)]
+        for conv, cat in zip(self.enc_convs, cats + [None]):
             skip = None if cat is None else cat[..., conv.out_channels:, :, :]
-            h = self._stage(conv, nrm, h, enc_caches, skip)
-        for conv, nrm in zip(self.dec_convs[:-1], self.dec_norms[:-1]):
+            h = self._stage(conv, h, enc_caches, skip)
+        for conv in self.dec_convs[:-1]:
             cat = cats.pop()
-            self._stage(conv, nrm, h, dec_caches, out=cat[..., :conv.out_channels, :, :])
+            self._stage(conv, h, dec_caches, out=cat[..., :conv.out_channels, :, :])
             h = cat
 
-        top, nrm = self.dec_convs[-1], self.dec_norms[-1]
-        if nrm is None and not keep:
-            h, head_cache = top.forward(h, act=self.act, head=self.head)
+        top = self.dec_convs[-1]
+        if keep:
+            h, head_cache = self.head.forward(self._stage(top, h, dec_caches))
         else:
-            h, head_cache = self.head.forward(self._stage(top, nrm, h, dec_caches))
+            h, head_cache = top.forward(h, act=self.act, head=self.head)
         mask_img, sig_cache = self.sigmoid.forward(h, out=h)
         mask = mask_img[..., 0, :h0, :w0]
         if not keep:
@@ -251,26 +228,24 @@ class MaskEstimator(Module):
         g = self.head.backward(cache.head, g)
 
         skip_grads = []     # a stack, popped deepest first as ``skips`` in _run
-        decoder = zip(self.dec_convs, self.dec_norms, cache.decoder)
-        for k, (conv, nrm, c) in enumerate(reversed(list(decoder))):
+        decoder = zip(self.dec_convs, cache.decoder)
+        for k, (conv, c) in enumerate(reversed(list(decoder))):
             if k:     # every decoder stage but the last wrote before a skip
                 nc = conv.out_channels
                 skip_grads.append(g[..., nc:, :, :])
                 g = g[..., :nc, :, :]
-            g = self._stage_backward(conv, nrm, c, g)
-        encoder = zip(self.enc_convs, self.enc_norms, cache.encoder)
-        for k, (conv, nrm, c) in enumerate(reversed(list(encoder))):
+            g = self._stage_backward(conv, c, g)
+        encoder = zip(self.enc_convs, cache.encoder)
+        for k, (conv, c) in enumerate(reversed(list(encoder))):
             if k:     # every encoder stage but the deepest fed a skip
                 g = g + skip_grads.pop()
-            g = self._stage_backward(conv, nrm, c, g)
+            g = self._stage_backward(conv, c, g)
         return g[..., 0, :h0, :w0]
 
     def parts(self):
-        for tag, convs, norms in (("enc", self.enc_convs, self.enc_norms),
-                                  ("dec", self.dec_convs, self.dec_norms)):
-            for i, (conv, norm) in enumerate(zip(convs, norms)):
+        for tag, convs in (("enc", self.enc_convs), ("dec", self.dec_convs)):
+            for i, conv in enumerate(convs):
                 yield f"{tag}{i}", conv
-                yield f"{tag}{i}/norm", norm
         yield "head", self.head
 
 
@@ -343,8 +318,7 @@ class EnhancementPipeline(Module):
     @property
     def context(self):
         """Input samples on either side of an output sample that it can depend
-        on, rounded up to ``alignment``; None when the receptive field is the
-        whole input (an estimator with instance norm).
+        on, rounded up to ``alignment``.
 
         Each transform direction reaches its predictor or window half-width:
         for lifting, sum(k // 2) * 2**j samples per stage j plus the polyphase
@@ -360,10 +334,7 @@ class EnhancementPipeline(Module):
             reach = self.stft_config.window_length // 2
         total = 2 * reach
         if self.mask_source == "estimator":
-            frames = self.estimator.frame_receptive_field
-            if frames is None:
-                return None
-            total += frames * hop
+            total += self.estimator.frame_receptive_field * hop
         return _round_up(total, self.alignment)
 
     def enhance(self, x):
@@ -380,20 +351,15 @@ class EnhancementPipeline(Module):
 
     def _chunked(self, x, with_mask):
         """Estimate, and the mask when asked, from chunks of CHUNK_SAMPLES run
-        one after another, each with ``context`` input samples on both sides
-        (one chunk when the receptive field is unbounded); each chunk's mask,
-        cropped to its own frames, goes into one feature-shaped array. Checks
-        the whole input first."""
+        one after another, each with ``context`` input samples on both sides;
+        each chunk's mask, cropped to its own frames, goes into one
+        feature-shaped array. Checks the whole input first."""
         t = x.shape[-1]
         if t == 0:
             raise ValueError("empty input signal")
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite input signal")
-        ctx = self.context
-        if ctx is None:
-            step, ctx = t, 0
-        else:
-            step = _round_up(CHUNK_SAMPLES, self.alignment)
+        ctx, step = self.context, _round_up(CHUNK_SAMPLES, self.alignment)
         hop = self._frame_hop()
         s_hat, out = np.empty_like(x), None
         for start in range(0, t, step):

@@ -89,7 +89,6 @@ class TestAcceptance:
                          rng.normal((2, 3, 3)), 300 + i),
                 fd_check(lb.Activation("leaky_relu", 0.2), rng.normal((2, 9)), 400 + i),
                 fd_check(lb.Activation("sigmoid"), rng.normal((2, 9)), 500 + i),
-                fd_check(lb.InstanceNorm2d(2), rng.normal((2, 4, 4)), 600 + i),
             )
         pipeline_err = gradient_suite(seed=0)
         worst = max(worst_layer, pipeline_err)

@@ -171,15 +171,6 @@ class TestCheckpointFormat:
                                      "mask.norm": norm})
         return list(build_pipeline(cfg).state_dict())
 
-    def test_entry_order_with_instance_norm_estimator(self):
-        assert self._keys("instance") == LIFTING_SN_NAMES + [
-            "mask/enc0/weight", "mask/enc0/norm/gamma", "mask/enc0/norm/beta",
-            "mask/enc1/weight", "mask/enc1/norm/gamma", "mask/enc1/norm/beta",
-            "mask/dec0/weight", "mask/dec0/norm/gamma", "mask/dec0/norm/beta",
-            "mask/dec1/weight", "mask/dec1/norm/gamma", "mask/dec1/norm/beta",
-            "mask/head/weight", "mask/head/bias",
-        ] + LIFTING_SN_STATE
-
     def test_entry_order_with_spectral_norm_estimator(self):
         assert self._keys("spectral") == LIFTING_SN_NAMES + [
             "mask/enc0/weight", "mask/enc0/bias", "mask/enc1/weight", "mask/enc1/bias",

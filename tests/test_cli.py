@@ -4,6 +4,7 @@ import csv
 import os
 import tracemalloc
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,21 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def instance_norm_entries(cfg):
+    """The entries of an estimator checkpoint saved when the estimator had
+    instance norm: no encoder or decoder conv bias, a norm gamma and beta
+    after each of those convs instead."""
+    entries = {}
+    for name, arr in cli.build_pipeline(cfg).state_dict().items():
+        if name.startswith(("mask/enc", "mask/dec")) and name.endswith("/bias"):
+            stage = name[:-len("bias")]
+            entries[stage + "norm/gamma"] = np.ones_like(arr)
+            entries[stage + "norm/beta"] = np.zeros_like(arr)
+        else:
+            entries[name] = arr
+    return entries
 
 
 def write_manifest(tmp_path, n_pairs=3, length=2000, mismatched=0):
@@ -142,6 +158,26 @@ class TestConfig:
     def test_bad_value_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "train.epochs = soon\n")
         assert main(["train", str(cfg)]) == 2
+
+    def test_readme_example_config_loads_with_every_listed_choice(self, tmp_path):
+        """README's example config loads, and so does each option that a
+        ``# a | b`` comment in it lists: the documented choices are the
+        parser's."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = cli.load_config(write_config(tmp_path, block))
+        listed = {}
+        for line in block.splitlines():
+            setting, _, comment = line.partition("#")
+            if "|" in comment:
+                key, _, value = setting.partition("=")
+                listed[key.strip()] = [option.strip() for option in comment.split("|")]
+                assert value.strip() in listed[key.strip()] and cfg[key.strip()] == value.strip()
+        assert listed["mask.norm"] == ["none", "spectral"]
+        for key, options in listed.items():
+            for option in options:
+                loaded = cli.load_config(write_config(tmp_path, f"{key} = {option}\n"))
+                assert loaded[key] == option
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["train", str(tmp_path / "absent.cfg")]) == 2
@@ -268,6 +304,8 @@ class TestTrainCommand:
         ("seed 7", "run.cfg:17: expected key=value"),
         ("pipeline.mask = bogus", "bad value for pipeline.mask: expected one of "
                                   "('binary', 'estimator', 'ones'), got 'bogus'"),
+        ("pipeline.mask = estimator\nmask.norm = instance",
+         "bad value for mask.norm: expected one of ('none', 'spectral'), got 'instance'"),
         ("data.kind = manifest", "data.kind=manifest needs data.manifest"),
         ("data.count = 0", "data.count must be >= 1"),
     ])
@@ -403,13 +441,22 @@ class TestEnhanceCommand:
         assert "empty input signal" in capsys.readouterr().err
         assert not (tmp_path / "out.wav").exists()
 
-    def test_checkpoint_mismatch_exits_2(self, tmp_path):
-        from liftbank.checkpoint import save_checkpoint
-        save_checkpoint(tmp_path / "weird.ckpt", {"not/a/real/param": np.ones(3)})
+    @pytest.mark.parametrize("mask, entries, missing, extra", [
+        ("binary", lambda cfg: {"not/a/real/param": np.ones(3)},
+         "lifting/stage1/conv0/weight", "not/a/real/param"),
+        ("estimator", instance_norm_entries, "mask/enc0/bias", "mask/enc0/norm/gamma"),
+    ], ids=["unknown", "instance_norm"])
+    def test_checkpoint_mismatch_exits_2(self, tmp_path, capsys, mask, entries, missing, extra):
+        cfg = write_config(tmp_path, f"pipeline.mask = {mask}\n")
+        save_checkpoint(tmp_path / "weird.ckpt", entries(cli.load_config(cfg)))
         x = 0.1 * Rng(3).normal((1000,))
         wav_write(WavClip(x), tmp_path / "in.wav")
         assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
-                     "--checkpoint", str(tmp_path / "weird.ckpt")]) == 2
+                     "--config", str(cfg), "--checkpoint", str(tmp_path / "weird.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint mismatch" in err
+        listed_missing, _, listed_extra = err.partition("extra=")
+        assert f"'{missing}'" in listed_missing and f"'{extra}'" in listed_extra
 
     def test_non_finite_checkpoint_exits_2(self, tmp_path, capsys):
         ckpt = nan_checkpoint(tmp_path)

@@ -11,8 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from liftbank.layers import (Activation, Conv1d, Conv2d, Deconv2d,
-                             InstanceNorm2d, power_iteration)
+from liftbank.layers import Activation, Conv1d, Conv2d, Deconv2d, power_iteration
 from liftbank.tapgemm import PhaseGrid
 from liftbank.numerics import Rng, finite_difference_gradient
 
@@ -222,17 +221,6 @@ class TestLayerBackward:
             y, cache = act.forward(x)
             analytic = act.backward(cache, r)
             assert rel_err(analytic, numeric) <= GRAD_TOL
-
-    def test_instance_norm_gradients_random_instances(self):
-        rng = Rng(14)
-        for i in range(N_INSTANCES):
-            norm = InstanceNorm2d(2)
-            norm.gamma.data[...] = rng.uniform((2,), 0.5, 1.5)
-            norm.beta.data[...] = rng.normal((2,))
-            x = rng.normal((2, 4, 4))
-            assert check_input_gradient(norm, x, seed=4000 + i) <= GRAD_TOL
-        norm = InstanceNorm2d(3)
-        assert check_param_gradients(norm, Rng(86).normal((3, 4, 5)), seed=87) <= GRAD_TOL
 
     def test_conv2d_deconv2d_shape_mirror(self):
         """Deconv with matching stride/pad/kernel inverts the conv shape map."""
@@ -491,68 +479,6 @@ class TestActivations:
             Activation("relu6")
         with pytest.raises(ValueError):
             Activation("leaky_relu", 1.5)
-
-
-class TestInstanceNorm:
-    def test_constant_channel_maps_to_zero(self):
-        norm = InstanceNorm2d(1)
-        y, _ = norm.forward(np.full((1, 3, 3), 7.0))
-        np.testing.assert_allclose(y, 0.0, atol=1e-6)
-
-    def test_two_point_channel(self):
-        norm = InstanceNorm2d(1)
-        y, _ = norm.forward(np.array([1.0, -1.0]).reshape(1, 1, 2))
-        np.testing.assert_allclose(y.ravel(), [1.0, -1.0], atol=1e-4)
-
-    def test_standardizes_any_input(self):
-        rng = Rng(5)
-        norm = InstanceNorm2d(4)
-        x = 3.0 * rng.normal((4, 6, 5)) + 2.0
-        y, _ = norm.forward(x)
-        means = y.mean(axis=(1, 2))
-        stds = y.std(axis=(1, 2))
-        assert np.all(np.abs(means) <= 1e-10)
-        np.testing.assert_allclose(stds, 1.0, atol=1e-3)
-
-    @staticmethod
-    def _reference_backward(norm, cache, g):
-        """The gradients as the textbook out-of-place formula states them."""
-        xhat, scale = cache
-        gamma_grad = (g * xhat).sum(axis=(0, 2, 3))
-        beta_grad = g.sum(axis=(0, 2, 3))
-        g = g * norm.gamma.data[:, None, None]
-        m1 = g.mean(axis=(2, 3), keepdims=True)
-        m2 = (g * xhat).mean(axis=(2, 3), keepdims=True)
-        return (g - m1 - xhat * m2) / scale, gamma_grad, beta_grad
-
-    def test_backward_matches_reference_formula(self):
-        rng = Rng(6)
-        norm = InstanceNorm2d(5)
-        norm.gamma.data[...] = rng.uniform((5,), -2.0, 2.0)
-        norm.beta.data[...] = rng.normal((5,))
-        _, cache = norm.forward(3.0 * rng.normal((2, 5, 12, 17)) + 1.0)
-        g = rng.normal((2, 5, 12, 17))
-        want_x, want_gamma, want_beta = self._reference_backward(norm, cache, g)
-        gx = norm.backward(cache, g)
-        assert np.max(np.abs(gx - want_x)) <= 1e-12 * np.max(np.abs(want_x))
-        np.testing.assert_array_equal(norm.gamma.grad, want_gamma)
-        np.testing.assert_array_equal(norm.beta.grad, want_beta)
-
-    def test_backward_peak_is_the_result(self):
-        """One full-size array, the result: the out-of-place formula peaks at
-        about three times its bytes."""
-        rng = Rng(7)
-        norm = InstanceNorm2d(8)
-        _, cache = norm.forward(rng.normal((1, 8, 64, 256)))
-        g = rng.normal((1, 8, 64, 256))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = norm.backward(cache, g)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * out.nbytes
 
 
 def spectral_normalize(w, u, iters):
