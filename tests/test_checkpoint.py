@@ -180,6 +180,15 @@ class TestCheckpointFormat:
             "mask/enc0/sn_u", "mask/enc1/sn_u", "mask/dec0/sn_u", "mask/dec1/sn_u",
         ]
 
+    def test_entry_order_with_unnormalised_estimator(self):
+        """Without a norm each estimator conv owns a weight and a bias, and
+        the estimator holds no state entries."""
+        assert self._keys("none") == LIFTING_SN_NAMES + [
+            "mask/enc0/weight", "mask/enc0/bias", "mask/enc1/weight", "mask/enc1/bias",
+            "mask/dec0/weight", "mask/dec0/bias", "mask/dec1/weight", "mask/dec1/bias",
+            "mask/head/weight", "mask/head/bias",
+        ] + LIFTING_SN_STATE
+
     def test_default_pipeline_checkpoint_bytes(self, tmp_path):
         """The default pipeline's initial checkpoint, byte for byte. Its
         initialisation draws only uniform numbers from the integer SplitMix64

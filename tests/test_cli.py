@@ -179,6 +179,23 @@ class TestConfig:
                 loaded = cli.load_config(write_config(tmp_path, f"{key} = {option}\n"))
                 assert loaded[key] == option
 
+    @pytest.mark.parametrize("command", [
+        ["enhance", "{tmp}/in.wav", "{tmp}/out.wav"],
+        ["eval", "--manifest", "{tmp}/pairs.tsv", "--out", "{tmp}/out.csv"],
+        ["check", "pr"],
+    ], ids=["enhance", "eval", "check"])
+    def test_instance_norm_exits_2_in_every_command(self, tmp_path, capsys, command):
+        """Instance norm is no longer a mask.norm choice: each command that
+        reads a config rejects it before it reads or writes anything else."""
+        cfg = write_config(tmp_path, "pipeline.mask = estimator\nmask.norm = instance\n")
+        files = sorted(p.name for p in tmp_path.iterdir())
+        argv = [arg.format(tmp=tmp_path) for arg in command] + ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: bad value for mask.norm: expected one of ('none', 'spectral'), "
+            "got 'instance'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["train", str(tmp_path / "absent.cfg")]) == 2
 

@@ -106,7 +106,15 @@ class TestMaskEstimator:
     def test_batched_backward(self, norm):
         """Input-gradient rows are the per-item input gradients, and the
         parameter gradients are the sum of the per-item ones."""
-        net = MaskEstimator(depth=2, base_channels=4, norm=norm, rng=Rng(16))
+        self._check_batched_backward(norm, depth=2)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_batched_backward_at_depth(self, depth):
+        self._check_batched_backward("none", depth)
+
+    @staticmethod
+    def _check_batched_backward(norm, depth):
+        net = MaskEstimator(depth=depth, base_channels=4, norm=norm, rng=Rng(16))
         net.head.weight.data[...] = Rng(17).normal(net.head.weight.shape)
         feat = Rng(18).normal((3, 20, 14))
         r = Rng(19).normal((3, 20, 14))
@@ -129,7 +137,15 @@ class TestMaskEstimator:
         """Input and every parameter gradient, without a norm: spectral norm's
         weight gradient holds sigma constant by design, so a parameter
         finite-difference check does not apply to it."""
-        net = MaskEstimator(depth=2, base_channels=3, norm="none", rng=Rng(12))
+        self._check_gradients(depth=2)
+
+    def test_gradients_match_finite_differences_at_depth_1(self):
+        """The same check where the top stage is the only decoder stage."""
+        self._check_gradients(depth=1)
+
+    @staticmethod
+    def _check_gradients(depth):
+        net = MaskEstimator(depth=depth, base_channels=3, norm="none", rng=Rng(12))
         net.head.weight.data[...] = Rng(13).normal(net.head.weight.shape)
         feat = Rng(14).normal((9, 7))
         r = Rng(15).normal((9, 7))
@@ -192,7 +208,8 @@ class TestFusedTopStage:
 
     @pytest.mark.parametrize("norm", ["none", "spectral"])
     @pytest.mark.parametrize("depth, shape", [
-        (1, (24, 20)), (1, (2, 2, 17, 33)), (1, (21, 22)), (3, (2, 21, 35)), (3, (64, 70))])
+        (1, (24, 20)), (1, (2, 2, 17, 33)), (1, (21, 22)), (3, (2, 21, 35)), (3, (64, 70)),
+        (2, (33, 18)), (2, (3, 20, 44))])
     def test_matches_layer_by_layer_bitwise(self, norm, depth, shape):
         """Depth 1 makes the top stage the only decoder stage; lead batch axes
         and heights and widths off the total stride crop the padding. (21, 22)
@@ -431,12 +448,12 @@ def _with_head(net, seed):
     return net
 
 
-def small_pipeline(kind, norm="none"):
+def small_pipeline(kind, norm="none", depth=2):
     """A cheap pipeline of each kind: lifting/binary, lifting/estimator or
     stft/estimator."""
     if kind == "lifting/binary":
         return lifting_pipeline("binary", seed=50, num_stages=3, base_channels=2)
-    net = _with_head(MaskEstimator(depth=2, base_channels=2, norm=norm, rng=Rng(51)), 52)
+    net = _with_head(MaskEstimator(depth=depth, base_channels=2, norm=norm, rng=Rng(51)), 52)
     if kind == "lifting/estimator":
         tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2), Rng(53))
         return EnhancementPipeline(transform=tf, mask_source="estimator", estimator=net)
@@ -450,9 +467,19 @@ class TestChunkedEnhance:
 
     @pytest.mark.parametrize("kind,norm", [
         ("lifting/binary", "none"), ("lifting/estimator", "none"),
-        ("lifting/estimator", "spectral"), ("stft/estimator", "none")])
+        ("lifting/estimator", "spectral"), ("stft/estimator", "none"),
+        ("stft/estimator", "spectral")])
     def test_chunked_equals_whole_file(self, kind, norm):
-        pipe = small_pipeline(kind, norm)
+        self._check_chunked_equals_whole_file(small_pipeline(kind, norm))
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_chunked_equals_whole_file_at_depth(self, depth):
+        """The context and chunk grid follow the estimator's depth: its total
+        stride sets the alignment and its receptive field the context."""
+        self._check_chunked_equals_whole_file(small_pipeline("lifting/estimator", depth=depth))
+
+    @staticmethod
+    def _check_chunked_equals_whole_file(pipe):
         chunk = -(-CHUNK_SAMPLES // pipe.alignment) * pipe.alignment
         for shape in [(chunk - 1,), (chunk,), (chunk + 1,), (2 * chunk + 777,),
                       (2, 2 * chunk + 777)]:
@@ -487,9 +514,17 @@ class TestChunkedEnhance:
         """Perturb one input sample at several phases; every output sample
         that moves lies within ``context`` of it, and the furthest lies past
         half of it, so the bound is not vacuous."""
-        pipe = small_pipeline(kind)
+        self._check_receptive_field_within_context(small_pipeline(kind))
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_receptive_field_within_context_at_depth(self, depth):
+        self._check_receptive_field_within_context(
+            small_pipeline("lifting/estimator", depth=depth))
+
+    @staticmethod
+    def _check_receptive_field_within_context(pipe):
         ctx = pipe.context
-        assert ctx % pipe.alignment == 0
+        assert isinstance(ctx, int) and ctx % pipe.alignment == 0
         x = Rng(55).normal((4096,))
         base = pipe.enhance(x)[0]
         reach = 0
