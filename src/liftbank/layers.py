@@ -11,15 +11,16 @@ Data is channels-first with arbitrary leading batch axes: 1-D signals are
 runs on one engine, ``tapgemm``: one GEMM per kernel tap over a strided
 window of a flat, zero-padded grid, each tap after the first adding into its
 output inside BLAS. Conv1d runs on a (C, B, L + 2P) grid that the lifting
-predictors chain. A strided 2-D correlation (Conv2d's forward pass,
-Deconv2d's backward pass) is regrouped space-to-depth into a stride-1 one,
-and its input adjoint (Conv2d's input gradient, Deconv2d's forward pass) is
-the matching stride-1 correlation regrouped depth-to-space
-(``tapgemm.PhaseGrid``); given an activation, each runs it on every row
-block while the block is in cache, and given a 1x1 head, Deconv2d runs it
-there too, with no cache. The leaky ReLU, the sigmoid and their gradients are
-one kernel each over cache-sized blocks (``_in_blocks``), writing a given
-output that may be the input, for the lifting grids and the estimator.
+predictors chain, and adds +-its output onto a given grid in those GEMMs when
+asked (a coupling's add or subtract). A strided 2-D correlation (Conv2d's
+forward pass, Deconv2d's backward pass) is regrouped space-to-depth into a
+stride-1 one, and its input adjoint (Conv2d's input gradient, Deconv2d's
+forward pass) is the matching stride-1 correlation regrouped depth-to-space
+(``tapgemm.PhaseGrid``); given an activation, each runs it on every row block
+while the block is in cache, and given a 1x1 head, Deconv2d runs it there
+too, with no cache. The leaky ReLU, the sigmoid and their gradients are one
+kernel each over cache-sized blocks (``_in_blocks``), writing a given output
+that may be the input, for the lifting grids and the estimator.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "leaky_relu",
     "leaky_relu_grad",
     "Conv1d",
+    "empty_grid",
     "to_grid",
     "grid_valid",
     "Conv2d",
@@ -249,23 +251,29 @@ def spectral_sigma(w2d, u):
 # every batch row carries P zero columns on each side. Flattened to (C, N),
 # N = B (L + 2P), a stride-1 "same" correlation of half-width p <= P is one
 # GEMM per tap over a shifted window of columns, written straight onto the
-# interior columns [P, N - P) of an output grid of the same shape; BLAS
-# reads the strided windows in place. The windows run across batch rows, so
-# afterwards the pad columns are zeroed again, and the output is the next
-# layer's padded input as it stands.
+# interior columns [P, N - P) of an output grid of the same shape, or added
+# onto a given one; BLAS reads the strided windows in place. The windows run
+# across batch rows, so afterwards the pad columns are zeroed again, and the
+# output is the next layer's padded input as it stands.
 
-def to_grid(x3, pad):
-    """Copy (C, B, L) into a new zero-padded grid (C, B, L + 2 pad)."""
-    c, batch, length = x3.shape
-    grid = np.empty((c, batch, length + 2 * pad))
-    grid[:, :, pad:pad + length] = x3
+def empty_grid(shape, pad):
+    """A new grid (C, ..., L + 2 pad) for signals of shape (C, ..., L): zero
+    pad columns, signal columns not initialised."""
+    grid = np.empty(tuple(shape[:-1]) + (shape[-1] + 2 * pad,))
     _zero_pad_columns(grid, pad)
     return grid
 
 
+def to_grid(x, pad):
+    """Copy (C, ..., L) into a new zero-padded grid (C, ..., L + 2 pad)."""
+    grid = empty_grid(x.shape, pad)
+    grid_valid(grid, pad)[...] = x
+    return grid
+
+
 def grid_valid(grid, pad):
-    """The (C, B, L) view of a grid's signal columns."""
-    return grid[:, :, pad:grid.shape[2] - pad]
+    """The (C, ..., L) view of a grid's signal columns."""
+    return grid[..., pad:grid.shape[-1] - pad]
 
 
 def _grid_interior(grid, pad):
@@ -275,24 +283,29 @@ def _grid_interior(grid, pad):
 
 
 def _zero_pad_columns(grid, pad):
-    grid[:, :, :pad] = 0.0
-    grid[:, :, grid.shape[2] - pad:] = 0.0
+    grid[..., :pad] = 0.0
+    grid[..., grid.shape[-1] - pad:] = 0.0
 
 
-def _correlate_grid(taps, grid, pad, bias=None):
+def _correlate_grid(taps, grid, pad, bias=None, onto=None, alpha=1.0):
     """Stride-1 correlation of a padded (C_in, B, Lp) grid with taps (k, C_out, C_in).
 
-    Returns a new (C_out, B, Lp) grid with zero pad columns:
-    ``out[:, P:N-P] = sum_t taps[t] @ flat[:, s_t : s_t + n] (+ bias)`` with
-    s_t = P - k // 2 + t.
+    Adds alpha times ``out[:, P:N-P] = sum_t taps[t] @ flat[:, s_t : s_t + n]
+    (+ bias)``, s_t = P - k // 2 + t, onto the (C_out, B, Lp) grid ``onto``
+    in place and returns it, or returns it in a new grid; the result's pad
+    columns are zero.
     """
     k, cout = taps.shape[:2]
-    out = np.empty((cout,) + grid.shape[1:])
+    shape = (cout,) + grid.shape[1:]
+    if onto is not None and onto.shape != shape:
+        raise ValueError(f"cannot add a {shape} correlation onto shape {onto.shape}")
+    out = np.empty(shape) if onto is None else onto
     acc = _grid_interior(out, pad)
     first = pad - k // 2
-    tap_gemms(taps, grid.reshape(grid.shape[0], -1), range(first, first + k), acc)
+    tap_gemms(taps, grid.reshape(grid.shape[0], -1), range(first, first + k), acc,
+              alpha, 0.0 if onto is None else 1.0)
     if bias is not None:
-        acc += bias[:, None]
+        acc += (alpha * bias)[:, None]
     _zero_pad_columns(out, pad)
     return out
 
@@ -341,9 +354,9 @@ class _Conv(Module):
             return self.weight.data, 1.0
         return self.weight.data / sigma, sigma
 
-    def _bias_grad(self, g, axis):
+    def _bias_grad(self, g, axis, alpha=1.0):
         if self.bias is not None:
-            self.bias.grad += g.sum(axis=axis)
+            self.bias.grad += alpha * g.sum(axis=axis)
 
     def update_spectral_state(self, iters=1):
         if self.sn_u is not None:
@@ -360,8 +373,8 @@ class Conv1d(_Conv):
     Output length always equals input length, which is what lets the lifting
     predictors keep both coupling branches shape-compatible. The work happens
     on the zero-padded grid (see ``to_grid``): ``forward_grid`` and
-    ``backward_grid`` take and return grids, and the public ``(..., C, L)``
-    ``forward`` / ``backward`` pad into one.
+    ``backward_grid`` take grids and return a new one or add onto a given
+    one; the public ``(..., C, L)`` ``forward`` / ``backward`` pad into one.
     """
 
     def __init__(self, in_channels, out_channels, kernel_size=3, bias=True,
@@ -372,22 +385,23 @@ class Conv1d(_Conv):
         super().__init__(in_channels, out_channels, (self.kernel_size,), bias,
                          spectral_norm, rng)
 
-    def forward_grid(self, grid, pad):
-        """Output grid for an input grid of pad ``pad`` >= kernel_size // 2."""
+    def forward_grid(self, grid, pad, onto=None, alpha=1.0):
+        """Output grid for an input grid of pad ``pad`` >= kernel_size // 2, or
+        ``onto`` + alpha output written over the grid ``onto``."""
         if grid.shape[0] != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {grid.shape[0]}")
         w, _ = self._effective_weight()
         taps = np.ascontiguousarray(np.moveaxis(w, 2, 0))          # (k, C_out, C_in)
         bias = self.bias.data if self.bias is not None else None
-        return _correlate_grid(taps, grid, pad, bias)
+        return _correlate_grid(taps, grid, pad, bias, onto, alpha)
 
-    def backward_grid(self, grid, grad, pad):
-        """New input-gradient grid for the output-gradient grid ``grad`` (zero
-        pad columns) of ``forward_grid(grid, pad)``; accumulates parameter
-        gradients. The weight gradient is one GEMM per tap against the forward
-        pass's windows, the input gradient the correlation with the flipped,
-        transposed kernel on the same grid.
-        """
+    def backward_grid(self, grid, grad, pad, onto=None, alpha=1.0):
+        """alpha times the input gradient for the output-gradient grid ``grad``
+        (zero pad columns) of ``forward_grid(grid, pad)``, returned or added
+        like its output; accumulates alpha times the parameter gradients. The
+        weight gradient is one GEMM per tap against the forward pass's
+        windows, the input gradient the correlation with the flipped,
+        transposed kernel on the same grid."""
         w, sigma = self._effective_weight()
         k = self.kernel_size
         g = _grid_interior(grad, pad)
@@ -395,11 +409,11 @@ class Conv1d(_Conv):
         first = pad - k // 2
         gw = np.empty((k, self.out_channels, self.in_channels))
         for t in range(k):
-            gemm(g, flat[:, first + t:first + t + g.shape[1]].T, gw[t], beta=0.0)
+            gemm(g, flat[:, first + t:first + t + g.shape[1]].T, gw[t], alpha, 0.0)
         self.weight.grad += np.moveaxis(gw, 0, 2) / sigma
-        self._bias_grad(g, 1)
+        self._bias_grad(g, 1, alpha)
         taps = np.ascontiguousarray(w[:, :, ::-1].transpose(2, 1, 0))  # (k, C_in, C_out)
-        return _correlate_grid(taps, grad, pad)
+        return _correlate_grid(taps, grad, pad, None, onto, alpha)
 
     def forward(self, x):
         xb, lead = _flatten_batch(x, 2)

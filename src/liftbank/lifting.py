@@ -5,7 +5,9 @@ additive coupling stages (each preceded by an invertible reshape that trades
 time for channels), and merged into a channels-by-frames feature. Every step
 has an exact structural inverse, so the analysis/synthesis pair reconstructs
 perfectly no matter what the predictor blocks compute, and the synthesis path
-reuses the analysis parameters.
+reuses the analysis parameters. Branches and their gradients stay on the
+predictors' zero-padded grids from the split to the merge and back, and each
+coupling adds or subtracts inside its predictor's last GEMMs.
 
 With the defaults (6 stages, 4 base channels) the feature is
 ``(256, T / 64)`` and carries exactly 4 * T numbers. Its upper half is the top
@@ -19,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .layers import Conv1d, Module, grid_valid, leaky_relu, leaky_relu_grad, to_grid
+from .layers import Conv1d, Module, empty_grid, grid_valid, leaky_relu, leaky_relu_grad
 from .numerics import Rng
 
 __all__ = [
@@ -90,81 +92,83 @@ class LiftingConfig:
 
 
 # ---------------------------------------------------------------------------
-# structural (parameter-free) operators
+# structural (parameter-free) operators, on grids (C, ..., L + 2 pad) with
+# zero pad columns (``layers.empty_grid``); plain arrays are the pad = 0 case
 # ---------------------------------------------------------------------------
 
-def split(x, n_channels):
+def _phases(x, pad):
+    """The even- and odd-index samples of a grid's signal columns, as views:
+    the one place the even/odd interleave is written."""
+    v = grid_valid(x, pad)
+    return v[..., 0::2], v[..., 1::2]
+
+
+def split(x, n_channels, pad=0):
     """Polyphase split of (..., T) into two (n_channels, ..., T/2) branches.
 
-    Branches use the transform's channels-first (C, ..., L) layout. It is the
-    first invertible down-sample, zero-padded: channel 0 of branch a holds the
-    even-index samples, channel 0 of branch b the odd-index samples; the other
-    channels give the couplings room to work in.
+    Branches use the transform's channels-first (C, ..., L) layout, on grids
+    of pad ``pad``. It is the first invertible down-sample, zero-padded:
+    channel 0 of branch a holds the even-index samples, channel 0 of branch b
+    the odd-index samples; the other channels give the couplings room to work in.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < 2 or x.shape[-1] % 2 != 0:
         raise ValueError("length not even")
-    phases = invertible_downsample(x[None])         # (2, ..., T/2): even, odd
-    a = np.zeros((int(n_channels),) + phases.shape[1:])
+    a = np.zeros((int(n_channels),) + x.shape[:-1] + (x.shape[-1] // 2 + 2 * pad,))
     b = np.zeros_like(a)
-    a[0], b[0] = phases
+    for branch, phase in zip((a, b), _phases(x, 0)):
+        grid_valid(branch, pad)[0] = phase
     return a, b
 
 
-def split_inverse(a, b):
-    """Up-sample channel 0 of two (C, ..., L) branches into a (..., 2L) waveform."""
+def split_inverse(a, b, pad=0):
+    """Up-sample channel 0 of two (C, ..., L) branch grids into a (..., 2L) waveform."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"branch shapes differ: {a.shape} vs {b.shape}")
-    return invertible_upsample(np.stack([a[0], b[0]]))[0]
+    x = np.empty(a.shape[1:-1] + (2 * (a.shape[-1] - 2 * pad),))
+    for branch, phase in zip((a, b), _phases(x, 0)):
+        phase[...] = grid_valid(branch, pad)[0]
+    return x
 
 
-def invertible_downsample(x):
-    """Lossless reshape (C, ..., L) -> (2C, ..., L/2).
+def invertible_downsample(x, pad=0):
+    """Lossless reshape (C, ..., L) -> (2C, ..., L/2), grids of pad ``pad``.
 
     out[2c][..., t] = x[c][..., 2t] and out[2c+1][..., t] = x[c][..., 2t+1];
     no arithmetic.
     """
     x = np.asarray(x, dtype=np.float64)
-    c, mid, length = x.shape[0], x.shape[1:-1], x.shape[-1]
+    length = x.shape[-1] - 2 * pad
     if length % 2 != 0:
         raise ValueError("time length must be even to down-sample")
-    y = np.moveaxis(x.reshape((c,) + mid + (length // 2, 2)), -1, 1)
-    return np.ascontiguousarray(y).reshape((2 * c,) + mid + (length // 2,))
+    y = empty_grid((2 * x.shape[0],) + x.shape[1:-1] + (length // 2,), pad)
+    for p, phase in enumerate(_phases(x, pad)):
+        grid_valid(y, pad)[p::2] = phase
+    return y
 
 
-def invertible_upsample(x):
+def invertible_upsample(x, pad=0):
     """Exact inverse of invertible_downsample: (2C, ..., L) -> (C, ..., 2L)."""
     x = np.asarray(x, dtype=np.float64)
-    c2, mid, length = x.shape[0], x.shape[1:-1], x.shape[-1]
-    if c2 % 2 != 0:
+    if x.shape[0] % 2 != 0:
         raise ValueError("channel count must be even to up-sample")
-    # one strided write per parity: a copy whose innermost axis is the
-    # length-2 interleave runs several times slower
-    y = np.empty((c2 // 2,) + mid + (length, 2))
-    y[..., 0] = x[0::2]
-    y[..., 1] = x[1::2]
-    return y.reshape((c2 // 2,) + mid + (2 * length,))
+    y = empty_grid((x.shape[0] // 2,) + x.shape[1:-1] + (2 * (x.shape[-1] - 2 * pad),), pad)
+    for p, phase in enumerate(_phases(y, pad)):
+        phase[...] = grid_valid(x, pad)[p::2]
+    return y
 
 
-def coupling_forward(a, b, predictor):
-    """Additive coupling step: (a, b) -> (b, a + predictor(b)).
-
-    Layout-agnostic; the transform calls it on (C, B, L) branches.
-    """
-    t = predictor(b)
-    if np.shape(t) != np.shape(b):
-        raise ValueError(f"predictor changed shape {np.shape(b)} -> {np.shape(t)}")
-    return b, a + t
+def coupling_forward(a, b, predict):
+    """Additive coupling step, (a, b) -> (b, a + F(b)) written over a, where
+    ``predict(v, onto, alpha)`` adds alpha F(v) onto ``onto`` and returns it."""
+    return b, predict(b, a, 1.0)
 
 
-def coupling_inverse(a, b, predictor):
-    """Inverse coupling step, using the same predictor evaluation rule."""
-    t = predictor(a)
-    if np.shape(t) != np.shape(a):
-        raise ValueError(f"predictor changed shape {np.shape(a)} -> {np.shape(t)}")
-    return b - t, a
+def coupling_inverse(a, b, predict):
+    """Inverse coupling step, (a, b) -> (b - F(a), a), written over b."""
+    return predict(a, b, -1.0), a
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +178,14 @@ def coupling_inverse(a, b, predictor):
 class CouplingBlock(Module):
     """Shape-preserving conv stack used as one stage's lifting predictor.
 
-    Maps channels-first (C, B, L) to (C, B, L), the transform's internal
-    layout. The input is copied once onto a zero-padded grid
-    (C, B, L + 2P), P the widest conv's half-width; every conv and leaky
-    ReLU then reads and writes that layout (see ``layers.to_grid``), and the
-    output is a view of the last grid's signal columns. The leaky ReLU runs
-    in place on the whole grid, whose zero pad columns stay zero both ways.
-    The cache is the list of the convs' input grids; the leaky ReLU backward
+    Reads a channels-first branch on the zero-padded grid (C, B, L + 2P) that
+    the transform keeps it on, P the widest conv's half-width (see
+    ``layers.to_grid``); every conv and leaky ReLU runs on that layout, the
+    leaky ReLU in place on the whole grid, whose zero pad columns stay zero
+    both ways. Given a grid ``onto`` and a sign alpha, the last conv adds
+    alpha F(branch) onto it inside its tap GEMMs (a coupling's add or
+    subtract), and the backward pass does so with the input gradient. The
+    cache is the list of the convs' input grids; the leaky ReLU backward
     reads the sign of the next conv's input grid.
     """
 
@@ -193,26 +198,29 @@ class CouplingBlock(Module):
         self.slope = None if linear else float(spec.leaky_slope)
         self.pad = max(spec.kernel_sizes) // 2
 
-    def forward(self, x):
-        grid = to_grid(x, self.pad)
+    def forward(self, grid, onto=None, alpha=1.0):
+        """F(grid) as a new grid, or onto + alpha F(grid) written over onto;
+        and the cache."""
         cache = []
-        for i, conv in enumerate(self.convs):
-            out = conv.forward_grid(grid, self.pad)
+        for conv in self.convs[:-1]:
             cache.append(grid)
-            if self.slope is not None and i < len(self.convs) - 1:
-                leaky_relu(out, self.slope, out)
-            grid = out
-        return grid_valid(grid, self.pad), cache
+            grid = conv.forward_grid(grid, self.pad)
+            if self.slope is not None:
+                leaky_relu(grid, self.slope, grid)
+        cache.append(grid)
+        return self.convs[-1].forward_grid(grid, self.pad, onto, alpha), cache
 
-    def backward(self, cache, grad_out):
-        grad = to_grid(grad_out, self.pad)
-        activated = None      # the next conv's input grid
-        for conv, grid in zip(self.convs[::-1], cache[::-1]):
-            if self.slope is not None and activated is not None:
-                leaky_relu_grad(grad, activated, self.slope, grad)
-            grad = conv.backward_grid(grid, grad, self.pad)
-            activated = grid
-        return grid_valid(grad, self.pad)
+    def backward(self, cache, grad, onto=None, alpha=1.0):
+        """alpha times the input gradient for the output-gradient grid
+        ``grad``, as a new grid or added onto ``onto``; the parameter
+        gradients accumulate at alpha grad. The last conv applies alpha, so
+        the hidden gradients carry it."""
+        for conv, grid in zip(self.convs[:0:-1], cache[:0:-1]):
+            grad = conv.backward_grid(grid, grad, self.pad, None, alpha)
+            alpha = 1.0
+            if self.slope is not None:    # grid: the activation's output
+                leaky_relu_grad(grad, grid, self.slope, grad)
+        return self.convs[0].backward_grid(cache[0], grad, self.pad, onto, alpha)
 
     def parts(self):
         return [(f"conv{i}", conv) for i, conv in enumerate(self.convs)]
@@ -236,6 +244,7 @@ class LiftingTransform(Module):
                           self.config.linear_variant, rng)
             for j in range(1, self.config.num_stages + 1)
         ]
+        self.pad = self.blocks[0].pad     # every branch grid's pad
 
     def parts(self):
         return [(f"stage{j}", block) for j, block in enumerate(self.blocks, start=1)]
@@ -243,38 +252,45 @@ class LiftingTransform(Module):
     # -- shape helpers ----------------------------------------------------
 
     def _merge(self, a, b, lead):
-        """(C, B, M) branches -> (..., 2C, M) channels-second feature."""
-        phi = np.ascontiguousarray(np.moveaxis(np.concatenate([a, b], axis=0), 0, 1))
+        """(C, B, M + 2P) branch grids -> (..., 2C, M) channels-second feature."""
+        c = a.shape[0]
+        phi = np.empty((a.shape[1], 2 * c, a.shape[2] - 2 * self.pad))
+        phi[:, :c], phi[:, c:] = (np.moveaxis(grid_valid(v, self.pad), 0, 1) for v in (a, b))
         return phi.reshape(lead + phi.shape[1:])
 
     def _unmerge(self, phi):
-        """(..., 2C, M) feature -> (C, B, M) branch views and the lead shape."""
+        """(..., 2C, M) feature -> two new (C, B, M + 2P) branch grids and the lead shape."""
         phi = np.asarray(phi, dtype=np.float64)
         c = phi.shape[-2]
         if c != self.config.merged_channels:
             raise ValueError(
                 f"feature has {c} channels, transform expects {self.config.merged_channels}")
-        pb = phi.reshape((-1,) + phi.shape[-2:])
-        phi_cf = np.ascontiguousarray(np.moveaxis(pb, 1, 0))
-        return phi_cf[:c // 2], phi_cf[c // 2:], phi.shape[:-2]
+        halves = np.moveaxis(phi.reshape((-1,) + phi.shape[-2:]), 1, 0)     # (2C, B, M)
+        a, b = (empty_grid(halves[:c // 2].shape, self.pad) for _ in range(2))
+        grid_valid(a, self.pad)[...], grid_valid(b, self.pad)[...] = np.split(halves, 2)
+        return a, b, phi.shape[:-2]
 
     # -- stage walks --------------------------------------------------------
     # The transpose of an additive coupling is again an additive coupling,
     # with the predictor's VJP in place of the predictor, so each VJP is the
     # other direction's walk: down (split, stages 1..J, merge) is analysis
     # and the synthesis VJP, up (unmerge, stages J..1, interleave) synthesis
-    # and the analysis VJP. Parameter gradients accumulate into the conv
-    # Parameters, so both VJPs of one step add up in the shared predictors.
+    # and the analysis VJP. Branches and their gradients stay on the
+    # predictors' grids from the split or unmerge on, and each coupling
+    # writes its sum over a branch grid that nothing else holds: one the
+    # split, a resample or the unmerge has just made. Parameter gradients
+    # accumulate into the conv Parameters, so both VJPs of one step add up in
+    # the shared predictors.
 
     def _walk_down(self, x, couple, predictors):
         x = np.asarray(x, dtype=np.float64)
         t, div = x.shape[-1], self.config.time_divisor
         if t % div != 0 or t == 0:
             raise ValueError(f"input length {t} must be a positive multiple of {div}")
-        a, b = split(x.reshape(-1, x.shape[-1]), self.config.base_channels)
+        a, b = split(x.reshape(-1, t), self.config.base_channels, self.pad)
         for j, predict in enumerate(predictors, start=1):
             if j >= 2:
-                a, b = invertible_downsample(a), invertible_downsample(b)
+                a, b = invertible_downsample(a, self.pad), invertible_downsample(b, self.pad)
             a, b = (b, np.zeros_like(a)) if predict is None else couple(a, b, predict)
         return self._merge(a, b, x.shape[:-1])
 
@@ -283,13 +299,13 @@ class LiftingTransform(Module):
         for j, predict in zip(range(len(predictors), 0, -1), predictors[::-1]):
             a, b = (b, a) if predict is None else couple(a, b, predict)
             if j >= 2:
-                a, b = invertible_upsample(a), invertible_upsample(b)
-        x = split_inverse(a, b)
+                a, b = invertible_upsample(a, self.pad), invertible_upsample(b, self.pad)
+        x = split_inverse(a, b, self.pad)
         return x.reshape(lead + x.shape[1:])
 
     @staticmethod
-    def _predict(block, caches, v):
-        y, cache = block.forward(v)
+    def _predict(block, caches, v, onto, alpha):
+        y, cache = block.forward(v, onto, alpha)
         if caches is not None:
             caches.append(cache)
         return y
@@ -331,7 +347,6 @@ class LiftingTransform(Module):
 
     def inverse_vjp(self, caches, grad_x):
         # stage output was (a, b) = (b' - F(a'), a'); F's output entered
-        # negated, so its parameter gradients are taken at -g
+        # negated, so the alpha = -1 backward takes its parameter gradients at -g
         return self._walk_down(grad_x, coupling_inverse, [
-            lambda g, b=block, c=cache: -b.backward(c, -g)
-            for block, cache in zip(self.blocks, caches)])
+            partial(block.backward, cache) for block, cache in zip(self.blocks, caches)])

@@ -83,12 +83,12 @@ def sdr_loss(s_hat, s, x, n, cfg=None):
     return loss
 
 
-def sdr_loss_and_grad(s_hat, s, x, n, cfg=None):
+def sdr_loss_and_grad(s_hat, s, x, n, cfg=None, per_sample=False):
     """Loss plus its gradient with respect to the estimate.
 
     Signals are (..., T); the loss is the mean over leading axes of the
-    per-sample loss, and the gradient matches that reduction. Training data
-    must satisfy x = s + n.
+    per-sample loss, or with ``per_sample`` the (...) array of them, and the
+    gradient is the mean's. Training data must satisfy x = s + n.
     """
     cfg = cfg if cfg is not None else LossConfig()
     s_hat = np.asarray(s_hat, dtype=np.float64)
@@ -111,11 +111,10 @@ def sdr_loss_and_grad(s_hat, s, x, n, cfg=None):
         # residual term first: no full-size gradient is held beside its residual
         th2, g2 = _clipped_term(x - s_hat, n, beta, eps)
         th1, g1 = _clipped_term(s_hat, s, beta, eps)
-        per_sample = -0.5 * (beta * th1 + beta * th2)
-        loss = float(per_sample.mean())
+        losses = -0.5 * (beta * th1 + beta * th2)
         # the residual x - s_hat falls as s_hat rises
-        grad = -0.5 * (g1 - g2) / per_sample.size
-    return loss, grad
+        grad = -0.5 * (g1 - g2) / losses.size
+    return (losses if per_sample else float(losses.mean())), grad
 
 
 def si_sdr(s, s_hat):

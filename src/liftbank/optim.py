@@ -9,6 +9,7 @@ parameter trajectories bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,15 +151,14 @@ def train(pipeline, dataset, cfg):
     history = TrainHistory()
     stop = False
     for epoch in range(cfg.epochs):
-        loss_sum = 0.0
-        sample_count = 0
+        losses = []
         for clean, noise, mixture in batch_iter(train_set, cfg.batch_size,
                                                 seed=cfg.seed + epoch,
                                                 crop_len=cfg.crop_len):
             pipeline.zero_grad()
             s_hat, cache = pipeline.enhance_training(mixture)
-            loss, grad = sdr_loss_and_grad(s_hat, clean, mixture, noise, cfg.loss)
-            if not np.isfinite(loss):
+            loss, grad = sdr_loss_and_grad(s_hat, clean, mixture, noise, cfg.loss, True)
+            if not np.all(np.isfinite(loss)):
                 raise TrainingDiverged(f"non-finite loss at step {history.steps}")
             pipeline.backward(cache, grad)
             try:
@@ -166,15 +166,14 @@ def train(pipeline, dataset, cfg):
             except ValueError as exc:       # a non-finite gradient
                 raise TrainingDiverged(f"{exc} at step {history.steps}") from exc
             pipeline.update_spectral_state(1)
-            # sample-weighted epoch mean: invariant to the shuffle order
-            loss_sum += loss * clean.shape[0]
-            sample_count += clean.shape[0]
+            losses += loss.tolist()
             history.steps += 1
             if cfg.max_steps and history.steps >= cfg.max_steps:
                 stop = True
                 break
         val_loss, val_imp = _evaluate(pipeline, val_set, cfg.loss)
-        history.train_loss.append(loss_sum / sample_count)
+        # the exactly rounded mean over samples: the same for every shuffle
+        history.train_loss.append(math.fsum(losses) / len(losses))
         history.val_loss.append(val_loss)
         history.val_improvement.append(val_imp)
         if val_set and val_loss < history.best_val_loss:

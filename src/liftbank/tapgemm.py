@@ -2,13 +2,14 @@
 
 A stride-1 correlation of channels-first data laid flat on a zero-padded grid
 is one GEMM per kernel tap over a strided column window (``tap_gemms``). Each
-tap after the first adds into its output inside BLAS: ``gemm`` calls the
-cblas_dgemm of the OpenBLAS in numpy's wheel through ctypes with beta = 1,
-reading the windows in place through their leading dimension, and falls back
-to numpy's matmul plus an add, which gives the same sums, where that library
-is missing or cannot take the operands. ``PhaseGrid`` runs strided 2-D
-correlations and their adjoints on the same engine, in cache-sized row blocks
-that get their bias, activation and 1x1 head while in cache.
+tap after the first, or every tap onto a given output, adds into it inside
+BLAS, times a sign alpha = +-1 when asked: ``gemm`` calls the cblas_dgemm of
+the OpenBLAS in numpy's wheel through ctypes with beta = 1, reading the
+windows in place through their leading dimension, and falls back to numpy's
+matmul plus an add, which gives the same sums, where that library is missing
+or cannot take the operands. ``PhaseGrid`` runs strided 2-D correlations and
+their adjoints on the same engine, in cache-sized row blocks that get their
+bias, activation and 1x1 head while in cache.
 """
 
 from __future__ import annotations
@@ -92,13 +93,14 @@ def gemm(a, b, c, alpha=1.0, beta=1.0):
     return c
 
 
-def tap_gemms(taps, flat, offsets, acc):
-    """acc = sum_t taps[t] @ flat[:, o_t : o_t + n] for the column offsets o_t,
-    n = acc.shape[1]: one GEMM per tap straight from a strided column window of
-    the flat grid, each after the first adding into acc inside BLAS."""
+def tap_gemms(taps, flat, offsets, acc, alpha=1.0, beta=0.0):
+    """acc = alpha sum_t taps[t] @ flat[:, o_t : o_t + n] + beta acc for the
+    column offsets o_t, n = acc.shape[1], beta 0 or 1: one GEMM per tap
+    straight from a strided column window of the flat grid, each after the
+    first (and with beta = 1 the first too) adding into acc inside BLAS."""
     n = acc.shape[1]
     for t, off in enumerate(offsets):
-        gemm(taps[t], flat[:, off:off + n], acc, beta=1.0 if t else 0.0)
+        gemm(taps[t], flat[:, off:off + n], acc, alpha, 1.0 if t else beta)
     return acc
 
 

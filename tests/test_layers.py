@@ -11,7 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from liftbank.layers import Activation, Conv1d, Conv2d, Deconv2d, power_iteration
+from liftbank import tapgemm
+from liftbank.layers import (Activation, Conv1d, Conv2d, Deconv2d, grid_valid, power_iteration,
+                             to_grid)
 from liftbank.tapgemm import PhaseGrid
 from liftbank.numerics import Rng, finite_difference_gradient
 
@@ -152,6 +154,79 @@ class TestConv1dGrid:
         yv, _ = conv_v.forward(x)
         assert float(np.sum(conv.weight.grad * v)) == pytest.approx(float(np.sum(yv * g)),
                                                                     rel=1e-12)
+
+
+def _grid_pass(conv, x, g, pad, onto=None, alpha=1.0):
+    """forward_grid and backward_grid with the same ``onto`` arrays (copied
+    before each call) and alpha, from zero parameter gradients: (output,
+    input gradient, weight gradient, bias gradient)."""
+    conv.zero_grad()
+    y = conv.forward_grid(x, pad, None if onto is None else onto[0].copy(), alpha)
+    gx = conv.backward_grid(x, g, pad, None if onto is None else onto[1].copy(), alpha)
+    return y, gx, conv.weight.grad.copy(), conv.bias.grad.copy()
+
+
+class TestConv1dAccumulate:
+    """forward_grid / backward_grid with ``onto``: alpha times the plain
+    result added onto a given grid inside the tap GEMMs."""
+
+    PAD = 3
+
+    def _setup(self, kernel, batch=2):
+        rng = Rng(60 + kernel)
+        conv = Conv1d(3, 2, kernel, rng=rng.fork())
+        x = to_grid(rng.normal((3, batch, 11)), self.PAD)
+        g = to_grid(rng.normal((2, batch, 11)), self.PAD)
+        onto = (to_grid(rng.normal((2, batch, 11)), self.PAD),
+                to_grid(rng.normal((3, batch, 11)), self.PAD))
+        return conv, x, g, onto
+
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_equals_onto_plus_alpha_plain(self, kernel, alpha):
+        conv, x, g, onto = self._setup(kernel)
+        y, gx = _grid_pass(conv, x, g, self.PAD)[:2]
+        y_acc, gx_acc = _grid_pass(conv, x, g, self.PAD, onto, alpha)[:2]
+        np.testing.assert_allclose(y_acc, onto[0] + alpha * y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gx_acc, onto[1] + alpha * gx, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_pad_columns_stay_zero(self, kernel, alpha):
+        conv, x, g, onto = self._setup(kernel)
+        p = self.PAD
+        for out in _grid_pass(conv, x, g, p, onto, alpha)[:2]:
+            assert np.all(out[:, :, :p] == 0.0) and np.all(out[:, :, -p:] == 0.0)
+
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    def test_negative_alpha_negates_parameter_gradients_bitwise(self, kernel):
+        conv, x, g, onto = self._setup(kernel)
+        plus = _grid_pass(conv, x, g, self.PAD, onto, 1.0)[2:]
+        minus = _grid_pass(conv, x, g, self.PAD, onto, -1.0)[2:]
+        for got, want in zip(minus, plus):
+            np.testing.assert_array_equal(got, -want)
+        np.testing.assert_array_equal(plus[0], _grid_pass(conv, x, g, self.PAD)[2])
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_fallback_gives_the_same_sums(self, alpha, monkeypatch):
+        conv, x, g, onto = self._setup(5)
+        blas = _grid_pass(conv, x, g, self.PAD, onto, alpha)
+        monkeypatch.setattr(tapgemm, "_DGEMM", None)
+        for got, want in zip(_grid_pass(conv, x, g, self.PAD, onto, alpha), blas):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_empty_batch(self):
+        conv, x, g, onto = self._setup(3, batch=0)
+        y, gx, gw, gb = _grid_pass(conv, x, g, self.PAD, onto, -1.0)
+        assert y.shape == (2, 0, 17) and gx.shape == (3, 0, 17)
+        assert not np.any(gw) and not np.any(gb)
+
+    def test_wrong_onto_shape_rejected(self):
+        conv, x, g, onto = self._setup(3)
+        with pytest.raises(ValueError, match="shape"):
+            conv.forward_grid(x, self.PAD, onto[1])
+        with pytest.raises(ValueError, match="shape"):
+            conv.backward_grid(x, g, self.PAD, grid_valid(onto[1], 1))
 
 
 class TestLayerBackward:

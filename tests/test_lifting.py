@@ -74,22 +74,31 @@ class TestInvertibleResampling:
             invertible_upsample(np.zeros((3, 4)))
 
 
+def adds(fn):
+    """``fn`` as a fused coupling predictor: predict(v, onto, alpha) adds
+    alpha fn(v) onto ``onto`` in place and returns it, as the blocks do."""
+    def predict(v, onto, alpha):
+        onto += alpha * fn(v)
+        return onto
+    return predict
+
+
 class TestCoupling:
     def test_identity_predictor(self):
-        a2, b2 = coupling_forward(np.array([[1.0]]), np.array([[2.0]]), lambda v: v)
+        a2, b2 = coupling_forward(np.array([[1.0]]), np.array([[2.0]]), adds(lambda v: v))
         np.testing.assert_array_equal(a2, [[2.0]])
         np.testing.assert_array_equal(b2, [[3.0]])
-        a, b = coupling_inverse(a2, b2, lambda v: v)
+        a, b = coupling_inverse(a2, b2, adds(lambda v: v))
         np.testing.assert_array_equal(a, [[1.0]])
         np.testing.assert_array_equal(b, [[2.0]])
 
     def test_zero_predictor_is_swap(self):
         a = Rng(4).normal((2, 3))
         b = Rng(5).normal((2, 3))
-        a2, b2 = coupling_forward(a, b, np.zeros_like)
+        a2, b2 = coupling_forward(a.copy(), b.copy(), adds(np.zeros_like))
         np.testing.assert_array_equal(a2, b)
         np.testing.assert_array_equal(b2, a)
-        back = coupling_inverse(a2, b2, np.zeros_like)
+        back = coupling_inverse(a2, b2, adds(np.zeros_like))
         np.testing.assert_array_equal(back[0], a)
         np.testing.assert_array_equal(back[1], b)
 
@@ -102,8 +111,8 @@ class TestCoupling:
 
         a = rng.normal((3, 5))
         b = rng.normal((3, 5))
-        a2, b2 = coupling_forward(a, b, predictor)
-        back_a, back_b = coupling_inverse(a2, b2, predictor)
+        a2, b2 = coupling_forward(a.copy(), b.copy(), adds(predictor))
+        back_a, back_b = coupling_inverse(a2, b2, adds(predictor))
         assert float(np.max(np.abs(back_a - a))) <= 1e-12
         assert float(np.max(np.abs(back_b - b))) <= 1e-12
 
@@ -116,8 +125,8 @@ class TestCoupling:
 
         a = rng.normal((2, 4))
         b = rng.normal((2, 4))
-        mid = coupling_inverse(a, b, predictor)
-        back = coupling_forward(mid[0], mid[1], predictor)
+        mid = coupling_inverse(a.copy(), b.copy(), adds(predictor))
+        back = coupling_forward(mid[0], mid[1], adds(predictor))
         assert float(np.max(np.abs(back[0] - a))) <= 1e-12
         assert float(np.max(np.abs(back[1] - b))) <= 1e-12
 
@@ -131,14 +140,39 @@ class TestCoupling:
 
         a = rng.normal((2, 4))
         b = rng.normal((2, 4))
-        back = coupling_inverse(*coupling_forward(a, b, predictor), predictor)
+        back = coupling_inverse(*coupling_forward(a.copy(), b.copy(), adds(predictor)),
+                                adds(predictor))
         assert float(np.max(np.abs(back[0] - a))) <= 1e-8
         assert float(np.max(np.abs(back[1] - b))) <= 1e-8
 
     def test_shape_changing_predictor_rejected(self):
+        """A block adds its output onto the other branch only when the shapes
+        match, forward and backward."""
+        block = CouplingBlock(2, BlockSpec(), False, Rng(9))
+        grid = to_grid(Rng(10).normal((2, 2, 4)), block.pad)
+        wrong = np.zeros((2, 2, 3 + 2 * block.pad))
         with pytest.raises(ValueError, match="shape"):
-            coupling_forward(np.zeros((2, 2)), np.zeros((2, 2)),
-                             lambda v: np.zeros((2, 3)))
+            coupling_forward(wrong, grid, lambda v, onto, alpha: block.forward(v, onto, alpha)[0])
+        _, cache = block.forward(grid)
+        with pytest.raises(ValueError, match="shape"):
+            block.backward(cache, grid, wrong)
+
+    def test_block_coupling_round_trip(self):
+        """The fused couplings on a real block: forward writes a + F(b) over
+        a, the inverse b - F(a) over b, and each gives back the other's input."""
+        block = CouplingBlock(3, BlockSpec(kernel_sizes=(5, 3, 1)), False, Rng(11))
+        rng = Rng(12)
+        a, b = (to_grid(rng.normal((3, 2, 9)), block.pad) for _ in range(2))
+        predict = lambda v, onto, alpha: block.forward(v, onto, alpha)[0]   # noqa: E731
+        want = a + block.forward(b)[0]
+        a2, b2 = coupling_forward(a.copy(), b.copy(), predict)
+        assert a2 is not b2
+        np.testing.assert_array_equal(a2, b)
+        np.testing.assert_allclose(b2, want, rtol=1e-12, atol=1e-12)
+        back_a, back_b = coupling_inverse(a2, b2, predict)
+        np.testing.assert_allclose(back_a, a, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(back_b, b)
+        assert np.all(grid_pads(back_a, block.pad) == 0.0)
 
 
 class TestConfig:
@@ -317,6 +351,70 @@ class TestTransform:
         assert all(name.endswith("/weight") for name in names)
 
 
+class TestGridWalks:
+    """All four walks keep branches and gradients on the predictors' grids
+    and add each coupling onto a branch grid in place."""
+
+    @pytest.mark.parametrize("lead", [(), (2, 3), (0,)], ids=["T", "2x3xT", "0xT"])
+    def test_lead_shapes_through_all_walks(self, lead):
+        rng = Rng(30)
+        tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2,
+                                            block=BlockSpec(kernel_sizes=(5, 3))), rng.fork())
+        x = rng.normal(lead + (64,))
+        g = rng.normal(lead + (64,))
+        r = rng.normal(lead + (16, 8))
+        tf.zero_grad()
+        phi, fwd_cache = tf.forward_with_cache(x)
+        back, inv_cache = tf.inverse_with_cache(phi)
+        grad_phi = tf.inverse_vjp(inv_cache, g)
+        grad_x = tf.forward_vjp(fwd_cache, r)
+        assert phi.shape == grad_phi.shape == lead + (16, 8)
+        assert back.shape == grad_x.shape == x.shape
+        np.testing.assert_allclose(back, x, rtol=0, atol=1e-9)
+        if not x.size:
+            assert all(not np.any(p.grad) for _, p in tf.named_parameters())
+            return
+        for i in np.ndindex(*lead):
+            np.testing.assert_allclose(phi[i], tf.forward(x[i]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(back[i], tf.inverse(phi[i]), rtol=0, atol=1e-12)
+            row_fwd, row_inv = tf.forward_with_cache(x[i])[1], tf.inverse_with_cache(phi[i])[1]
+            np.testing.assert_allclose(grad_phi[i], tf.inverse_vjp(row_inv, g[i]),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grad_x[i], tf.forward_vjp(row_fwd, r[i]),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("discard_top", [False, True])
+    @pytest.mark.parametrize("num_stages", [1, 6])
+    def test_step_writes_no_input_or_cached_grid(self, num_stages, discard_top):
+        """The in-place coupling adds never land in a caller's array or in a
+        grid that a forward or inverse cache holds: a full step leaves every
+        one of them bitwise as it was."""
+        rng = Rng(31)
+        tf = LiftingTransform(LiftingConfig(num_stages=num_stages, base_channels=2,
+                                            block=BlockSpec(kernel_sizes=(5, 3, 1))),
+                              rng.fork())
+        watched, snapshots = [], []
+
+        def watch(*arrays):
+            watched.extend(arrays)
+            snapshots.extend(a.copy() for a in arrays)
+
+        x = rng.normal((2, 128))
+        g = rng.normal(x.shape)
+        watch(x, g)
+        phi, fwd_cache = tf.forward_with_cache(x, discard_top)
+        watch(phi, *[grid for cache in fwd_cache if cache is not None for grid in cache])
+        back, inv_cache = tf.inverse_with_cache(phi)
+        grad_phi = rng.normal(phi.shape)
+        watch(back, grad_phi, *[grid for cache in inv_cache for grid in cache])
+        grad_masked = tf.inverse_vjp(inv_cache, g)
+        tf.forward_vjp(fwd_cache, grad_phi)
+        tf.forward_vjp(fwd_cache, grad_masked)
+        assert len(watched) == 5 + 3 * (2 * num_stages - discard_top)
+        for i, (now, before) in enumerate(zip(watched, snapshots)):
+            np.testing.assert_array_equal(now, before, err_msg=f"array {i}")
+
+
 # ---------------------------------------------------------------------------
 # predictor block on the zero-padded grid
 # ---------------------------------------------------------------------------
@@ -399,8 +497,9 @@ class TestGridBlock:
         block = CouplingBlock(3, spec, linear, rng.fork())
         x = rng.normal((3, 2, length))
         g = rng.normal((3, 2, length))
-        y, cache = block.forward(x)
-        gx = block.backward(cache, g)
+        y, cache = block.forward(to_grid(x, block.pad))
+        gx = block.backward(cache, to_grid(g, block.pad))
+        y, gx = grid_valid(y, block.pad), grid_valid(gx, block.pad)
         y_ref, gx_ref = loop_block(block, x, g)
         assert y.shape == gx.shape == x.shape
         np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12)
@@ -416,8 +515,8 @@ class TestGridBlock:
         differences of the weight do not."""
         rng = Rng(25)
         block = CouplingBlock(2, spec, linear, rng.fork())
-        x = rng.normal((2, 2, 7))
-        r = rng.normal((2, 2, 7))
+        x = to_grid(rng.normal((2, 2, 7)), block.pad)
+        r = to_grid(rng.normal((2, 2, 7)), block.pad)
         for _, p in block.named_parameters("b"):
             p.zero_grad()
         y, cache = block.forward(x)
@@ -452,8 +551,8 @@ class TestGridBlock:
                 leaky_relu(out, block.slope, out)
                 assert np.all(grid_pads(out, pad) == 0.0)
             grids.append(out)
-        y, cache = block.forward(grid_valid(grid, pad))
-        np.testing.assert_array_equal(y, grid_valid(grids[-1], pad))
+        y, cache = block.forward(grid)
+        np.testing.assert_array_equal(y, grids[-1])
         for cached, expected in zip(cache, grids):
             np.testing.assert_array_equal(cached, expected)
         grad = to_grid(rng.normal((3, 4, 9)), pad)
@@ -464,6 +563,29 @@ class TestGridBlock:
             grad = block.convs[i].backward_grid(grids[i], grad, pad)
             assert np.all(grid_pads(grad, pad) == 0.0)
 
+    def test_accumulating_passes_allocate_only_hidden_grids(self):
+        """With ``onto``, forward and backward each allocate one grid per
+        hidden layer (the last conv writes onto the given grid) plus at most
+        1 MiB of scratch."""
+        rng = Rng(28)
+        c, batch, length = 8, 16, 4096
+        block = CouplingBlock(c, BlockSpec(kernel_sizes=(5, 3, 3)), False, rng.fork())
+        x, g, onto = (to_grid(rng.normal((c, batch, length)), block.pad) for _ in range(3))
+        grid_bytes = 8 * c * batch * (length + 2 * block.pad)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, cache = block.forward(x, onto, -1.0)
+            forward_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            block.backward(cache, g, onto, -1.0)
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= (len(block.convs) - 1) * grid_bytes + (1 << 20)
+        assert backward_peak <= (len(block.convs) - 1) * grid_bytes + (1 << 20)
+
     def test_peak_memory_is_the_grids(self):
         """Forward allocates its input grid and one output grid per conv,
         backward the gradient grid and one more; the activations add at most
@@ -471,8 +593,8 @@ class TestGridBlock:
         rng = Rng(27)
         c, batch, length = 8, 16, 4096
         block = CouplingBlock(c, BlockSpec(), False, rng.fork())
-        x = rng.normal((c, batch, length))
-        g = rng.normal((c, batch, length))
+        x = to_grid(rng.normal((c, batch, length)), block.pad)
+        g = to_grid(rng.normal((c, batch, length)), block.pad)
         grid_bytes = 8 * c * batch * (length + 2 * block.pad)
         tracemalloc.start()
         try:

@@ -83,6 +83,21 @@ class TestSdrLoss:
         _, g0 = sdr_loss_and_grad(s_hat[0], s[0], x[0], n[0])
         np.testing.assert_allclose(grad[0], g0 / 4.0, atol=1e-15)
 
+    def test_per_sample_losses(self):
+        """With ``per_sample`` the loss is each row's own loss, bitwise, and
+        the gradient is still the mean's."""
+        rng = Rng(4)
+        s = rng.normal((2, 3, 32))
+        n = 0.5 * rng.normal((2, 3, 32))
+        s_hat = s + 0.2 * rng.normal((2, 3, 32))
+        losses, grad = sdr_loss_and_grad(s_hat, s, s + n, n, None, True)
+        loss, grad_mean = sdr_loss_and_grad(s_hat, s, s + n, n)
+        assert losses.shape == (2, 3)
+        assert loss == float(losses.mean())
+        np.testing.assert_array_equal(grad, grad_mean)
+        for i in np.ndindex(2, 3):
+            assert losses[i] == sdr_loss(s_hat[i], s[i], s[i] + n[i], n[i])
+
     def test_all_zero_estimate_rejected(self):
         with pytest.raises(ValueError, match="undefined SDR"):
             sdr_loss(np.zeros(8), np.ones(8), np.ones(8), np.zeros(8))
