@@ -12,7 +12,7 @@ finite-difference oracle.
 from .numerics import Rng, finite_difference_gradient, pad_to_multiple
 from .layers import Activation, Conv1d, Conv2d, Deconv2d, Parameter
 from .checkpoint import load_checkpoint, save_checkpoint
-from .lifting import (BlockSpec, LiftingConfig, LiftingTransform,
+from .lifting import (LiftingConfig, LiftingTransform,
                       coupling_forward, coupling_inverse,
                       invertible_downsample, invertible_upsample,
                       split, split_inverse)
@@ -20,8 +20,8 @@ from .stft import (StftConfig, canonical_dual_window, hann_window, istft,
                    log_magnitude_feature, stft_forward)
 from .masking import (BinaryMaskSpec, EnhancementPipeline, MaskEstimator,
                       binary_mask_generate)
-from .objective import (LossConfig, MetricReport, sdr_loss, sdr_loss_and_grad,
-                        si_sdr, si_sdr_improvement)
+from .objective import (LossConfig, MetricReport, sdr_loss_and_grad, si_sdr,
+                        si_sdr_improvement)
 from .optim import Adam, TrainConfig, TrainHistory, TrainingDiverged, train
 from .audio_data import (MixtureTriple, WavClip, batch_iter, read_manifest,
                          synth_dataset, synth_mixture, wav_read, wav_write)

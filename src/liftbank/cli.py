@@ -20,7 +20,7 @@ from . import masking, verify
 from .audio_data import (check_sample_rate, load_manifest_triples, read_manifest,
                          read_pair, synth_dataset, wav_read, wav_write, WavClip)
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
-from .lifting import BlockSpec, LiftingConfig, LiftingTransform
+from .lifting import LiftingConfig, LiftingTransform
 from .masking import EnhancementPipeline, MaskEstimator
 from .numerics import Rng
 from .objective import LossConfig, MetricReport, si_sdr
@@ -135,9 +135,9 @@ def build_lifting_config(cfg):
     return LiftingConfig(
         num_stages=cfg["lifting.stages"],
         base_channels=cfg["lifting.base_channels"],
-        block=BlockSpec(kernel_sizes=cfg["lifting.block_kernels"],
-                        leaky_slope=cfg["lifting.leaky_slope"],
-                        spectral_norm=cfg["lifting.spectral_norm"]),
+        kernel_sizes=cfg["lifting.block_kernels"],
+        leaky_slope=cfg["lifting.leaky_slope"],
+        spectral_norm=cfg["lifting.spectral_norm"],
         linear_variant=cfg["lifting.linear"],
     )
 
@@ -151,6 +151,10 @@ def build_stft_config(cfg):
 def build_pipeline(cfg, mask_override=None):
     """The configured pipeline; ``mask_override`` replaces only its mask source,
     so the parameters, and which checkpoints load, stay the configured ones."""
+    mask_source = mask_override or cfg["pipeline.mask"]
+    if cfg["pipeline.transform"] == "stft" and mask_source == "binary":
+        raise ConfigError("pipeline.mask = binary needs pipeline.transform = lifting "
+                          "(the stft bins have no fixed channel partition)")
     rng = Rng(cfg["seed"])
     transform = stft_config = estimator = None
     if cfg["pipeline.transform"] == "lifting":
@@ -167,7 +171,7 @@ def build_pipeline(cfg, mask_override=None):
                                   base_channels=cfg["mask.base_channels"],
                                   norm=cfg["mask.norm"], rng=rng.fork())
     return EnhancementPipeline(transform=transform, stft_config=stft_config,
-                               mask_source=mask_override or cfg["pipeline.mask"],
+                               mask_source=mask_source,
                                estimator=estimator)
 
 

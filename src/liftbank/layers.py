@@ -20,7 +20,7 @@ forward pass) is the matching stride-1 correlation regrouped depth-to-space
 while the block is in cache, and given a 1x1 head, Deconv2d runs it there
 too, with no cache. The leaky ReLU, the sigmoid and their gradients are one
 kernel each over cache-sized blocks (``_in_blocks``), writing a given output
-that may be the input, for the lifting grids and the estimator.
+that may be the input; both networks reach them through ``Activation``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "Parameter",
     "Module",
     "Activation",
-    "leaky_relu",
-    "leaky_relu_grad",
     "Conv1d",
     "empty_grid",
     "to_grid",
@@ -111,7 +109,7 @@ def _restore_batch(y, lead):
 # activations
 # ---------------------------------------------------------------------------
 
-def leaky_relu(x, slope, out):
+def _leaky_relu(x, slope, out):
     """out = max(x, slope x), the leaky ReLU for 0 < slope < 1; ``out`` may be x."""
     def block(o, xb, s):
         np.multiply(xb, slope, out=s)
@@ -119,7 +117,7 @@ def leaky_relu(x, slope, out):
     return _in_blocks(block, out, x)
 
 
-def leaky_relu_grad(g, y, slope, out):
+def _leaky_relu_grad(g, y, slope, out):
     """Leaky ReLU backward: out = g max(y >= 0, slope); ``out`` may be g.
 
     The factor is exactly 1 where the output y is non-negative and slope
@@ -190,26 +188,23 @@ class Activation:
         self.kind = kind
         self.slope = float(slope)
 
-    def forward(self, x, out=None):
-        """Output and cache. ``out`` receives the output when given; it may be
-        x itself, and the activation then runs in place."""
-        x = np.asarray(x, dtype=np.float64)
-        if out is None:
-            out = np.empty_like(x)
-        if self.kind == "leaky_relu":
-            return leaky_relu(x, self.slope, out), out
-        return _sigmoid(x, out), out
+    def forward(self, x):
+        """Output, a new array, and the cache (the output)."""
+        y = self.inplace(np.array(x, dtype=np.float64))
+        return y, y
 
     def inplace(self, x):
-        """The activation of x, written over it (a conv's row-block epilogue)."""
-        return leaky_relu(x, self.slope, x) if self.kind == "leaky_relu" else _sigmoid(x, x)
+        """The activation of x, written over it (a lifting grid, a conv epilogue)."""
+        return _leaky_relu(x, self.slope, x) if self.kind == "leaky_relu" else _sigmoid(x, x)
 
-    def backward(self, cache, grad_out):
-        """Input gradient from the cached output y; only the result is allocated."""
+    def backward(self, cache, grad_out, out=None):
+        """Input gradient from the cached output y, into ``out`` when given
+        (it may be grad_out itself); otherwise only the result is allocated."""
         g = np.asarray(grad_out, dtype=np.float64)
-        out = np.empty(np.broadcast_shapes(g.shape, cache.shape))
+        if out is None:
+            out = np.empty(np.broadcast_shapes(g.shape, cache.shape))
         if self.kind == "leaky_relu":
-            return leaky_relu_grad(g, cache, self.slope, out)
+            return _leaky_relu_grad(g, cache, self.slope, out)
         return _sigmoid_grad(g, cache, out)
 
 

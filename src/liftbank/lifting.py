@@ -16,16 +16,15 @@ stage's predicted branch; a caller that discards it skips that predictor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .layers import Conv1d, Module, empty_grid, grid_valid, leaky_relu, leaky_relu_grad
+from .layers import Activation, Conv1d, Module, empty_grid, grid_valid
 from .numerics import Rng
 
 __all__ = [
-    "BlockSpec",
     "LiftingConfig",
     "split",
     "split_inverse",
@@ -39,40 +38,33 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BlockSpec:
-    """Layer list of one coupling predictor: conv kernels plus activation."""
-
-    kernel_sizes: tuple = (3, 3)
-    leaky_slope: float = 0.2
-    spectral_norm: bool = False
-
-    def __post_init__(self):
-        if len(self.kernel_sizes) < 1:
-            raise ValueError("block needs at least one convolution")
-        for k in self.kernel_sizes:
-            if k % 2 == 0 or k < 1:
-                raise ValueError("block kernel sizes must be odd and positive")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError("leaky ReLU slope must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class LiftingConfig:
-    """Structure of the transform.
+    """Structure of the transform and of its coupling predictors.
 
     num_stages: number of coupling stages (time decimation is 2**num_stages).
     base_channels: branch channels at stage 1; stage j holds
         base_channels * 2**(j-1).
+    kernel_sizes: each predictor's conv kernels, one conv per entry.
+    leaky_slope: slope of the leaky ReLU after every conv but the last.
+    spectral_norm: spectrally normalise every predictor conv.
     linear_variant: strip biases and activations from every predictor, making
         the whole transform linear (the "no bias" configuration).
     """
 
     num_stages: int = 6
     base_channels: int = 4
-    block: BlockSpec = field(default_factory=BlockSpec)
+    kernel_sizes: tuple = (3, 3)
+    leaky_slope: float = 0.2
+    spectral_norm: bool = False
     linear_variant: bool = False
 
     def __post_init__(self):
+        if len(self.kernel_sizes) < 1:
+            raise ValueError("block needs at least one convolution")
+        if any(k % 2 == 0 or k < 1 for k in self.kernel_sizes):
+            raise ValueError("block kernel sizes must be odd and positive")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ValueError("leaky ReLU slope must lie in (0, 1)")
         if self.num_stages < 1:
             raise ValueError("need at least one lifting stage")
         if self.base_channels < 1:
@@ -189,14 +181,15 @@ class CouplingBlock(Module):
     reads the sign of the next conv's input grid.
     """
 
-    def __init__(self, channels, spec, linear, rng):
+    def __init__(self, channels, config, rng):
+        linear = config.linear_variant
         self.convs = [
             Conv1d(channels, channels, k, bias=not linear,
-                   spectral_norm=spec.spectral_norm, rng=rng)
-            for k in spec.kernel_sizes
+                   spectral_norm=config.spectral_norm, rng=rng)
+            for k in config.kernel_sizes
         ]
-        self.slope = None if linear else float(spec.leaky_slope)
-        self.pad = max(spec.kernel_sizes) // 2
+        self.act = None if linear else Activation("leaky_relu", config.leaky_slope)
+        self.pad = max(config.kernel_sizes) // 2
 
     def forward(self, grid, onto=None, alpha=1.0):
         """F(grid) as a new grid, or onto + alpha F(grid) written over onto;
@@ -205,8 +198,8 @@ class CouplingBlock(Module):
         for conv in self.convs[:-1]:
             cache.append(grid)
             grid = conv.forward_grid(grid, self.pad)
-            if self.slope is not None:
-                leaky_relu(grid, self.slope, grid)
+            if self.act is not None:
+                self.act.inplace(grid)
         cache.append(grid)
         return self.convs[-1].forward_grid(grid, self.pad, onto, alpha), cache
 
@@ -218,8 +211,8 @@ class CouplingBlock(Module):
         for conv, grid in zip(self.convs[:0:-1], cache[:0:-1]):
             grad = conv.backward_grid(grid, grad, self.pad, None, alpha)
             alpha = 1.0
-            if self.slope is not None:    # grid: the activation's output
-                leaky_relu_grad(grad, grid, self.slope, grad)
+            if self.act is not None:    # grid: the activation's output
+                self.act.backward(grid, grad, out=grad)
         return self.convs[0].backward_grid(cache[0], grad, self.pad, onto, alpha)
 
     def parts(self):
@@ -240,14 +233,22 @@ class LiftingTransform(Module):
         self.config = config if config is not None else LiftingConfig()
         rng = rng if rng is not None else Rng(0)
         self.blocks = [
-            CouplingBlock(self.config.channels(j), self.config.block,
-                          self.config.linear_variant, rng)
+            CouplingBlock(self.config.channels(j), self.config, rng)
             for j in range(1, self.config.num_stages + 1)
         ]
         self.pad = self.blocks[0].pad     # every branch grid's pad
 
     def parts(self):
         return [(f"stage{j}", block) for j, block in enumerate(self.blocks, start=1)]
+
+    @property
+    def reach(self):
+        """Input samples on either side of an output sample, in either
+        direction, that it can depend on: sum(k // 2) * 2**j per stage j,
+        plus the polyphase skew time_divisor - 1."""
+        cfg = self.config
+        half = sum(k // 2 for k in cfg.kernel_sizes)
+        return half * (2 ** (cfg.num_stages + 1) - 2) + cfg.time_divisor - 1
 
     # -- shape helpers ----------------------------------------------------
 

@@ -205,11 +205,11 @@ class MaskEstimator(Module):
             h, head_cache = self.head.forward(self._stage(top, h, dec_caches))
         else:
             h, head_cache = top.forward(h, act=self.act, head=self.head)
-        mask_img, sig_cache = self.sigmoid.forward(h, out=h)
+        mask_img = self.sigmoid.inplace(h)      # also the sigmoid's cache
         mask = mask_img[..., 0, :h0, :w0]
         if not keep:
             return mask, None
-        return mask, EstimatorCache(enc_caches, dec_caches, head_cache, sig_cache)
+        return mask, EstimatorCache(enc_caches, dec_caches, head_cache, mask_img)
 
     def forward_with_cache(self, feature):
         """Mask plus the EstimatorCache that ``backward`` needs."""
@@ -320,19 +320,13 @@ class EnhancementPipeline(Module):
         """Input samples on either side of an output sample that it can depend
         on, rounded up to ``alignment``.
 
-        Each transform direction reaches its predictor or window half-width:
-        for lifting, sum(k // 2) * 2**j samples per stage j plus the polyphase
-        skew time_divisor - 1; for the STFT, window_length // 2. An estimated
-        mask adds the estimator's frame receptive field times the frame hop.
+        Each transform direction reaches ``LiftingTransform.reach`` or, for
+        the STFT, window_length // 2. An estimated mask adds the estimator's
+        frame receptive field times the frame hop.
         """
         hop = self._frame_hop()
-        if self.transform is not None:
-            cfg = self.transform.config
-            half = sum(k // 2 for k in cfg.block.kernel_sizes)
-            reach = half * sum(2 ** j for j in range(1, cfg.num_stages + 1)) + hop - 1
-        else:
-            reach = self.stft_config.window_length // 2
-        total = 2 * reach
+        total = 2 * (self.transform.reach if self.transform is not None
+                     else self.stft_config.window_length // 2)
         if self.mask_source == "estimator":
             total += self.estimator.frame_receptive_field * hop
         return _round_up(total, self.alignment)

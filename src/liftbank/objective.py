@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "LossConfig",
     "MetricReport",
-    "sdr_loss",
     "sdr_loss_and_grad",
     "si_sdr",
     "si_sdr_improvement",
@@ -77,14 +76,8 @@ def _clipped_term(u, v, beta, eps):
     return th, grad
 
 
-def sdr_loss(s_hat, s, x, n, cfg=None):
-    """Negated clipped two-term SDR quality score, averaged over the batch."""
-    loss, _ = sdr_loss_and_grad(s_hat, s, x, n, cfg)
-    return loss
-
-
 def sdr_loss_and_grad(s_hat, s, x, n, cfg=None, per_sample=False):
-    """Loss plus its gradient with respect to the estimate.
+    """Negated clipped two-term SDR score plus its gradient with respect to the estimate.
 
     Signals are (..., T); the loss is the mean over leading axes of the
     per-sample loss, or with ``per_sample`` the (...) array of them, and the

@@ -11,7 +11,7 @@ from liftbank.cli import main as cli_main
 from liftbank.lifting import LiftingConfig, LiftingTransform
 from liftbank.masking import BinaryMaskSpec, EnhancementPipeline
 from liftbank.numerics import Rng, finite_difference_gradient
-from liftbank.objective import LossConfig, sdr_loss, si_sdr, si_sdr_improvement
+from liftbank.objective import LossConfig, sdr_loss_and_grad, si_sdr, si_sdr_improvement
 from liftbank.optim import TrainConfig, train
 from liftbank.stft import StftConfig, istft, stft_forward
 from liftbank.verify import (GRAD_TOLERANCE, PR_TOLERANCE, STFT_PR_TOLERANCE,
@@ -142,7 +142,7 @@ class TestAcceptance:
             vals = []
             for tr in triples:
                 s_hat, _ = pipe.enhance_training(tr.mixture)
-                vals.append(sdr_loss(s_hat, tr.clean, tr.mixture, tr.noise, loss_cfg))
+                vals.append(sdr_loss_and_grad(s_hat, tr.clean, tr.mixture, tr.noise, loss_cfg)[0])
             return float(np.mean(vals))
 
         init_loss = mean_loss(train_set)

@@ -13,6 +13,7 @@ from liftbank import cli, verify
 from liftbank.audio_data import WavClip, synth_mixture, wav_read, wav_write
 from liftbank.checkpoint import load_checkpoint, save_checkpoint
 from liftbank.cli import main
+from liftbank.lifting import LiftingConfig
 from liftbank.masking import CHUNK_SAMPLES
 from liftbank.numerics import Rng
 
@@ -218,6 +219,53 @@ class TestConfig:
         pipeline = cli.build_pipeline(cfg)
         assert [[conv.kernel_size for conv in block.convs]
                 for block in pipeline.transform.blocks] == [[5, 3]] * 6
+
+    @pytest.mark.parametrize("lines, expected", [
+        ("lifting.stages = 3\nlifting.base_channels = 2\nlifting.block_kernels = 5,3,1\n"
+         "lifting.leaky_slope = 0.3\nlifting.spectral_norm = true\n",
+         LiftingConfig(num_stages=3, base_channels=2, kernel_sizes=(5, 3, 1),
+                       leaky_slope=0.3, spectral_norm=True)),
+        ("lifting.linear = true\n", LiftingConfig(linear_variant=True)),
+    ], ids=["nonlinear", "linear"])
+    def test_every_lifting_key_reaches_the_transform(self, tmp_path, lines, expected):
+        """Each lifting.* key lands in its LiftingConfig field and in every
+        predictor that field shapes."""
+        transform = cli.build_pipeline(cli.load_config(write_config(tmp_path, lines))).transform
+        assert transform.config == expected
+        assert len(transform.blocks) == expected.num_stages
+        for j, block in enumerate(transform.blocks, start=1):
+            assert [conv.kernel_size for conv in block.convs] == list(expected.kernel_sizes)
+            for conv in block.convs:
+                assert conv.in_channels == conv.out_channels == expected.channels(j)
+                assert (conv.sn_u is not None) == expected.spectral_norm
+                assert (conv.bias is None) == expected.linear_variant
+            if expected.linear_variant:
+                assert block.act is None
+            else:
+                assert (block.act.kind, block.act.slope) == ("leaky_relu", expected.leaky_slope)
+
+    @pytest.mark.parametrize("command", [
+        ["train", "{cfg}"],
+        ["enhance", "{tmp}/in.wav", "{tmp}/out.wav", "--config", "{cfg}"],
+        ["eval", "--manifest", "{tmp}/pairs.tsv", "--out", "{tmp}/out.csv", "--config", "{cfg}"],
+    ], ids=["train", "enhance", "eval"])
+    def test_binary_mask_on_stft_exits_2_naming_both_keys(self, tmp_path, capsys, command):
+        """The stft bins have no binary partition: every command that builds
+        the configured pipeline rejects the pair of keys before it writes
+        anything; the ones mask still runs on that config."""
+        cfg = write_config(tmp_path, "pipeline.transform = stft\npipeline.mask = binary\n"
+                                     f"out.dir = {tmp_path}/run\n")
+        write_manifest(tmp_path, n_pairs=1)
+        wav_write(WavClip(0.1 * Rng(3).normal((2000,))), tmp_path / "in.wav")
+        files = sorted(p.name for p in tmp_path.iterdir())
+        argv = [arg.format(tmp=tmp_path, cfg=cfg) for arg in command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: pipeline.mask = binary needs pipeline.transform = lifting "
+            "(the stft bins have no fixed channel partition)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        if command[0] != "train":
+            assert main(argv + ["--ones-mask"]) == 0
 
     def test_repeated_key_last_wins(self, tmp_path):
         cfg = cli.load_config(write_config(
@@ -828,7 +876,8 @@ class TestEvalCommand:
         export = tmp_path / "specs"
         assert main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
                      "--ones-mask", "--export-spectrogram", str(export)]) == 1
-        ids = [row[0] for row in csv.reader(out_csv.open())][1:]
+        with out_csv.open(newline="") as fh:
+            ids = [row[0] for row in csv.reader(fh)][1:]
         assert ids == ["good", "noisy_6", "noisy_7"]
         assert sorted(p.name for p in export.iterdir()) == sorted(
             f"{i}_{tag}_mag.csv" for i in ids for tag in ("noisy", "enhanced"))
@@ -840,7 +889,8 @@ class TestEvalCommand:
         out_csv = tmp_path / "metrics.csv"
         assert main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
                      "--ones-mask"]) == 0
-        rows = list(csv.reader(out_csv.open()))
+        with out_csv.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [4, 4]
         assert rows[1][0] == "n,x"
 

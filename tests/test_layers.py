@@ -530,7 +530,7 @@ class TestActivations:
             warnings.simplefilter("error")
             y, _ = Activation("sigmoid").forward(x)
             z = x.copy()
-            z_out, _ = Activation("sigmoid").forward(z, out=z)
+            z_out = Activation("sigmoid").inplace(z)
         np.testing.assert_allclose(y, ref, rtol=1e-15, atol=0.0)
         assert z_out is z
         np.testing.assert_array_equal(z, y)
@@ -544,8 +544,7 @@ class TestActivations:
         view = buf[:, :3]
         expected, _ = act.forward(view)
         rest = buf[:, 3:].copy()
-        y, cache = act.forward(view, out=view)
-        assert y is view and cache is view
+        assert act.inplace(view) is view
         np.testing.assert_array_equal(view, expected)
         np.testing.assert_array_equal(buf[:, 3:], rest)
 
@@ -728,6 +727,22 @@ class TestActivationBackward:
         else:
             want = g * cache * (1.0 - cache)
         np.testing.assert_array_equal(act.backward(cache, g), want)
+
+    @pytest.mark.parametrize("kind", ["leaky_relu", "sigmoid"])
+    def test_forward_keeps_input_and_backward_writes_out(self, kind):
+        """forward returns a new array; backward given ``out`` = the
+        gradient writes the same values over it."""
+        rng = Rng(41)
+        act = Activation(kind, 0.3)
+        x = rng.normal((2, 5, 33))
+        x0 = x.copy()
+        y, cache = act.forward(x)
+        assert y is cache and not np.shares_memory(y, x)
+        np.testing.assert_array_equal(x, x0)
+        g = rng.normal(x.shape)
+        want = act.backward(cache, g)
+        assert act.backward(cache, g, out=g) is g
+        np.testing.assert_array_equal(g, want)
 
     @pytest.mark.parametrize("kind", ["leaky_relu", "sigmoid"])
     def test_allocates_only_the_result(self, kind):

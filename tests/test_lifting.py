@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liftbank.layers import grid_valid, leaky_relu, leaky_relu_grad, to_grid
-from liftbank.lifting import (BlockSpec, CouplingBlock, LiftingConfig, LiftingTransform,
+from liftbank.layers import grid_valid, to_grid
+from liftbank.lifting import (CouplingBlock, LiftingConfig, LiftingTransform,
                               coupling_forward, coupling_inverse,
                               invertible_downsample, invertible_upsample,
                               split, split_inverse)
@@ -148,7 +148,7 @@ class TestCoupling:
     def test_shape_changing_predictor_rejected(self):
         """A block adds its output onto the other branch only when the shapes
         match, forward and backward."""
-        block = CouplingBlock(2, BlockSpec(), False, Rng(9))
+        block = CouplingBlock(2, LiftingConfig(), Rng(9))
         grid = to_grid(Rng(10).normal((2, 2, 4)), block.pad)
         wrong = np.zeros((2, 2, 3 + 2 * block.pad))
         with pytest.raises(ValueError, match="shape"):
@@ -160,7 +160,7 @@ class TestCoupling:
     def test_block_coupling_round_trip(self):
         """The fused couplings on a real block: forward writes a + F(b) over
         a, the inverse b - F(a) over b, and each gives back the other's input."""
-        block = CouplingBlock(3, BlockSpec(kernel_sizes=(5, 3, 1)), False, Rng(11))
+        block = CouplingBlock(3, LiftingConfig(kernel_sizes=(5, 3, 1)), Rng(11))
         rng = Rng(12)
         a, b = (to_grid(rng.normal((3, 2, 9)), block.pad) for _ in range(2))
         predict = lambda v, onto, alpha: block.forward(v, onto, alpha)[0]   # noqa: E731
@@ -186,9 +186,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             LiftingConfig(num_stages=0)
         with pytest.raises(ValueError):
-            BlockSpec(kernel_sizes=(2,))
+            LiftingConfig(kernel_sizes=(2,))
         with pytest.raises(ValueError):
-            BlockSpec(kernel_sizes=())
+            LiftingConfig(kernel_sizes=())
+        with pytest.raises(ValueError, match="slope"):
+            LiftingConfig(leaky_slope=1.0)
 
 
 class TestTransform:
@@ -235,13 +237,13 @@ class TestTransform:
 
     def test_nonlinear_round_trip_is_structural(self):
         """Invertibility survives the nonlinearity in the predictors."""
-        cfg = LiftingConfig(block=BlockSpec(leaky_slope=0.3))
+        cfg = LiftingConfig(leaky_slope=0.3)
         tf = LiftingTransform(cfg, Rng(8))
         x = 5.0 * Rng(9).normal((512,))
         assert float(np.max(np.abs(tf.inverse(tf.forward(x)) - x))) <= 1e-9
 
     def test_spectral_norm_blocks_round_trip(self):
-        cfg = LiftingConfig(num_stages=3, block=BlockSpec(spectral_norm=True))
+        cfg = LiftingConfig(num_stages=3, spectral_norm=True)
         tf = LiftingTransform(cfg, Rng(10))
         x = Rng(11).normal((128,))
         assert float(np.max(np.abs(tf.inverse(tf.forward(x)) - x))) <= 1e-9
@@ -311,22 +313,44 @@ class TestTransform:
         assert float(np.max(np.abs(analytic - numeric) / denom)) <= 1e-4
 
     @pytest.mark.parametrize("num_stages", range(1, 7))
-    @pytest.mark.parametrize("block,linear", [
-        (BlockSpec(), False), (BlockSpec(), True),
-        (BlockSpec(spectral_norm=True), False), (BlockSpec(kernel_sizes=(5, 3, 3)), False)],
+    @pytest.mark.parametrize("predictor", [
+        {}, {"linear_variant": True}, {"spectral_norm": True}, {"kernel_sizes": (5, 3, 3)}],
         ids=["nonlinear", "linear", "spectral", "k533"])
-    def test_vjps_invert_each_other(self, num_stages, block, linear):
+    def test_vjps_invert_each_other(self, num_stages, predictor):
         """inverse(forward(x)) = x, so J_fwd^T J_inv^T = I at any parameters:
         the analysis VJP undoes the synthesis VJP at every stage count."""
         rng = Rng(40 + num_stages)
-        tf = LiftingTransform(LiftingConfig(num_stages=num_stages, block=block,
-                                            linear_variant=linear), rng.fork())
+        tf = LiftingTransform(LiftingConfig(num_stages=num_stages, **predictor), rng.fork())
         x = rng.normal((3, 256))
         phi, fwd_cache = tf.forward_with_cache(x)
         _, inv_cache = tf.inverse_with_cache(phi)
         g = rng.normal(x.shape)
         back = tf.forward_vjp(fwd_cache, tf.inverse_vjp(inv_cache, g))
         assert float(np.max(np.abs(back - g))) <= 1e-12
+
+    @pytest.mark.parametrize("predictor", [
+        {}, {"kernel_sizes": (5, 3, 1)}, {"num_stages": 3, "kernel_sizes": (3,)}],
+        ids=["default", "k531", "3-stage-k3"])
+    def test_reach_bounds_both_directions(self, predictor):
+        """Moving one sample changes only feature frames, and moving one frame
+        only samples, that lie within ``reach`` of each other's samples
+        (measured from the frame's farther end); the synthesis attains it."""
+        tf = LiftingTransform(LiftingConfig(**predictor), Rng(50))
+        div = tf.config.time_divisor
+
+        def farthest(m, samples):
+            return max(max(abs(t - m * div), abs(t - (m + 1) * div + 1)) for t in samples)
+        x = Rng(51).normal((64 * div,))
+        t0 = 32 * div + 5
+        e = x.copy()
+        e[t0] += 1.0
+        phi = tf.forward(x)
+        frames = np.nonzero(np.any(tf.forward(e) != phi, axis=0))[0]
+        assert max(farthest(m, [t0]) for m in frames) <= tf.reach
+        p = phi.copy()
+        p[:, 32] += 1.0
+        samples = np.nonzero(tf.inverse(p) != tf.inverse(phi))[0]
+        assert farthest(32, samples) == tf.reach
 
     def test_pad_then_transform_round_trip(self):
         tf = LiftingTransform(rng=Rng(20))
@@ -359,7 +383,7 @@ class TestGridWalks:
     def test_lead_shapes_through_all_walks(self, lead):
         rng = Rng(30)
         tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2,
-                                            block=BlockSpec(kernel_sizes=(5, 3))), rng.fork())
+                                            kernel_sizes=(5, 3)), rng.fork())
         x = rng.normal(lead + (64,))
         g = rng.normal(lead + (64,))
         r = rng.normal(lead + (16, 8))
@@ -391,7 +415,7 @@ class TestGridWalks:
         one of them bitwise as it was."""
         rng = Rng(31)
         tf = LiftingTransform(LiftingConfig(num_stages=num_stages, base_channels=2,
-                                            block=BlockSpec(kernel_sizes=(5, 3, 1))),
+                                            kernel_sizes=(5, 3, 1)),
                               rng.fork())
         watched, snapshots = [], []
 
@@ -460,7 +484,7 @@ def effective_weights(block):
 
 def loop_block(block, x, g):
     """Reference output and input gradient of a predictor block."""
-    slope = block.slope
+    slope = None if block.act is None else block.act.slope
     params = effective_weights(block)
     pre, y = [], x
     for i, (w, b) in enumerate(params):
@@ -481,20 +505,20 @@ def grid_pads(grid, pad):
 
 
 BLOCK_CASES = [
-    pytest.param(BlockSpec(kernel_sizes=(5, 3, 1)), False, id="k531"),
-    pytest.param(BlockSpec(kernel_sizes=(5, 3, 1)), True, id="k531-linear"),
-    pytest.param(BlockSpec(kernel_sizes=(3, 5), spectral_norm=True), False, id="k35-sn"),
-    pytest.param(BlockSpec(kernel_sizes=(1, 3), leaky_slope=0.3, spectral_norm=True), True,
-                 id="k13-sn-linear"),
+    pytest.param(LiftingConfig(kernel_sizes=(5, 3, 1)), id="k531"),
+    pytest.param(LiftingConfig(kernel_sizes=(5, 3, 1), linear_variant=True), id="k531-linear"),
+    pytest.param(LiftingConfig(kernel_sizes=(3, 5), spectral_norm=True), id="k35-sn"),
+    pytest.param(LiftingConfig(kernel_sizes=(1, 3), leaky_slope=0.3, spectral_norm=True,
+                               linear_variant=True), id="k13-sn-linear"),
 ]
 
 
 class TestGridBlock:
-    @pytest.mark.parametrize("spec, linear", BLOCK_CASES)
+    @pytest.mark.parametrize("config", BLOCK_CASES)
     @pytest.mark.parametrize("length", [1, 7, 9])
-    def test_matches_loop_reference(self, spec, linear, length):
+    def test_matches_loop_reference(self, config, length):
         rng = Rng(24)
-        block = CouplingBlock(3, spec, linear, rng.fork())
+        block = CouplingBlock(3, config, rng.fork())
         x = rng.normal((3, 2, length))
         g = rng.normal((3, 2, length))
         y, cache = block.forward(to_grid(x, block.pad))
@@ -505,16 +529,17 @@ class TestGridBlock:
         np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gx, gx_ref, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("spec, linear", [
-        (BlockSpec(kernel_sizes=(5, 3, 1)), False),
-        (BlockSpec(kernel_sizes=(5, 3, 1)), True),
-        (BlockSpec(kernel_sizes=(3, 5), leaky_slope=0.3), False)])
-    def test_parameter_gradients_match_finite_differences(self, spec, linear):
+    @pytest.mark.parametrize("config", [
+        LiftingConfig(kernel_sizes=(5, 3, 1)),
+        LiftingConfig(kernel_sizes=(5, 3, 1), linear_variant=True),
+        LiftingConfig(kernel_sizes=(3, 5), leaky_slope=0.3)],
+        ids=["k531", "k531-linear", "k35-slope"])
+    def test_parameter_gradients_match_finite_differences(self, config):
         """Without spectral norm: with it, backward holds the spectral scale
         constant for the step (pinned in test_layers), which finite
         differences of the weight do not."""
         rng = Rng(25)
-        block = CouplingBlock(2, spec, linear, rng.fork())
+        block = CouplingBlock(2, config, rng.fork())
         x = to_grid(rng.normal((2, 2, 7)), block.pad)
         r = to_grid(rng.normal((2, 2, 7)), block.pad)
         for _, p in block.named_parameters("b"):
@@ -535,20 +560,20 @@ class TestGridBlock:
             denom = np.maximum(np.maximum(np.abs(p.grad), np.abs(numeric)), 1e-8)
             assert float(np.max(np.abs(p.grad - numeric) / denom)) <= 1e-4, name
 
-    @pytest.mark.parametrize("spec, linear", BLOCK_CASES)
-    def test_pad_columns_stay_zero(self, spec, linear):
+    @pytest.mark.parametrize("config", BLOCK_CASES)
+    def test_pad_columns_stay_zero(self, config):
         """Every conv and activation leaves the grid's pad columns exactly zero,
         forward and backward, so each output is the next layer's padded input."""
         rng = Rng(26)
-        block = CouplingBlock(3, spec, linear, rng.fork())
+        block = CouplingBlock(3, config, rng.fork())
         pad = block.pad
         grid = to_grid(rng.normal((3, 4, 9)), pad)
         grids = [grid]
         for i, conv in enumerate(block.convs):
             out = conv.forward_grid(grids[-1], pad)
             assert np.all(grid_pads(out, pad) == 0.0)
-            if block.slope is not None and i < len(block.convs) - 1:
-                leaky_relu(out, block.slope, out)
+            if block.act is not None and i < len(block.convs) - 1:
+                block.act.inplace(out)
                 assert np.all(grid_pads(out, pad) == 0.0)
             grids.append(out)
         y, cache = block.forward(grid)
@@ -557,8 +582,8 @@ class TestGridBlock:
             np.testing.assert_array_equal(cached, expected)
         grad = to_grid(rng.normal((3, 4, 9)), pad)
         for i in range(len(block.convs) - 1, -1, -1):
-            if block.slope is not None and i < len(block.convs) - 1:
-                leaky_relu_grad(grad, grids[i + 1], block.slope, grad)
+            if block.act is not None and i < len(block.convs) - 1:
+                block.act.backward(grids[i + 1], grad, out=grad)
                 assert np.all(grid_pads(grad, pad) == 0.0)
             grad = block.convs[i].backward_grid(grids[i], grad, pad)
             assert np.all(grid_pads(grad, pad) == 0.0)
@@ -569,7 +594,7 @@ class TestGridBlock:
         1 MiB of scratch."""
         rng = Rng(28)
         c, batch, length = 8, 16, 4096
-        block = CouplingBlock(c, BlockSpec(kernel_sizes=(5, 3, 3)), False, rng.fork())
+        block = CouplingBlock(c, LiftingConfig(kernel_sizes=(5, 3, 3)), rng.fork())
         x, g, onto = (to_grid(rng.normal((c, batch, length)), block.pad) for _ in range(3))
         grid_bytes = 8 * c * batch * (length + 2 * block.pad)
         tracemalloc.start()
@@ -592,7 +617,7 @@ class TestGridBlock:
         one block of scratch."""
         rng = Rng(27)
         c, batch, length = 8, 16, 4096
-        block = CouplingBlock(c, BlockSpec(), False, rng.fork())
+        block = CouplingBlock(c, LiftingConfig(), rng.fork())
         x = to_grid(rng.normal((c, batch, length)), block.pad)
         g = to_grid(rng.normal((c, batch, length)), block.pad)
         grid_bytes = 8 * c * batch * (length + 2 * block.pad)
