@@ -64,8 +64,10 @@ def wav_read(path):
             raw = fh.readframes(n_frames)
             if len(raw) < 2 * n_frames:
                 raise wave.Error(f"data chunk holds {len(raw)} of its {2 * n_frames} bytes")
-    except (wave.Error, EOFError) as exc:
-        raise ValueError(f"{path}: not a readable WAV file ({exc})") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # wave raises a bare RuntimeError when a chunk runs past the RIFF chunk holding it
+        reason = str(exc) or "a chunk runs past the end of the file"
+        raise ValueError(f"{path}: not a readable WAV file ({reason})") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM_SCALE
     return WavClip(samples, rate)
 
@@ -85,20 +87,22 @@ def wav_write(clip, path):
 
 @dataclass
 class MixtureTriple:
-    """Training triple with mixture = clean + noise holding exactly."""
+    """Training example: a clean signal and its mixture; ``noise`` is derived from them."""
 
     clean: np.ndarray
-    noise: np.ndarray
     mixture: np.ndarray
     snr_db: float
     name: str = ""
 
     def __post_init__(self):
         self.clean = np.asarray(self.clean, dtype=np.float64)
-        self.noise = np.asarray(self.noise, dtype=np.float64)
         self.mixture = np.asarray(self.mixture, dtype=np.float64)
-        if not (self.clean.shape == self.noise.shape == self.mixture.shape):
-            raise ValueError("triple members must share a length")
+        if self.clean.shape != self.mixture.shape:
+            raise ValueError("clean and mixture must share a length")
+
+    @property
+    def noise(self):
+        return self.mixture - self.clean
 
 
 def _harmonic_tone(rng, n, sample_rate):
@@ -132,8 +136,8 @@ def _tilted_noise(rng, n):
 def synth_mixture(rng, duration_s, snr_db, sample_rate=16000):
     """Deterministic synthetic triple at an exact target SNR.
 
-    The noise is rescaled so 10*log10(|clean|^2 / |noise|^2) equals snr_db,
-    and mixture = clean + noise holds bitwise.
+    The noise is rescaled so 10*log10(|clean|^2 / |noise|^2) equals snr_db
+    before it is added to the clean signal.
     """
     if sample_rate < 1:
         raise ValueError(f"sample rate must be >= 1 Hz, got {sample_rate}")
@@ -144,15 +148,7 @@ def synth_mixture(rng, duration_s, snr_db, sample_rate=16000):
     noise = _tilted_noise(rng, n)
     target = np.sum(clean * clean) / (10.0 ** (snr_db / 10.0))
     noise *= np.sqrt(target / np.sum(noise * noise))
-    mixture = clean + noise
-    # one rounding consistency pass so BOTH identities hold bitwise:
-    # mixture == clean + noise and mixture - clean == noise
-    for _ in range(4):
-        noise = mixture - clean
-        mixture = clean + noise
-        if np.array_equal(mixture - clean, noise):
-            break
-    return MixtureTriple(clean, noise, mixture, float(snr_db))
+    return MixtureTriple(clean, clean + noise, float(snr_db))
 
 
 def synth_dataset(seed, count, duration_s, snr_lo, snr_hi, sample_rate=16000):
@@ -218,7 +214,7 @@ def read_pair(clean_path, noisy_path, sample_rate):
 
 
 def load_manifest_triples(path, sample_rate=16000):
-    """Usable pairs (see ``read_pair``) as triples, noise = mixture - clean, and skip reasons."""
+    """Usable pairs (see ``read_pair``) as triples with the noisy file as mixture, and skip reasons."""
     triples, skipped = [], []
     for clean_path, noisy_path, name in read_manifest(path):
         try:
@@ -226,7 +222,7 @@ def load_manifest_triples(path, sample_rate=16000):
         except ValueError as exc:
             skipped.append(str(exc))
             continue
-        triples.append(MixtureTriple(clean, noisy - clean, noisy, float("nan"), name=name))
+        triples.append(MixtureTriple(clean, noisy, float("nan"), name=name))
     return triples, skipped
 
 
@@ -235,7 +231,7 @@ def batch_iter(dataset, batch_size, seed, crop_len=16384):
 
     Every utterance appears exactly once per pass; utterances longer than
     crop_len get a seeded random crop, shorter ones are zero-padded at the
-    end. Yields (clean, noise, mixture) arrays of shape (B, crop_len).
+    end. Yields (clean, noise = mixture - clean, mixture) arrays of shape (B, crop_len).
     """
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
@@ -253,6 +249,7 @@ def batch_iter(dataset, batch_size, seed, crop_len=16384):
             if length > crop_len:
                 start = int(rng.raw(1)[0] % np.uint64(length - crop_len + 1))
             n = min(length, crop_len)
-            for signal, out in zip((triple.clean, triple.noise, triple.mixture), batch):
-                out[row, :n] = signal[start:start + n]
+            batch[0, row, :n] = triple.clean[start:start + n]
+            batch[2, row, :n] = triple.mixture[start:start + n]
+        np.subtract(batch[2], batch[0], out=batch[1])
         yield batch[0], batch[1], batch[2]

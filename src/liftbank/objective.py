@@ -81,7 +81,7 @@ def sdr_loss_and_grad(s_hat, s, x, n, cfg=None, per_sample=False):
 
     Signals are (..., T); the loss is the mean over leading axes of the
     per-sample loss, or with ``per_sample`` the (...) array of them, and the
-    gradient is the mean's. Training data must satisfy x = s + n.
+    gradient is the mean's. Training passes n = x - s, so x = s + n by construction.
     """
     cfg = cfg if cfg is not None else LossConfig()
     s_hat = np.asarray(s_hat, dtype=np.float64)

@@ -5,6 +5,7 @@ next to each pinned tolerance.
 """
 
 import numpy as np
+import pytest
 
 import liftbank as lb
 from liftbank.cli import main as cli_main
@@ -128,6 +129,7 @@ class TestAcceptance:
         report(6, "linear-variant mask additivity", worst <= 1e-9,
                f"max |enhance(m) + enhance(1-m) - x| = {worst:.3e} (tolerance 1e-9)")
 
+    @pytest.mark.slow
     def test_criterion_7_desk_scale_training(self):
         """Loss must strictly decrease and held-out SI-SDR improvement exceed
         0 dB; the measured improvement is reported, not compared to any
@@ -162,6 +164,7 @@ class TestAcceptance:
                f"{final_loss:.4f}; held-out SI-SDR improvement {mean_imp:.2f} dB "
                f"(measured value reported, required > 0)")
 
+    @pytest.mark.slow
     def test_criterion_8_training_determinism(self, tmp_path):
         """Two identical seeded runs, byte-compared artifacts (200-step form)."""
         config_text = (

@@ -1,6 +1,7 @@
 """WAV round trips, synthetic mixtures, manifests, and batching."""
 
 import re
+import tracemalloc
 import wave
 
 import numpy as np
@@ -10,7 +11,32 @@ from liftbank.audio_data import (MixtureTriple, WavClip, batch_iter,
                                  load_manifest_triples, read_manifest,
                                  synth_dataset, synth_mixture, wav_read,
                                  wav_write)
+from liftbank.cli import main
 from liftbank.numerics import Rng
+
+
+def overrun_fmt_chunk(data):
+    """WAV bytes whose `fmt ` chunk size (header bytes 16-19) runs past the end of the file."""
+    return data[:16] + bytes.fromhex("10000b00") + data[20:]
+
+
+def wav_mutations(base, count, seed):
+    """``count`` seeded variants of the WAV bytes ``base``, in turn: one to
+    four header bytes overwritten, one chunk size (RIFF, `fmt `, data) set to a
+    random 32-bit value, and the file cut to a random length."""
+    rng = Rng(seed)
+    for case in range(count):
+        draw = [int(v) for v in rng.raw(9)]
+        data = bytearray(base)
+        if case % 3 == 0:
+            for k in range(1 + draw[0] % 4):
+                data[draw[1 + k] % 44] = draw[5 + k] % 256
+        elif case % 3 == 1:
+            at = (4, 16, 40)[draw[0] % 3]
+            data[at:at + 4] = (draw[1] % 2 ** 32).to_bytes(4, "little")
+        else:
+            del data[draw[0] % len(base):]
+        yield bytes(data)
 
 
 class TestWavIO:
@@ -69,6 +95,60 @@ class TestWavIO:
                 f"{path}: not a readable WAV file (data chunk holds {2000 - cut} "
                 "of its 2000 bytes)")):
             wav_read(path)
+
+    def test_fmt_chunk_past_end_of_file_rejected(self, tmp_path):
+        """wave raises a bare RuntimeError when the `fmt ` chunk's size runs past
+        the file; wav_read names the file as unreadable instead."""
+        path = tmp_path / "fmt.wav"
+        wav_write(WavClip(0.1 * Rng(6).normal((3000,))), path)
+        path.write_bytes(overrun_fmt_chunk(path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not a readable WAV file (a chunk runs past the end of the file)")):
+            wav_read(path)
+
+
+class TestWavMutations:
+    """Seeded header mutations and truncations: each file reads as a clip or
+    fails with a ValueError, and ``enhance`` exits 0 or 2 without a traceback."""
+
+    @pytest.fixture
+    def base(self, tmp_path):
+        path = tmp_path / "base.wav"
+        wav_write(WavClip(0.1 * Rng(21).normal((3000,))), path)
+        return path.read_bytes()
+
+    def test_wav_read_returns_a_clip_or_raises_value_error(self, tmp_path, base):
+        path = tmp_path / "mutant.wav"
+        outcomes = {"clip": 0, "ValueError": 0}
+        for data in wav_mutations(base, 600, seed=22):
+            path.write_bytes(data)
+            try:
+                assert isinstance(wav_read(path), WavClip)
+                outcomes["clip"] += 1
+            except ValueError:
+                outcomes["ValueError"] += 1
+        assert min(outcomes.values()) > 0
+
+    def test_enhance_exits_0_or_2_and_leaves_no_partial_file(self, tmp_path, base, capsys):
+        (tmp_path / "run").mkdir()
+        inputs = [overrun_fmt_chunk(base)] + list(wav_mutations(base, 6, seed=32))
+        codes = set()
+        for i, data in enumerate(inputs):
+            src, out = tmp_path / f"in{i}.wav", tmp_path / "run" / f"out{i}.wav"
+            src.write_bytes(data)
+            code = main(["enhance", str(src), str(out), "--ones-mask"])
+            codes.add(code)
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            if code == 0:
+                assert wav_read(out).samples.size == wav_read(src).samples.size
+            else:
+                assert code == 2
+                assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+                assert not out.exists()
+            assert {p.name for p in (tmp_path / "run").iterdir()} <= {f"out{j}.wav"
+                                                                     for j in range(i + 1)}
+        assert codes == {0, 2}
 
 
 class TestSynthMixture:
@@ -172,7 +252,7 @@ def _tiny_dataset(n, length=100):
     for i in range(n):
         clean = rng.normal((length,))
         noise = rng.normal((length,))
-        out.append(MixtureTriple(clean, noise, clean + noise, 0.0, name=f"t{i}"))
+        out.append(MixtureTriple(clean, clean + noise, 0.0, name=f"t{i}"))
     return out
 
 
@@ -209,6 +289,27 @@ class TestBatchIter:
         assert mix.shape == (4, 64)
         np.testing.assert_allclose(clean + noise, mix, atol=1e-15)
 
+    def test_noise_row_is_the_crop_of_mixture_minus_clean(self):
+        """Bitwise, for padded, exact-length and cropped utterances; the padded
+        tail is zero."""
+        rng = Rng(12)
+        ds = [MixtureTriple(rng.normal((n,)), rng.normal((n,)), 0.0)
+              for n in (30, 64, 64, 200, 200)]
+        seen = []
+        for clean, noise, mix in batch_iter(ds, 2, seed=4, crop_len=64):
+            for row in range(clean.shape[0]):
+                for i, triple in enumerate(ds):
+                    n = min(triple.clean.size, 64)
+                    starts = [s for s in range(triple.clean.size - n + 1)
+                              if np.array_equal(triple.clean[s:s + n], clean[row, :n])
+                              and np.array_equal(triple.mixture[s:s + n], mix[row, :n])]
+                    if starts:
+                        seen.append(i)
+                        np.testing.assert_array_equal(
+                            noise[row, :n], triple.noise[starts[0]:starts[0] + n])
+                        assert np.all(noise[row, n:] == 0.0)
+        assert sorted(seen) == list(range(len(ds)))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             next(batch_iter([], 4, seed=0))
@@ -216,3 +317,38 @@ class TestBatchIter:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             next(batch_iter(_tiny_dataset(2), 0, seed=0))
+
+
+class TestExampleMemory:
+    """An example holds two float64 arrays, its clean signal and its mixture;
+    the noise is derived on demand."""
+
+    @staticmethod
+    def held_bytes(fn, *args):
+        """Bytes still allocated after fn returns, with its result alive, and the result."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            return tracemalloc.get_traced_memory()[0] - base, result
+        finally:
+            tracemalloc.stop()
+
+    def test_synth_dataset_holds_two_arrays_per_example(self):
+        held, triples = self.held_bytes(synth_dataset, 13, 6, 0.25, 0.0, 10.0)
+        samples = sum(t.clean.size for t in triples)
+        assert held <= 2.25 * 8 * samples
+
+    def test_manifest_triples_hold_two_arrays_per_example(self, tmp_path):
+        rng = Rng(14)
+        lines = []
+        for i in range(6):
+            clean = 0.1 * rng.normal((4000,))
+            wav_write(WavClip(clean), tmp_path / f"c{i}.wav")
+            wav_write(WavClip(clean + 0.05 * rng.normal((4000,))), tmp_path / f"n{i}.wav")
+            lines.append(f"{tmp_path / f'c{i}.wav'}\t{tmp_path / f'n{i}.wav'}\n")
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text("".join(lines))
+        held, (triples, skipped) = self.held_bytes(load_manifest_triples, manifest)
+        assert len(triples) == 6 and not skipped
+        assert held <= 2.25 * 8 * 6 * 4000

@@ -122,6 +122,13 @@ def truncate(path, cut):
     path.write_bytes(path.read_bytes()[:-cut])
 
 
+def overrun_fmt_chunk(path):
+    """Set the `fmt ` chunk's size (header bytes 16-19) to run past the end of the file."""
+    data = bytearray(path.read_bytes())
+    data[16:20] = bytes.fromhex("10000b00")
+    path.write_bytes(bytes(data))
+
+
 def traced_peak(fn, *args):
     """Peak bytes allocated while fn runs, above what was live before it."""
     tracemalloc.start()
@@ -453,6 +460,18 @@ class TestTrainCommand:
         assert len(train_warnings) == len(reasons)
         assert all(r in w for r, w in zip(reasons, train_warnings))
 
+    def test_manifest_skips_fmt_chunk_past_end_of_file(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, n_pairs=3)
+        overrun_fmt_chunk(tmp_path / "noisy1.wav")
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
+                           f"data.kind = manifest\ndata.manifest = {manifest}\n")
+        assert main(["train", str(cfg)]) == 0
+        assert (tmp_path / "run" / "checkpoint_last.ckpt").exists()
+        assert skip_warnings(capsys.readouterr().err) == [
+            f"warning: skipped unreadable pair {tmp_path / 'clean1.wav'} / "
+            f"{tmp_path / 'noisy1.wav'}: {tmp_path / 'noisy1.wav'}: not a readable WAV "
+            "file (a chunk runs past the end of the file)"]
+
     def test_manifest_without_usable_pair_exits_2(self, tmp_path, capsys):
         manifest = write_rule_manifest(tmp_path, usable=False)
         cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
@@ -596,6 +615,16 @@ class TestEnhanceCommand:
         assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav")]) == 2
         assert (f"error: {tmp_path / 'in.wav'}: not a readable WAV file (data chunk "
                 f"holds {2000 - cut} of its 2000 bytes)") in capsys.readouterr().err
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_fmt_chunk_past_end_of_file_exits_2(self, tmp_path, capsys):
+        wav_write(WavClip(0.1 * Rng(14).normal((3000,))), tmp_path / "in.wav")
+        overrun_fmt_chunk(tmp_path / "in.wav")
+        assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
+                     "--ones-mask"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'in.wav'}: not a readable WAV file (a chunk runs past "
+            "the end of the file)"]
         assert not (tmp_path / "out.wav").exists()
 
     def test_export_mask_runs_in_chunks_and_matches_whole_file(self, tmp_path):
@@ -815,6 +844,17 @@ class TestEvalCommand:
         err = skip_warnings(capsys.readouterr().err)
         assert len(err) == 2
         assert all("unreadable pair" in line and "data chunk holds" in line for line in err)
+
+    def test_fmt_chunk_past_end_of_file_skips_and_exits_1(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, n_pairs=2)
+        overrun_fmt_chunk(tmp_path / "clean1.wav")
+        out_csv = tmp_path / "metrics.csv"
+        assert main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
+                     "--ones-mask"]) == 1
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["noisy0"]
+        err = skip_warnings(capsys.readouterr().err)
+        assert len(err) == 1 and "a chunk runs past the end of the file" in err[0]
 
     def test_ones_mask_loads_an_estimator_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "lifting.stages = 3\nlifting.base_channels = 2\n"
