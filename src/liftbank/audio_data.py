@@ -53,23 +53,26 @@ class WavClip:
 
 
 def wav_read(path):
-    """Read 16-bit mono PCM; other formats and truncated data are rejected."""
+    """Read 16-bit mono PCM; other formats, truncated data and headers that
+    WavClip rejects raise a ValueError naming the file."""
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1:
-                raise ValueError(f"{path}: mono required")
+                raise ValueError("mono required")
             if fh.getsampwidth() != 2:
-                raise ValueError(f"{path}: 16-bit PCM required")
+                raise ValueError("16-bit PCM required")
             rate, n_frames = fh.getframerate(), fh.getnframes()
             raw = fh.readframes(n_frames)
             if len(raw) < 2 * n_frames:
                 raise wave.Error(f"data chunk holds {len(raw)} of its {2 * n_frames} bytes")
+        samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM_SCALE
+        return WavClip(samples, rate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     except (wave.Error, EOFError, RuntimeError) as exc:
         # wave raises a bare RuntimeError when a chunk runs past the RIFF chunk holding it
         reason = str(exc) or "a chunk runs past the end of the file"
         raise ValueError(f"{path}: not a readable WAV file ({reason})") from exc
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM_SCALE
-    return WavClip(samples, rate)
 
 
 def wav_write(clip, path):

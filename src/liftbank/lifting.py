@@ -305,35 +305,42 @@ class LiftingTransform(Module):
         return x.reshape(lead + x.shape[1:])
 
     @staticmethod
-    def _predict(block, caches, v, onto, alpha):
+    def _predict(block, caches, spent, j, v, onto, alpha):
+        if spent:
+            spent[j] = None
         y, cache = block.forward(v, onto, alpha)
         if caches is not None:
             caches.append(cache)
         return y
 
-    def _predictors(self, caches, discard_top=False):
+    def _predictors(self, caches, discard_top=False, spent=None):
         """The blocks as coupling predictors; each evaluation's layer caches
-        go on ``caches``, or nowhere when it is None (inference)."""
-        predictors = [partial(self._predict, block, caches) for block in self.blocks]
+        go on ``caches``, or nowhere when it is None (inference). Stage j's
+        evaluation first drops entry j - 1 of ``spent``, the same stage's
+        caches from an earlier call of the same direction that nothing needs
+        any more, so the new ones take over their memory."""
+        predictors = [partial(self._predict, block, caches, spent, j)
+                      for j, block in enumerate(self.blocks)]
         return predictors[:-1] + [None] if discard_top else predictors
 
     # -- forward / inverse ------------------------------------------------
 
-    def forward_with_cache(self, x, discard_top=False):
+    def forward_with_cache(self, x, discard_top=False, spent=None):
         """Feature plus the per-stage predictor caches the VJPs need. With
         ``discard_top`` the upper half, stage J's b' = a + F_J(b), is left at
         zero for a caller that discards it: F_J does not run, stage J's cache is None."""
         caches = []
-        phi = self._walk_down(x, coupling_forward, self._predictors(caches, discard_top))
+        phi = self._walk_down(x, coupling_forward, self._predictors(caches, discard_top, spent))
         return phi, caches + [None] if discard_top else caches
 
     def forward(self, x, discard_top=False):
         return self._walk_down(x, coupling_forward, self._predictors(None, discard_top))
 
-    def inverse_with_cache(self, phi):
+    def inverse_with_cache(self, phi, spent=None):
         """Waveform plus the per-stage predictor caches, indexed by stage."""
         caches = []
-        return self._walk_up(phi, coupling_inverse, self._predictors(caches)), caches[::-1]
+        y = self._walk_up(phi, coupling_inverse, self._predictors(caches, spent=spent))
+        return y, caches[::-1]
 
     def inverse(self, phi):
         return self._walk_up(phi, coupling_inverse, self._predictors(None))

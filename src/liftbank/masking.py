@@ -259,7 +259,8 @@ PARAMETER_GROUPS = ("transform", "mask", "both")
 
 @dataclass
 class EnhanceCache:
-    """What EnhancementPipeline.backward needs from one enhance_training call."""
+    """What EnhancementPipeline.backward needs from one enhance_training call;
+    a later call given it as ``spent`` empties it (every field None)."""
 
     mask: np.ndarray          # the applied mask, feature-shaped
     feature: np.ndarray       # lifting phi (upper half zero if discard_top) or STFT spectrogram
@@ -370,11 +371,16 @@ class EnhancementPipeline(Module):
             del y, mask     # neither is held while the next chunk runs
         return s_hat, out
 
-    def enhance_training(self, x):
-        """Estimated target plus the EnhanceCache that ``backward`` needs."""
-        return self._run(x, keep=True)
+    def enhance_training(self, x, spent=None):
+        """Estimated target plus the EnhanceCache that ``backward`` needs.
 
-    def _run(self, x, keep):
+        ``spent``, the EnhanceCache of an earlier call whose ``backward`` has
+        run, is emptied piece by piece, each piece just before the same-shaped
+        piece of the new cache is built: a training loop holds one step's
+        caches, not two, and the new cache reuses the freed memory."""
+        return self._run(x, keep=True, spent=spent)
+
+    def _run(self, x, keep, spent=None):
         """Estimate over all of x, plus its EnhanceCache (keep) or its mask: the
         transform's analysis, the mask, ``feature * mask``, synthesis, crop."""
         x = np.asarray(x, dtype=np.float64)
@@ -382,12 +388,14 @@ class EnhancementPipeline(Module):
             raise ValueError("non-finite input signal")
         tf, net, t0 = self.transform, self.estimator, x.shape[-1]
         fwd_cache = inv_cache = est_cache = None
+        spent = EnhanceCache(None, None) if spent is None else spent
         if tf is not None:
             x, _ = pad_to_multiple(x, tf.config.time_divisor)
-            feature, fwd_cache = (tf.forward_with_cache(x, self.discard_top) if keep
-                                  else (tf.forward(x, self.discard_top), None))
+            feature, fwd_cache = (tf.forward_with_cache(x, self.discard_top, spent.forward)
+                                  if keep else (tf.forward(x, self.discard_top), None))
         else:
             feature = stft_forward(x, self.stft_config)
+        spent.mask = spent.feature = spent.forward = spent.estimator = None
         if self.mask_source == "estimator":
             img = feature if tf is not None else log_magnitude_feature(feature)
             mask, est_cache = net.forward_with_cache(img) if keep else (net.forward(img), None)
@@ -397,10 +405,11 @@ class EnhancementPipeline(Module):
             mask = binary_mask_generate(self.binary_spec, feature.shape[-1])
         masked = feature * mask
         if tf is not None:
-            y, inv_cache = (tf.inverse_with_cache(masked) if keep
+            y, inv_cache = (tf.inverse_with_cache(masked, spent.inverse) if keep
                             else (tf.inverse(masked), None))
         else:
             y = istft(masked, self.stft_config, t0)
+        spent.inverse = None
         if not keep:
             return y[..., :t0], mask
         return y[..., :t0], EnhanceCache(mask, feature, est_cache, fwd_cache, inv_cache)
@@ -410,13 +419,15 @@ class EnhancementPipeline(Module):
     def backward(self, cache, grad_s_hat):
         """Accumulate parameter gradients for d(loss)/d(s_hat) and return
         d(loss)/d(x); the STFT path has no input VJP and returns None."""
+        if cache.feature is None:
+            raise ValueError("this EnhanceCache was spent by a later enhance_training call")
         if self.transform is not None:
             grad_y, length = pad_to_multiple(grad_s_hat, self.transform.config.time_divisor)
             grad_masked = self.transform.inverse_vjp(cache.inverse, grad_y)
-            grad_phi = cache.mask * grad_masked
-            if cache.estimator is not None:
-                grad_mask = cache.feature * grad_masked
-                grad_phi = grad_phi + self.estimator.backward(cache.estimator, grad_mask)
+            grad_mask = None if cache.estimator is None else cache.feature * grad_masked
+            grad_phi = np.multiply(grad_masked, cache.mask, out=grad_masked)    # one copy held
+            if grad_mask is not None:
+                grad_phi += self.estimator.backward(cache.estimator, grad_mask)
             grad_x = self.transform.forward_vjp(cache.forward, grad_phi)
             return grad_x[..., :length]
         spec = cache.feature

@@ -144,6 +144,11 @@ def train(pipeline, dataset, cfg):
     through every path that reaches a trainable group, one Adam update,
     one spectral-norm power iteration. The best-validation parameter
     snapshot is kept alongside the final parameters.
+
+    A step holds one step's caches, not two: it hands the previous step's
+    EnhanceCache, spent once its backward has run, to ``enhance_training``,
+    which empties it as the new cache fills. An epoch's last cache goes
+    before validation.
     """
     params, train_set, val_set = prepare(pipeline, dataset, cfg)
     optimizer = Adam(params, lr=cfg.lr)
@@ -152,15 +157,18 @@ def train(pipeline, dataset, cfg):
     stop = False
     for epoch in range(cfg.epochs):
         losses = []
+        cache = None
         for clean, noise, mixture in batch_iter(train_set, cfg.batch_size,
                                                 seed=cfg.seed + epoch,
                                                 crop_len=cfg.crop_len):
             pipeline.zero_grad()
-            s_hat, cache = pipeline.enhance_training(mixture)
+            s_hat, cache = pipeline.enhance_training(mixture, cache)
             loss, grad = sdr_loss_and_grad(s_hat, clean, mixture, noise, cfg.loss, True)
+            del s_hat       # neither it nor the gradient is held past its last use
             if not np.all(np.isfinite(loss)):
                 raise TrainingDiverged(f"non-finite loss at step {history.steps}")
             pipeline.backward(cache, grad)
+            del grad
             try:
                 optimizer.step()
             except ValueError as exc:       # a non-finite gradient
@@ -171,6 +179,7 @@ def train(pipeline, dataset, cfg):
             if cfg.max_steps and history.steps >= cfg.max_steps:
                 stop = True
                 break
+        del cache
         val_loss, val_imp = _evaluate(pipeline, val_set, cfg.loss)
         # the exactly rounded mean over samples: the same for every shuffle
         history.train_loss.append(math.fsum(losses) / len(losses))

@@ -47,18 +47,19 @@ def _load_dgemm():
 _DGEMM = _load_dgemm()
 
 
-def _blas_args(a, b, c):
+def _blas_args(a, b, c, reads=None):
     """[trans a, lda, trans b, ldb, ldc] of one cblas_dgemm that writes c from
     a @ b in place, or None when there is no bundled BLAS or it cannot take
     the operands: aligned float64 matrices of matching shapes, each with unit
     stride along one axis, and c row-major, writeable and overlapping neither
-    one."""
+    of ``reads``, the arrays that a and b are views of (default a and b)."""
+    read_a, read_b = (a, b) if reads is None else reads
     if (_DGEMM is None or not a.dtype == b.dtype == c.dtype == np.float64
             or not a.ndim == b.ndim == c.ndim == 2 or not a.size or not b.size
             or c.shape != (a.shape[0], b.shape[1]) or a.shape[1] != b.shape[0]
             or not (a.flags.aligned and b.flags.aligned and c.flags.aligned)
-            or not c.flags.writeable or np.may_share_memory(c, a)
-            or np.may_share_memory(c, b)):
+            or not c.flags.writeable or np.may_share_memory(c, read_a)
+            or np.may_share_memory(c, read_b)):
         return None
     args = []
     for m in (a, b, c):
@@ -77,7 +78,11 @@ def _blas_args(a, b, c):
 def gemm(a, b, c, alpha=1.0, beta=1.0):
     """c = alpha a @ b + beta c in place, for beta 0 or 1: one cblas_dgemm
     call when ``_blas_args`` allows it, else numpy's matmul plus an add."""
-    args = _blas_args(a, b, c)
+    return _gemm(_blas_args(a, b, c), a, b, c, alpha, beta)
+
+
+def _gemm(args, a, b, c, alpha, beta):
+    """``gemm`` with its ``_blas_args`` already worked out."""
     if args is None:
         prod = np.matmul(a, b)
         if alpha != 1.0:
@@ -97,10 +102,15 @@ def tap_gemms(taps, flat, offsets, acc, alpha=1.0, beta=0.0):
     """acc = alpha sum_t taps[t] @ flat[:, o_t : o_t + n] + beta acc for the
     column offsets o_t, n = acc.shape[1], beta 0 or 1: one GEMM per tap
     straight from a strided column window of the flat grid, each after the
-    first (and with beta = 1 the first too) adding into acc inside BLAS."""
-    n = acc.shape[1]
+    first (and with beta = 1 the first too) adding into acc inside BLAS.
+    Every tap has the same operand shapes, strides and output, so one
+    ``_blas_args`` check serves them all."""
+    taps, n, offsets = np.asarray(taps), acc.shape[1], list(offsets)
+    if n and (min(offsets) < 0 or max(offsets) + n > flat.shape[1]):
+        raise ValueError(f"{n}-column tap windows at {offsets} run past the grid {flat.shape}")
+    args = _blas_args(taps[0], flat[:, :n], acc, (taps, flat))
     for t, off in enumerate(offsets):
-        gemm(taps[t], flat[:, off:off + n], acc, alpha, 1.0 if t else beta)
+        _gemm(args, taps[t], flat[:, off:off + n], acc, alpha, 1.0 if t else beta)
     return acc
 
 

@@ -4,11 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the measured value
 next to each pinned tolerance.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import liftbank as lb
-from liftbank.cli import main as cli_main
 from liftbank.lifting import LiftingConfig, LiftingTransform
 from liftbank.masking import BinaryMaskSpec, EnhancementPipeline
 from liftbank.numerics import Rng, finite_difference_gradient
@@ -166,7 +170,10 @@ class TestAcceptance:
 
     @pytest.mark.slow
     def test_criterion_8_training_determinism(self, tmp_path):
-        """Two identical seeded runs, byte-compared artifacts (200-step form)."""
+        """Two identical seeded runs, byte-compared artifacts (200-step form).
+
+        The runs are two concurrent ``liftbank train`` processes with one
+        BLAS thread each, so on two cores they take about as long as one."""
         config_text = (
             "seed = 7\n"
             "pipeline.transform = lifting\n"
@@ -182,11 +189,27 @@ class TestAcceptance:
             "data.duration = 1.0\n"
             "data.snr_min = 0\n"
             "data.snr_max = 10\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = []
+        try:
+            for tag in ("a", "b"):
+                cfg_path = tmp_path / f"{tag}.cfg"
+                cfg_path.write_text(config_text + f"out.dir = {tmp_path / tag}\n")
+                runs.append(subprocess.Popen(
+                    [sys.executable, "-m", "liftbank.cli", "train", str(cfg_path)],
+                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+            for run in runs:
+                _, err = run.communicate(timeout=600)
+                assert run.returncode == 0, err
+        finally:
+            for run in runs:
+                if run.poll() is None:
+                    run.kill()
+                    run.communicate()
         outputs = []
         for tag in ("a", "b"):
-            cfg_path = tmp_path / f"{tag}.cfg"
-            cfg_path.write_text(config_text + f"out.dir = {tmp_path / tag}\n")
-            assert cli_main(["train", str(cfg_path)]) == 0
             outputs.append((
                 (tmp_path / tag / "checkpoint_last.ckpt").read_bytes(),
                 (tmp_path / tag / "checkpoint_best.ckpt").read_bytes(),

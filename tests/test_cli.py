@@ -627,6 +627,17 @@ class TestEnhanceCommand:
             "the end of the file)"]
         assert not (tmp_path / "out.wav").exists()
 
+    def test_zero_sample_rate_exits_2_naming_the_file(self, tmp_path, capsys):
+        wav_write(WavClip(0.1 * Rng(15).normal((3000,))), tmp_path / "in.wav")
+        data = bytearray((tmp_path / "in.wav").read_bytes())
+        data[24:28] = bytes(4)       # the header's sample rate
+        (tmp_path / "in.wav").write_bytes(bytes(data))
+        assert main(["enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
+                     "--ones-mask"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'in.wav'}: sample rate must be positive"]
+        assert not (tmp_path / "out.wav").exists()
+
     def test_export_mask_runs_in_chunks_and_matches_whole_file(self, tmp_path):
         """A 3-chunk input: the exported mask is the whole-file training
         path's mask, and the WAV is plain enhance's, byte for byte."""

@@ -438,6 +438,40 @@ class TestGridWalks:
         for i, (now, before) in enumerate(zip(watched, snapshots)):
             np.testing.assert_array_equal(now, before, err_msg=f"array {i}")
 
+    @pytest.mark.parametrize("discard_top", [False, True])
+    def test_spent_caches_go_stage_by_stage(self, discard_top, monkeypatch):
+        """Given an earlier call's caches as ``spent``, each predictor
+        evaluation drops the same stage's spent cache just before it runs,
+        and the result and the new caches are those of a call without it."""
+        rng = Rng(32)
+        tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2), rng.fork())
+        x, y = rng.normal((2, 64)), rng.normal((2, 64))
+        phi, want_fwd = tf.forward_with_cache(y, discard_top)
+        back, want_inv = tf.inverse_with_cache(phi)
+        spent_fwd = tf.forward_with_cache(x, discard_top)[1]
+        spent_inv = tf.inverse_with_cache(tf.forward(x))[1]
+        seen = []
+        for j, block in enumerate(tf.blocks):
+            def spy(*args, j=j, run=block.forward):
+                seen.append((j, [c is None for c in spent_fwd + spent_inv]))
+                return run(*args)
+            monkeypatch.setattr(block, "forward", spy)
+        got_phi, got_fwd = tf.forward_with_cache(y, discard_top, spent_fwd)
+        got_back, got_inv = tf.inverse_with_cache(got_phi, spent_inv)
+        # stage j's spent entry is gone when stage j runs, later ones are not
+        top = len(tf.blocks) - discard_top
+        assert seen == (
+            [(j, [i <= j or (discard_top and i == 2) for i in range(3)] + [False] * 3)
+             for j in range(top)]
+            + [(j, [True] * 3 + [i >= j for i in range(3)]) for j in (2, 1, 0)])
+        assert spent_fwd == spent_inv == [None] * 3
+        np.testing.assert_array_equal(got_phi, phi)
+        np.testing.assert_array_equal(got_back, back)
+        for got, want in zip(got_fwd + got_inv, want_fwd + want_inv):
+            assert (got is None) == (want is None)
+            for a, b in zip(got or [], want or []):
+                np.testing.assert_array_equal(a, b)
+
 
 # ---------------------------------------------------------------------------
 # predictor block on the zero-padded grid

@@ -1,5 +1,6 @@
 """Masks, the estimator network, and the end-to-end pipelines."""
 
+import dataclasses
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -459,6 +460,52 @@ def small_pipeline(kind, norm="none", depth=2):
         return EnhancementPipeline(transform=tf, mask_source="estimator", estimator=net)
     return EnhancementPipeline(stft_config=StftConfig(window_length=64, hop=16, dft_length=64),
                                mask_source="estimator", estimator=net)
+
+
+def _cache_arrays(obj):
+    """The arrays an EnhanceCache holds, in a fixed order, None where a
+    field or stage holds none; other values (conv geometry) are left out."""
+    if obj is None or isinstance(obj, np.ndarray):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif not isinstance(obj, (list, tuple)):
+        return []
+    return [a for item in obj for a in _cache_arrays(item)]
+
+
+class TestSpentCache:
+    """``enhance_training(x, spent)`` empties an earlier call's cache as it
+    builds its own, and changes nothing else."""
+
+    KINDS = ["lifting/binary", "lifting/estimator", "stft/estimator"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_spent_is_emptied_and_the_result_unchanged(self, kind):
+        pipe = small_pipeline(kind)
+        rng = Rng(54)
+        x, y = rng.normal((2, 1000)), rng.normal((2, 1000))
+        s_hat, spent = pipe.enhance_training(x)
+        pipe.backward(spent, rng.normal(s_hat.shape))
+        want_s, want = pipe.enhance_training(y)
+        got_s, got = pipe.enhance_training(y, spent)
+        assert all(value is None for value in vars(spent).values())
+        np.testing.assert_array_equal(got_s, want_s)
+        got, want = _cache_arrays(got), _cache_arrays(want)
+        assert len(got) == len(want) > 4
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_backward_refuses_a_spent_cache(self, kind):
+        pipe = small_pipeline(kind)
+        x = Rng(55).normal((2, 1000))
+        s_hat, spent = pipe.enhance_training(x)
+        pipe.enhance_training(x, spent)
+        with pytest.raises(ValueError, match="spent"):
+            pipe.backward(spent, np.ones_like(s_hat))
 
 
 class TestChunkedEnhance:

@@ -104,6 +104,41 @@ class TestAccumulatingGemm:
         with pytest.raises(ValueError):
             tapgemm.tap_gemms(taps, flat, [0, 3], acc)       # runs past the grid
 
+    @pytest.mark.parametrize("blas", [True, False], ids=["blas", "matmul"])
+    def test_one_operand_check_per_call_matches_per_tap_gemm(self, blas, monkeypatch):
+        """Every tap of one call shares its operand shapes, strides and output,
+        so ``tap_gemms`` checks them once, and its sum is bitwise that of one
+        ``gemm`` per tap on either route."""
+        if not blas:
+            monkeypatch.setattr(tapgemm, "_DGEMM", None)
+        rng = Rng(37)
+        taps, flat = rng.normal((3, 4, 5)), rng.normal((5, 60))
+        checks, real = [], tapgemm._blas_args
+        monkeypatch.setattr(tapgemm, "_blas_args", lambda *a: checks.append(a) or real(*a))
+        for alpha, beta in [(1.0, 0.0), (-1.0, 1.0)]:
+            acc = rng.normal((4, 40))
+            want = acc.copy()
+            for t, off in enumerate([0, 7, 20]):
+                tapgemm.gemm(taps[t], flat[:, off:off + 40], want, alpha, 1.0 if t else beta)
+            checks.clear()
+            tapgemm.tap_gemms(taps, flat, [0, 7, 20], acc, alpha, beta)
+            assert len(checks) == 1
+            np.testing.assert_array_equal(acc, want)
+
+    def test_output_overlapping_any_tap_window_falls_back(self, monkeypatch):
+        """The one check covers every window: an output that overlaps only
+        the last tap's window (one grid row, so the others' bounds are clear
+        of it) still goes through matmul, tap by tap."""
+        calls = _blas_calls(monkeypatch)
+        rng = Rng(38)
+        taps, flat = rng.normal((3, 1, 1)), rng.normal((1, 60))
+        want = flat.copy()
+        for t, off in enumerate([0, 20, 40]):
+            want[:, 45:55] += taps[t] @ want[:, off:off + 10]
+        tapgemm.tap_gemms(taps, flat, [0, 20, 40], flat[:, 45:55], beta=1.0)
+        np.testing.assert_allclose(flat, want, rtol=1e-14, atol=1e-14)
+        assert calls == []
+
     def test_fallback_is_bitwise_for_conv1d_and_lifting(self, monkeypatch):
         rng = Rng(33)
         conv = Conv1d(5, 4, 5, rng=rng.fork())
