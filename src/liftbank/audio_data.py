@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _PCM_SCALE = 32767.0
+_TONE_BLOCK = 4096  # samples per block of the harmonic sum: 64 KiB complex
 
 
 @dataclass
@@ -109,19 +110,36 @@ class MixtureTriple:
 
 
 def _harmonic_tone(rng, n, sample_rate):
-    """Speech proxy: pitched harmonic complex with pitch drift and envelope."""
+    """Speech proxy: pitched harmonic complex with pitch drift and envelope.
+
+    The harmonics Σ_h sin(hφ + θ_h) / h are Im Σ_h c_h z^h with the phasor
+    z = e^{iφ} and c_h = e^{iθ_h} / h, summed by Horner's rule: one complex
+    exponential per sample, then one in-place multiply and add per harmonic.
+    Direct sines of hφ (up to about 6e5 rad at 10 s) differ from it by about
+    1e-12 of the peak, their own rounding of hφ. The sum runs in blocks of
+    _TONE_BLOCK samples, which keeps its complex temporaries in cache and
+    under malloc's 128 KiB mmap threshold: freeing a larger mmapped chunk
+    raises that threshold, and later training steps then fragment the heap.
+    """
     t = np.arange(n) / sample_rate
     f0 = rng.uniform((), 90.0, 300.0)[()]
     drift_rate = rng.uniform((), 0.5, 3.0)[()]
     drift_phase = rng.uniform((), 0.0, 2.0 * np.pi)[()]
     inst_freq = f0 * (1.0 + 0.04 * np.sin(2.0 * np.pi * drift_rate * t + drift_phase))
     phase = 2.0 * np.pi * np.cumsum(inst_freq) / sample_rate
-    limit = min(3000.0, 0.45 * sample_rate)
-    n_harm = max(1, int(limit / f0))
-    tone = np.zeros(n)
-    for h in range(1, n_harm + 1):
-        amp = 1.0 / h
-        tone += amp * np.sin(h * phase + rng.uniform((), 0.0, 2.0 * np.pi)[()])
+    n_harm = int(min(3000.0, 0.45 * sample_rate) / f0)
+    coefs = np.exp(1j * rng.uniform((n_harm,), 0.0, 2.0 * np.pi)) / np.arange(1, n_harm + 1)
+    tone = np.empty(n)
+    for lo in range(0, n, _TONE_BLOCK):
+        rotor = np.multiply(phase[lo:lo + _TONE_BLOCK], 1j)
+        np.exp(rotor, out=rotor)
+        acc = np.full(rotor.shape, coefs[-1])
+        for coef in coefs[-2::-1]:
+            acc *= rotor
+            acc += coef
+        acc *= rotor
+        tone[lo:lo + _TONE_BLOCK] = acc.imag
+    del inst_freq, phase  # the envelope's temporaries take their place
     env_rate = rng.uniform((), 1.0, 4.0)[()]
     env_phase = rng.uniform((), 0.0, 2.0 * np.pi)[()]
     envelope = 0.25 + 0.75 * (0.5 - 0.5 * np.cos(2.0 * np.pi * env_rate * t + env_phase)) ** 2
@@ -140,17 +158,29 @@ def synth_mixture(rng, duration_s, snr_db, sample_rate=16000):
     """Deterministic synthetic triple at an exact target SNR.
 
     The noise is rescaled so 10*log10(|clean|^2 / |noise|^2) equals snr_db
-    before it is added to the clean signal.
+    before it is added to the clean signal. A ValueError rejects a sample
+    rate below 667 Hz, where the tone's fundamental (up to 300 Hz) passes
+    its band limit of 0.45 × rate, and an SNR whose power ratio or noise
+    scale is not a finite positive float (outside about -3050 to +3080 dB;
+    the lower end rises with the clip's energy).
     """
     if sample_rate < 1:
         raise ValueError(f"sample rate must be >= 1 Hz, got {sample_rate}")
+    if 0.45 * sample_rate < 300.0:
+        raise ValueError(f"data.sample_rate = {sample_rate} Hz is below 667 Hz: the synthetic "
+                         f"speech's 90-300 Hz fundamental must lie under 0.45 × rate")
     n = int(round(duration_s * sample_rate))
     if n < 1:
         raise ValueError(f"a {duration_s:g} s clip at {sample_rate} Hz has no samples")
     clean = _harmonic_tone(rng, n, sample_rate)
     noise = _tilted_noise(rng, n)
-    target = np.sum(clean * clean) / (10.0 ** (snr_db / 10.0))
-    noise *= np.sqrt(target / np.sum(noise * noise))
+    with np.errstate(all="ignore"):
+        ratio = 10.0 ** (np.float64(snr_db) / 10.0)
+        scale = np.sqrt(np.sum(clean * clean) / ratio / np.sum(noise * noise))
+    if not (0.0 < ratio < np.inf and 0.0 < scale < np.inf):
+        raise ValueError(f"SNR {snr_db:g} dB is out of range: its power ratio {ratio:g} "
+                         f"or noise scale {scale:g} is not a finite positive number")
+    noise *= scale
     return MixtureTriple(clean, clean + noise, float(snr_db))
 
 

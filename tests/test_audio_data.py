@@ -7,7 +7,7 @@ import wave
 import numpy as np
 import pytest
 
-from liftbank.audio_data import (MixtureTriple, WavClip, batch_iter,
+from liftbank.audio_data import (MixtureTriple, WavClip, _harmonic_tone, batch_iter,
                                  load_manifest_triples, read_manifest,
                                  synth_dataset, synth_mixture, wav_read,
                                  wav_write)
@@ -151,7 +151,64 @@ class TestWavMutations:
         assert codes == {0, 2}
 
 
+def direct_tone(rng, n, sample_rate):
+    """The speech proxy with one sine per harmonic, each drawing its own phase
+    offset: the form that the phasor recurrence in ``_harmonic_tone`` replaces."""
+    t = np.arange(n) / sample_rate
+    f0 = rng.uniform((), 90.0, 300.0)[()]
+    drift_rate = rng.uniform((), 0.5, 3.0)[()]
+    drift_phase = rng.uniform((), 0.0, 2.0 * np.pi)[()]
+    inst_freq = f0 * (1.0 + 0.04 * np.sin(2.0 * np.pi * drift_rate * t + drift_phase))
+    phase = 2.0 * np.pi * np.cumsum(inst_freq) / sample_rate
+    n_harm = max(1, int(min(3000.0, 0.45 * sample_rate) / f0))
+    tone = np.zeros(n)
+    for h in range(1, n_harm + 1):
+        tone += (1.0 / h) * np.sin(h * phase + rng.uniform((), 0.0, 2.0 * np.pi)[()])
+    env_rate = rng.uniform((), 1.0, 4.0)[()]
+    env_phase = rng.uniform((), 0.0, 2.0 * np.pi)[()]
+    envelope = 0.25 + 0.75 * (0.5 - 0.5 * np.cos(2.0 * np.pi * env_rate * t + env_phase)) ** 2
+    tone *= envelope
+    rms = np.sqrt(np.mean(tone * tone))
+    return 0.1 * tone / max(rms, 1e-12), n_harm
+
+
+# Rng(0) draws f0 = 275.5 Hz (10 harmonics below 3 kHz), Rng(196) 90.9 Hz (33)
+TONE_CASES = [(0, 1.0, 10), (196, 1.0, 33), (0, 10.0, 10), (196, 10.0, 33)]
+
+
 class TestSynthMixture:
+    @pytest.mark.parametrize("seed, duration_s, n_harm", TONE_CASES)
+    def test_phasor_tone_matches_direct_sines(self, seed, duration_s, n_harm):
+        n = int(duration_s * 16000)
+        want, harmonics = direct_tone(Rng(seed), n, 16000)
+        assert harmonics == n_harm
+        got = _harmonic_tone(Rng(seed), n, 16000)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed, duration_s, n_harm", TONE_CASES)
+    def test_draws_as_many_values_as_direct_sines(self, seed, duration_s, n_harm):
+        """One vector draw of the phase offsets takes the per-harmonic scalar
+        draws' values in their order, so every later clip sees the same stream."""
+        rng, oracle = Rng(seed), Rng(seed)
+        triple = synth_mixture(rng, duration_s, 5.0)
+        want, _ = direct_tone(oracle, triple.clean.size, 16000)
+        oracle.normal((triple.clean.size + 1,))
+        assert rng.raw(1)[0] == oracle.raw(1)[0]
+        assert np.max(np.abs(triple.clean - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("duration_s", [1.0, 10.0])
+    def test_phasor_tone_peaks_no_higher_than_direct_sines(self, duration_s):
+        """The blocked sum's complex temporaries add less than the sines' own."""
+        def traced_peak(tone):
+            tracemalloc.start()
+            try:
+                tone(Rng(196), int(duration_s * 16000), 16000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(_harmonic_tone) <= traced_peak(direct_tone)
+
     def test_snr_exact(self):
         for snr in (-10.0, 0.0, 7.5, 20.0):
             triple = synth_mixture(Rng(1), 0.25, snr)
@@ -187,6 +244,39 @@ class TestSynthMixture:
     def test_bad_duration(self):
         with pytest.raises(ValueError):
             synth_mixture(Rng(6), 0.0, 0.0)
+
+    @pytest.mark.parametrize("snr", [-3000.0, 3000.0])
+    def test_extreme_valid_snr(self, snr):
+        """At -3000 dB the noise scale is about 1e148 and the SNR still exact;
+        at +3000 dB it is about 1e-152, below the clean signal's rounding."""
+        triple = synth_mixture(Rng(1), 0.25, snr)
+        assert np.all(np.isfinite(triple.mixture))
+        if snr < 0:
+            got = 10.0 * np.log10(np.sum(triple.clean ** 2) / np.sum(triple.noise ** 2))
+            assert got == pytest.approx(snr, abs=1e-9)
+        else:
+            np.testing.assert_array_equal(triple.mixture, triple.clean)
+
+    @pytest.mark.parametrize("snr, text", [
+        (3100.0, "SNR 3100 dB is out of range: its power ratio inf"),
+        (-3100.0, "SNR -3100 dB is out of range: its power ratio 1e-310 or noise scale inf"),
+        (-3300.0, "SNR -3300 dB is out of range: its power ratio 0"),
+        (1e308, "SNR 1e+308 dB is out of range: its power ratio inf"),
+    ])
+    def test_snr_beyond_float_range_raises(self, snr, text):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            synth_mixture(Rng(1), 0.25, snr)
+
+    @pytest.mark.parametrize("rate", [1, 100, 666])
+    def test_rate_below_band_limit_raises(self, rate):
+        with pytest.raises(ValueError, match=f"data.sample_rate = {rate} Hz is below 667 Hz"):
+            synth_mixture(Rng(1), 1.0, 5.0, rate)
+
+    def test_lowest_rate_keeps_one_harmonic(self):
+        """At 667 Hz the band limit (300.15 Hz) still admits the highest fundamental."""
+        assert 0.45 * 667 > 300.0
+        triple = synth_mixture(Rng(0), 1.0, 5.0, 667)
+        assert triple.clean.shape == (667,) and np.all(np.isfinite(triple.mixture))
 
 
 class TestSynthDataset:

@@ -387,6 +387,31 @@ class TestTrainCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        ("data.snr_min = 3100\ndata.snr_max = 3100", "SNR 3100 dB is out of range"),
+        ("data.snr_min = -3100\ndata.snr_max = -3100", "SNR -3100 dB is out of range"),
+        ("data.snr_max = 1e308", "dB is out of range: its power ratio inf"),
+        ("data.snr_min = -3300\ndata.snr_max = -3300", "SNR -3300 dB is out of range"),
+        ("data.sample_rate = 1", "data.sample_rate = 1 Hz is below 667 Hz"),
+        ("data.sample_rate = 666", "data.sample_rate = 666 Hz is below 667 Hz"),
+    ], ids=["snr+3100", "snr-3100", "snr-max-1e308", "snr-3300", "rate1", "rate666"])
+    def test_unsynthesizable_data_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                              lines, message):
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{lines}\n")
+        assert main(["train", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("snr", ["3000", "-3000"])
+    def test_extreme_valid_snr_trains(self, tmp_path, capsys, snr):
+        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
+                           f"data.snr_min = {snr}\ndata.snr_max = {snr}\n")
+        assert main(["train", str(cfg)]) == 0
+        assert (tmp_path / "run" / "checkpoint_last.ckpt").exists()
+
     @pytest.mark.parametrize("lines, depth, height", [
         ("lifting.stages = 2\nlifting.base_channels = 2", 4, 8),
         ("pipeline.transform = stft\nstft.window_length = 32\nstft.hop = 8\n"
