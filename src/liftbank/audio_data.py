@@ -91,22 +91,16 @@ def wav_write(clip, path):
 
 @dataclass
 class MixtureTriple:
-    """Training example: a clean signal and its mixture; ``noise`` is derived from them."""
+    """Training example: a clean signal and its mixture; the interference is mixture - clean."""
 
     clean: np.ndarray
     mixture: np.ndarray
-    snr_db: float
-    name: str = ""
 
     def __post_init__(self):
         self.clean = np.asarray(self.clean, dtype=np.float64)
         self.mixture = np.asarray(self.mixture, dtype=np.float64)
         if self.clean.shape != self.mixture.shape:
             raise ValueError("clean and mixture must share a length")
-
-    @property
-    def noise(self):
-        return self.mixture - self.clean
 
 
 def _harmonic_tone(rng, n, sample_rate):
@@ -181,7 +175,7 @@ def synth_mixture(rng, duration_s, snr_db, sample_rate=16000):
         raise ValueError(f"SNR {snr_db:g} dB is out of range: its power ratio {ratio:g} "
                          f"or noise scale {scale:g} is not a finite positive number")
     noise *= scale
-    return MixtureTriple(clean, clean + noise, float(snr_db))
+    return MixtureTriple(clean, clean + noise)
 
 
 def synth_dataset(seed, count, duration_s, snr_lo, snr_hi, sample_rate=16000):
@@ -192,11 +186,9 @@ def synth_dataset(seed, count, duration_s, snr_lo, snr_hi, sample_rate=16000):
         raise ValueError(f"SNR range is empty: snr_min {snr_lo:g} dB > snr_max {snr_hi:g} dB")
     rng = Rng(seed)
     out = []
-    for i in range(count):
+    for _ in range(count):
         snr = rng.uniform((), snr_lo, snr_hi)[()] if snr_hi > snr_lo else float(snr_lo)
-        triple = synth_mixture(rng, duration_s, snr, sample_rate)
-        triple.name = f"synth{i:04d}"
-        out.append(triple)
+        out.append(synth_mixture(rng, duration_s, snr, sample_rate))
     return out
 
 
@@ -249,13 +241,13 @@ def read_pair(clean_path, noisy_path, sample_rate):
 def load_manifest_triples(path, sample_rate=16000):
     """Usable pairs (see ``read_pair``) as triples with the noisy file as mixture, and skip reasons."""
     triples, skipped = [], []
-    for clean_path, noisy_path, name in read_manifest(path):
+    for clean_path, noisy_path, _ in read_manifest(path):
         try:
             clean, noisy = read_pair(clean_path, noisy_path, sample_rate)
         except ValueError as exc:
             skipped.append(str(exc))
             continue
-        triples.append(MixtureTriple(clean, noisy, float("nan"), name=name))
+        triples.append(MixtureTriple(clean, noisy))
     return triples, skipped
 
 
@@ -264,7 +256,7 @@ def batch_iter(dataset, batch_size, seed, crop_len=16384):
 
     Every utterance appears exactly once per pass; utterances longer than
     crop_len get a seeded random crop, shorter ones are zero-padded at the
-    end. Yields (clean, noise = mixture - clean, mixture) arrays of shape (B, crop_len).
+    end. Yields (clean, mixture) arrays of shape (B, crop_len).
     """
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
@@ -274,7 +266,7 @@ def batch_iter(dataset, batch_size, seed, crop_len=16384):
     order = rng.permutation(len(dataset))
     for lo in range(0, len(dataset), batch_size):
         chunk = order[lo:lo + batch_size]
-        batch = np.zeros((3, len(chunk), crop_len))
+        batch = np.zeros((2, len(chunk), crop_len))
         for row, idx in enumerate(chunk):
             triple = dataset[int(idx)]
             length = triple.clean.shape[-1]
@@ -283,6 +275,5 @@ def batch_iter(dataset, batch_size, seed, crop_len=16384):
                 start = int(rng.raw(1)[0] % np.uint64(length - crop_len + 1))
             n = min(length, crop_len)
             batch[0, row, :n] = triple.clean[start:start + n]
-            batch[2, row, :n] = triple.mixture[start:start + n]
-        np.subtract(batch[2], batch[0], out=batch[1])
-        yield batch[0], batch[1], batch[2]
+            batch[1, row, :n] = triple.mixture[start:start + n]
+        yield batch[0], batch[1]

@@ -112,6 +112,7 @@ def load_config(path=None):
     if path is None:
         return values
     text = Path(path).read_text()
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,6 +124,10 @@ def load_config(path=None):
         value = value.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, "
+                              f"at lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         parser, _ = CONFIG_SCHEMA[key]
         try:
             values[key] = parser(value)
@@ -250,10 +255,14 @@ def _load_pipeline(args):
 
 
 def _check_output_paths(*paths):
-    """Exit 2 before any work unless each output path names a file in an existing directory."""
-    for path in filter(None, paths):
-        if Path(path).is_dir() or not Path(path).parent.is_dir():
+    """Exit 2 before any work unless each output path names a file in an
+    existing directory, and no two name the same file."""
+    paths = [Path(path) for path in paths if path]
+    for path in paths:
+        if path.is_dir() or not path.parent.is_dir():
             raise ConfigError(f"{path}: not a file path in an existing directory")
+    if len({path.resolve() for path in paths}) < len(paths):
+        raise ConfigError(f"{' and '.join(map(str, paths))}: two outputs name the same file")
 
 
 def cmd_enhance(args):
@@ -311,8 +320,6 @@ def _eval_one(pipeline, clean_path, noisy_path, name, oracle, export_dir, stft_c
     report = MetricReport(utterance_id=name, si_sdr_in=si_in, si_sdr_out=si_out,
                           improvement=si_out - si_in)
     if export_dir:
-        export_dir = Path(export_dir)
-        export_dir.mkdir(parents=True, exist_ok=True)
         for tag, signal in (("noisy", noisy), ("enhanced", s_hat)):
             spec = stft_forward(signal, stft_cfg)
             with atomic_write(export_dir / f"{name}_{tag}_mag.csv") as fh:
@@ -335,11 +342,13 @@ def cmd_eval(args):
     if not pairs:
         raise ConfigError(f"{args.manifest}: empty manifest")
     stft_cfg = pipeline.stft_config or build_stft_config(cfg)
+    export_dir = args.export_spectrogram and Path(args.export_spectrogram)
+    if export_dir:
+        export_dir.mkdir(parents=True, exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(
-            lambda pair: _eval_one(pipeline, *pair, args.oracle,
-                                   args.export_spectrogram, stft_cfg,
+            lambda pair: _eval_one(pipeline, *pair, args.oracle, export_dir, stft_cfg,
                                    cfg["data.sample_rate"]),
             pairs))
 

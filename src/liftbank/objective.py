@@ -2,11 +2,12 @@
 
 The training loss is the negated mean of
 
-    0.5 * ( clip_b[SDR(s_hat, s)] + clip_b[SDR(x - s_hat, n)] )
+    0.5 * ( clip_b[SDR(s_hat, s)] + clip_b[SDR(x - s_hat, x - s)] )
 
 with SDR(u, v) = 10 log10(|u|^2 / |u - v|^2) and clip_b[v] = b * tanh(v / b),
 so "minimize" is uniform across the codebase and the optimum saturates at
--beta. Both terms are eps-guarded so ratios stay finite.
+-beta. The mixture model is x = s + n, so the interference n is x - s and
+the loss forms it itself. Both terms are eps-guarded so ratios stay finite.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _clipped_term(u, v, beta, eps):
     of the clipped term beta * tanh(SDR(u, v) / beta) with respect to u.
 
     The loss is -0.5 times the mean of the terms of (s_hat, s) and (x - s_hat,
-    n), so the second one's gradient enters d(loss)/d(s_hat) negated and
+    x - s), so the second one's gradient enters d(loss)/d(s_hat) negated and
     d(loss)/d(x) as it is.
     """
     num = np.sum(u * u, axis=-1) + eps
@@ -76,19 +77,19 @@ def _clipped_term(u, v, beta, eps):
     return th, grad
 
 
-def sdr_loss_and_grad(s_hat, s, x, n, cfg=None, per_sample=False):
+def sdr_loss_and_grad(s_hat, s, x, cfg=None, per_sample=False):
     """Negated clipped two-term SDR score plus its gradient with respect to the estimate.
 
-    Signals are (..., T); the loss is the mean over leading axes of the
+    Signals are (..., T): the estimate, the clean signal and the mixture; the
+    interference is x - s. The loss is the mean over leading axes of the
     per-sample loss, or with ``per_sample`` the (...) array of them, and the
-    gradient is the mean's. Training passes n = x - s, so x = s + n by construction.
+    gradient is the mean's.
     """
     cfg = cfg if cfg is not None else LossConfig()
     s_hat = np.asarray(s_hat, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    if not (s_hat.shape == s.shape == x.shape == n.shape):
+    if not (s_hat.shape == s.shape == x.shape):
         raise ValueError("signal shapes must agree")
     # exact-zero comparisons: non-finite estimates must fall through to the
     # loss value so the trainer can flag divergence instead
@@ -102,7 +103,7 @@ def sdr_loss_and_grad(s_hat, s, x, n, cfg=None, per_sample=False):
     # loss, so the intermediate overflow warnings are just noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # residual term first: no full-size gradient is held beside its residual
-        th2, g2 = _clipped_term(x - s_hat, n, beta, eps)
+        th2, g2 = _clipped_term(x - s_hat, x - s, beta, eps)
         th1, g1 = _clipped_term(s_hat, s, beta, eps)
         losses = -0.5 * (beta * th1 + beta * th2)
         # the residual x - s_hat falls as s_hat rises

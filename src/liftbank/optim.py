@@ -114,8 +114,7 @@ def _evaluate(pipeline, triples, loss_cfg):
     improvements = []
     for triple in triples:
         s_hat, _ = pipeline.enhance(triple.mixture)
-        loss, _ = sdr_loss_and_grad(s_hat, triple.clean, triple.mixture,
-                                    triple.noise, loss_cfg)
+        loss, _ = sdr_loss_and_grad(s_hat, triple.clean, triple.mixture, loss_cfg)
         losses.append(loss)
         improvements.append(si_sdr_improvement(triple.clean, s_hat, triple.mixture))
     if not losses:
@@ -158,12 +157,11 @@ def train(pipeline, dataset, cfg):
     for epoch in range(cfg.epochs):
         losses = []
         cache = None
-        for clean, noise, mixture in batch_iter(train_set, cfg.batch_size,
-                                                seed=cfg.seed + epoch,
-                                                crop_len=cfg.crop_len):
+        for clean, mixture in batch_iter(train_set, cfg.batch_size, seed=cfg.seed + epoch,
+                                         crop_len=cfg.crop_len):
             pipeline.zero_grad()
             s_hat, cache = pipeline.enhance_training(mixture, cache)
-            loss, grad = sdr_loss_and_grad(s_hat, clean, mixture, noise, cfg.loss, True)
+            loss, grad = sdr_loss_and_grad(s_hat, clean, mixture, cfg.loss, True)
             del s_hat       # neither it nor the gradient is held past its last use
             if not np.all(np.isfinite(loss)):
                 raise TrainingDiverged(f"non-finite loss at step {history.steps}")

@@ -12,7 +12,7 @@ import numpy as np
 from .lifting import LiftingConfig, LiftingTransform
 from .masking import EnhancementPipeline
 from .numerics import Rng, finite_difference_gradient
-from .objective import LossConfig, _clipped_term, sdr_loss_and_grad
+from .objective import LossConfig, sdr_loss_and_grad
 from .stft import StftConfig, istft, stft_forward
 
 __all__ = [
@@ -64,7 +64,9 @@ def gradient_suite(seed=0, corrupt=False):
 
     Tiny configuration (two lifting stages, 32 samples, fixed binary mask,
     clipped-SDR loss); compares the hand-written backward pass against
-    central differences for every parameter and for the input.
+    central differences for every parameter and for the pipeline's input.
+    The loss's own mixture stays fixed, so the input check is the gradient
+    ``pipeline.backward`` returns: the path through the pipeline only.
     """
     rng = Rng(seed)
     config = LiftingConfig(num_stages=2)
@@ -72,16 +74,15 @@ def gradient_suite(seed=0, corrupt=False):
     pipeline = EnhancementPipeline(transform=transform, mask_source="binary")
     loss_cfg = LossConfig()
     clean = 0.5 * rng.normal((32,))
-    noise = 0.3 * rng.normal((32,))
-    mixture = clean + noise
+    mixture = clean + 0.3 * rng.normal((32,))
 
     def loss_of_input(x):
         s_hat, _ = pipeline.enhance_training(x)
-        return sdr_loss_and_grad(s_hat, clean, x, noise, loss_cfg)[0]
+        return sdr_loss_and_grad(s_hat, clean, mixture, loss_cfg)[0]
 
     pipeline.zero_grad()
     s_hat, cache = pipeline.enhance_training(mixture)
-    _, grad_out = sdr_loss_and_grad(s_hat, clean, mixture, noise, loss_cfg)
+    _, grad_out = sdr_loss_and_grad(s_hat, clean, mixture, loss_cfg)
     grad_input = pipeline.backward(cache, grad_out)
 
     worst = 0.0
@@ -99,12 +100,8 @@ def gradient_suite(seed=0, corrupt=False):
         p.data[...] = orig
         worst = max(worst, relative_error(analytic, numeric))
 
-    # d loss / d mixture is the path through the transform plus a direct
-    # term, since the mixture also enters the loss residual
-    th2, grad_resid = _clipped_term(mixture - s_hat, noise, loss_cfg.beta_clip, loss_cfg.eps)
-    analytic = grad_input - 0.5 * grad_resid / th2.size
     numeric = finite_difference_gradient(loss_of_input, mixture, FD_STEP)
-    return max(worst, relative_error(analytic, numeric))
+    return max(worst, relative_error(grad_input, numeric))
 
 
 def stft_reconstruction_suite(cfg=None, seed=0, corrupt=False):

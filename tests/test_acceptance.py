@@ -148,7 +148,7 @@ class TestAcceptance:
             vals = []
             for tr in triples:
                 s_hat, _ = pipe.enhance_training(tr.mixture)
-                vals.append(sdr_loss_and_grad(s_hat, tr.clean, tr.mixture, tr.noise, loss_cfg)[0])
+                vals.append(sdr_loss_and_grad(s_hat, tr.clean, tr.mixture, loss_cfg)[0])
             return float(np.mean(vals))
 
         init_loss = mean_loss(train_set)

@@ -212,24 +212,30 @@ class TestSynthMixture:
     def test_snr_exact(self):
         for snr in (-10.0, 0.0, 7.5, 20.0):
             triple = synth_mixture(Rng(1), 0.25, snr)
-            got = 10.0 * np.log10(np.sum(triple.clean ** 2) / np.sum(triple.noise ** 2))
-            assert got == pytest.approx(snr, abs=1e-9)
+            assert measured_snr_db(triple) == pytest.approx(snr, abs=1e-9)
 
     def test_mixture_identity_bitwise(self):
-        triple = synth_mixture(Rng(2), 0.1, 5.0)
-        np.testing.assert_array_equal(triple.mixture - triple.clean, triple.noise)
+        """The mixture is the clean signal plus the scaled noise draw, bitwise."""
+        rng = Rng(2)
+        triple = synth_mixture(rng, 0.1, 5.0)
+        oracle = Rng(2)
+        clean = _harmonic_tone(oracle, triple.clean.size, 16000)
+        noise = np.diff(oracle.normal((clean.size + 1,)))
+        noise *= np.sqrt(np.sum(clean * clean) / 10.0 ** 0.5 / np.sum(noise * noise))
+        np.testing.assert_array_equal(triple.clean, clean)
+        np.testing.assert_array_equal(triple.mixture, clean + noise)
 
     def test_deterministic_from_seed(self):
         a = synth_mixture(Rng(3), 0.2, 3.0)
         b = synth_mixture(Rng(3), 0.2, 3.0)
         np.testing.assert_array_equal(a.clean, b.clean)
-        np.testing.assert_array_equal(a.noise, b.noise)
+        np.testing.assert_array_equal(a.mixture, b.mixture)
 
     def test_speech_proxy_is_low_band(self):
         """The tone complex carries its energy below the noise tilt."""
         triple = synth_mixture(Rng(4), 0.5, 0.0, 16000)
         spec_s = np.abs(np.fft.rfft(triple.clean))
-        spec_n = np.abs(np.fft.rfft(triple.noise))
+        spec_n = np.abs(np.fft.rfft(triple.mixture - triple.clean))
         freqs = np.fft.rfftfreq(triple.clean.size, 1 / 16000)
         low = freqs < 3200.0
         s_low = float(np.sum(spec_s[low] ** 2) / np.sum(spec_s ** 2))
@@ -252,8 +258,7 @@ class TestSynthMixture:
         triple = synth_mixture(Rng(1), 0.25, snr)
         assert np.all(np.isfinite(triple.mixture))
         if snr < 0:
-            got = 10.0 * np.log10(np.sum(triple.clean ** 2) / np.sum(triple.noise ** 2))
-            assert got == pytest.approx(snr, abs=1e-9)
+            assert measured_snr_db(triple) == pytest.approx(snr, abs=1e-9)
         else:
             np.testing.assert_array_equal(triple.mixture, triple.clean)
 
@@ -280,10 +285,9 @@ class TestSynthMixture:
 
 
 class TestSynthDataset:
-    def test_count_and_names(self):
+    def test_count(self):
         ds = synth_dataset(7, 5, 0.1, 0.0, 10.0)
         assert len(ds) == 5
-        assert ds[0].name == "synth0000"
 
     def test_reproducible(self):
         a = synth_dataset(8, 3, 0.1, 0.0, 10.0)
@@ -292,11 +296,13 @@ class TestSynthDataset:
             np.testing.assert_array_equal(ta.mixture, tb.mixture)
 
     def test_snrs_inside_range(self):
-        for triple in synth_dataset(9, 10, 0.05, 2.0, 4.0):
-            assert 2.0 <= triple.snr_db < 4.0
+        snrs = [measured_snr_db(t) for t in synth_dataset(9, 10, 0.05, 2.0, 4.0)]
+        assert all(2.0 - 1e-9 <= snr < 4.0 + 1e-9 for snr in snrs)
+        assert len(set(snrs)) == len(snrs)
 
     def test_equal_snr_bounds_give_constant_snr(self):
-        assert [t.snr_db for t in synth_dataset(9, 3, 0.05, 5.0, 5.0)] == [5.0] * 3
+        for triple in synth_dataset(9, 3, 0.05, 5.0, 5.0):
+            assert measured_snr_db(triple) == pytest.approx(5.0, abs=1e-9)
 
 
 class TestManifest:
@@ -317,8 +323,8 @@ class TestManifest:
         triples, skipped = load_manifest_triples(manifest)
         assert len(triples) == 1
         assert skipped == [f"length-mismatched pair {tmp_path / 'c.wav'} / {tmp_path / 's.wav'}"]
-        np.testing.assert_allclose(
-            triples[0].mixture - triples[0].clean, triples[0].noise, atol=1e-15)
+        np.testing.assert_array_equal(triples[0].clean, wav_read(tmp_path / "c.wav").samples)
+        np.testing.assert_array_equal(triples[0].mixture, wav_read(tmp_path / "n.wav").samples)
 
     def test_ids_keep_unique_stems_and_are_distinct(self, tmp_path):
         """Shared stems get suffixes that skip past an id already taken."""
@@ -336,13 +342,19 @@ class TestManifest:
             read_manifest(manifest)
 
 
+def measured_snr_db(triple):
+    """The SNR a triple's signals carry: clean against mixture - clean."""
+    noise = triple.mixture - triple.clean
+    return 10.0 * np.log10(np.sum(triple.clean ** 2) / np.sum(noise ** 2))
+
+
 def _tiny_dataset(n, length=100):
     rng = Rng(11)
     out = []
     for i in range(n):
         clean = rng.normal((length,))
         noise = rng.normal((length,))
-        out.append(MixtureTriple(clean, clean + noise, 0.0, name=f"t{i}"))
+        out.append(MixtureTriple(clean, clean + noise))
     return out
 
 
@@ -352,15 +364,15 @@ class TestBatchIter:
         assert [b[0].shape[0] for b in batches] == [4, 4, 2]
 
     def test_same_seed_same_order(self):
-        a = [b[2] for b in batch_iter(_tiny_dataset(10), 4, seed=5, crop_len=100)]
-        b = [b[2] for b in batch_iter(_tiny_dataset(10), 4, seed=5, crop_len=100)]
+        a = [b[1] for b in batch_iter(_tiny_dataset(10), 4, seed=5, crop_len=100)]
+        b = [b[1] for b in batch_iter(_tiny_dataset(10), 4, seed=5, crop_len=100)]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
     def test_union_is_dataset(self):
         ds = _tiny_dataset(10)
         seen = np.concatenate(
-            [b[2] for b in batch_iter(ds, 3, seed=1, crop_len=100)], axis=0)
+            [b[1] for b in batch_iter(ds, 3, seed=1, crop_len=100)], axis=0)
         expect = np.stack([t.mixture for t in ds])
         assert seen.shape == expect.shape
         seen_sorted = seen[np.lexsort(seen.T)]
@@ -369,24 +381,25 @@ class TestBatchIter:
 
     def test_short_utterances_zero_padded(self):
         ds = _tiny_dataset(4, length=30)
-        clean, noise, mix = next(batch_iter(ds, 4, seed=2, crop_len=50))
-        assert mix.shape == (4, 50)
-        assert np.all(mix[:, 30:] == 0.0)
+        clean, mix = next(batch_iter(ds, 4, seed=2, crop_len=50))
+        assert clean.shape == mix.shape == (4, 50)
+        assert np.all(clean[:, 30:] == 0.0) and np.all(mix[:, 30:] == 0.0)
 
     def test_long_utterances_cropped(self):
         ds = _tiny_dataset(4, length=200)
-        clean, noise, mix = next(batch_iter(ds, 4, seed=3, crop_len=64))
-        assert mix.shape == (4, 64)
-        np.testing.assert_allclose(clean + noise, mix, atol=1e-15)
+        clean, mix = next(batch_iter(ds, 4, seed=3, crop_len=64))
+        assert clean.shape == mix.shape == (4, 64)
+        assert np.all(clean[:, -1] != 0.0) and np.all(mix[:, -1] != 0.0)
 
-    def test_noise_row_is_the_crop_of_mixture_minus_clean(self):
-        """Bitwise, for padded, exact-length and cropped utterances; the padded
-        tail is zero."""
+    def test_rows_are_the_crops_with_zero_tails(self):
+        """Each row pair is one utterance's clean and mixture crop at the same
+        start, bitwise, for padded, exact-length and cropped utterances; the
+        padded tail is zero in both."""
         rng = Rng(12)
-        ds = [MixtureTriple(rng.normal((n,)), rng.normal((n,)), 0.0)
+        ds = [MixtureTriple(rng.normal((n,)), rng.normal((n,)))
               for n in (30, 64, 64, 200, 200)]
         seen = []
-        for clean, noise, mix in batch_iter(ds, 2, seed=4, crop_len=64):
+        for clean, mix in batch_iter(ds, 2, seed=4, crop_len=64):
             for row in range(clean.shape[0]):
                 for i, triple in enumerate(ds):
                     n = min(triple.clean.size, 64)
@@ -395,9 +408,7 @@ class TestBatchIter:
                               and np.array_equal(triple.mixture[s:s + n], mix[row, :n])]
                     if starts:
                         seen.append(i)
-                        np.testing.assert_array_equal(
-                            noise[row, :n], triple.noise[starts[0]:starts[0] + n])
-                        assert np.all(noise[row, n:] == 0.0)
+                        assert np.all(clean[row, n:] == 0.0) and np.all(mix[row, n:] == 0.0)
         assert sorted(seen) == list(range(len(ds)))
 
     def test_empty_dataset_rejected(self):
@@ -411,7 +422,7 @@ class TestBatchIter:
 
 class TestExampleMemory:
     """An example holds two float64 arrays, its clean signal and its mixture;
-    the noise is derived on demand."""
+    the interference is mixture - clean, formed only inside the loss."""
 
     @staticmethod
     def held_bytes(fn, *args):

@@ -13,7 +13,7 @@ from liftbank import cli, verify
 from liftbank.audio_data import WavClip, synth_mixture, wav_read, wav_write
 from liftbank.checkpoint import load_checkpoint, save_checkpoint
 from liftbank.cli import main
-from liftbank.lifting import LiftingConfig
+from liftbank.lifting import LiftingConfig, LiftingTransform
 from liftbank.masking import CHUNK_SAMPLES
 from liftbank.numerics import Rng
 
@@ -33,6 +33,15 @@ data.duration = 0.08
 data.snr_min = 0
 data.snr_max = 10
 """
+
+
+def base_config(extra):
+    """BASE_CONFIG with the settings in ``extra`` in place of its own, since a
+    config gives each key once."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in BASE_CONFIG.splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + extra
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -274,16 +283,35 @@ class TestConfig:
         if command[0] != "train":
             assert main(argv + ["--ones-mask"]) == 0
 
-    def test_repeated_key_last_wins(self, tmp_path):
-        cfg = cli.load_config(write_config(
-            tmp_path, "lifting.linear = yes\nlifting.block_kernels = 5\n"
-                      "lifting.linear = no\nlifting.block_kernels = 3,1\n"))
-        assert (cfg["lifting.linear"], cfg["lifting.block_kernels"]) == (False, (3, 1))
+    def test_repeated_key_rejected_naming_both_lines(self, tmp_path):
+        path = write_config(tmp_path, "lifting.linear = yes\nlifting.block_kernels = 5\n"
+                                      "# a comment\nlifting.linear = yes\n")
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.load_config(path)
+        assert str(exc.value) == f"{path}:4: key 'lifting.linear' given twice, at lines 1 and 4"
+
+    @pytest.mark.parametrize("command", [
+        ["train", "{cfg}"],
+        ["enhance", "{tmp}/in.wav", "{tmp}/out.wav", "--config", "{cfg}"],
+    ], ids=["train", "enhance"])
+    def test_repeated_key_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        cfg = write_config(tmp_path, f"out.dir = {tmp_path}/run\nseed = 3\nseed = 4\n")
+        wav_write(WavClip(0.1 * Rng(3).normal((2000,))), tmp_path / "in.wav")
+        files = sorted(p.name for p in tmp_path.iterdir())
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a pipeline was built")
+        monkeypatch.setattr(cli, "build_pipeline", no_work)
+        assert main([arg.format(tmp=tmp_path, cfg=cfg) for arg in command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: key 'seed' given twice, at lines 2 and 3\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
 class TestTrainCommand:
     def test_writes_log_and_checkpoints(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n"))
         assert main(["train", str(cfg)]) == 0
         log = (tmp_path / "run" / "training_log.csv").read_text().splitlines()
         assert log[0] == "epoch,train_loss,val_loss,val_si_sdr_imp"
@@ -292,8 +320,8 @@ class TestTrainCommand:
         assert (tmp_path / "run" / "checkpoint_best.ckpt").exists()
 
     def test_same_seed_byte_identical_outputs(self, tmp_path):
-        cfg_a = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/a\n", "a.cfg")
-        cfg_b = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/b\n", "b.cfg")
+        cfg_a = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/a\n"), "a.cfg")
+        cfg_b = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/b\n"), "b.cfg")
         assert main(["train", str(cfg_a)]) == 0
         assert main(["train", str(cfg_b)]) == 0
         ck_a = (tmp_path / "a" / "checkpoint_last.ckpt").read_bytes()
@@ -321,7 +349,7 @@ class TestTrainCommand:
             return loss, np.full_like(grad, np.nan)
 
         monkeypatch.setattr(optim, "sdr_loss_and_grad", nan_gradient)
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n"))
         assert main(["train", str(cfg)]) == 3
         assert "non-finite gradient for parameter lifting/" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint_last.ckpt").exists()
@@ -337,7 +365,7 @@ class TestTrainCommand:
             raise AssertionError("dataset built before the train values were checked")
 
         monkeypatch.setattr(cli, "build_dataset", no_dataset)
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{line}\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n{line}\n"))
         assert main(["train", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -355,7 +383,7 @@ class TestTrainCommand:
             raise AssertionError("dataset built before the float values were checked")
 
         monkeypatch.setattr(cli, "build_dataset", no_dataset)
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{line}\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n{line}\n"))
         assert main(["train", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -382,7 +410,7 @@ class TestTrainCommand:
         ("data.count = 0", "data.count must be >= 1"),
     ])
     def test_unusable_value_exits_2_before_out_dir(self, tmp_path, capsys, line, message):
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{line}\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n{line}\n"))
         assert main(["train", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -397,7 +425,7 @@ class TestTrainCommand:
     ], ids=["snr+3100", "snr-3100", "snr-max-1e308", "snr-3300", "rate1", "rate666"])
     def test_unsynthesizable_data_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                               lines, message):
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n{lines}\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n{lines}\n"))
         assert main(["train", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
@@ -407,8 +435,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("snr", ["3000", "-3000"])
     def test_extreme_valid_snr_trains(self, tmp_path, capsys, snr):
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
-                           f"data.snr_min = {snr}\ndata.snr_max = {snr}\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n"
+                           f"data.snr_min = {snr}\ndata.snr_max = {snr}\n"))
         assert main(["train", str(cfg)]) == 0
         assert (tmp_path / "run" / "checkpoint_last.ckpt").exists()
 
@@ -420,7 +448,7 @@ class TestTrainCommand:
     def test_estimator_stride_above_feature_height_exits_2(self, tmp_path, capsys,
                                                            monkeypatch, lines, depth, height):
         """Checked before any estimator conv exists; one stage less still builds."""
-        text = BASE_CONFIG + f"pipeline.mask = estimator\nmask.base_channels = 2\n{lines}\n"
+        text = base_config(f"pipeline.mask = estimator\nmask.base_channels = 2\n{lines}\n")
         fits = dict(cli.load_config(write_config(tmp_path, text)), **{"mask.depth": depth - 1})
         assert cli.build_pipeline(fits).estimator.total_stride <= height
 
@@ -443,7 +471,7 @@ class TestTrainCommand:
             raise exc
 
         monkeypatch.setattr(cli, "build_pipeline", no_memory)
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n"))
         assert main(["train", str(cfg)]) == 2
         assert capsys.readouterr().err == line
         assert not (tmp_path / "run").exists()
@@ -471,8 +499,8 @@ class TestTrainCommand:
 
     def test_manifest_skips_bad_pairs_like_eval(self, tmp_path, capsys):
         manifest = write_rule_manifest(tmp_path)
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
-                           f"data.kind = manifest\ndata.manifest = {manifest}\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n"
+                           f"data.kind = manifest\ndata.manifest = {manifest}\n"))
         assert main(["train", str(cfg)]) == 0
         assert (tmp_path / "run" / "checkpoint_last.ckpt").exists()
         assert (tmp_path / "run" / "checkpoint_best.ckpt").exists()
@@ -488,8 +516,8 @@ class TestTrainCommand:
     def test_manifest_skips_fmt_chunk_past_end_of_file(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, n_pairs=3)
         overrun_fmt_chunk(tmp_path / "noisy1.wav")
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
-                           f"data.kind = manifest\ndata.manifest = {manifest}\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n"
+                           f"data.kind = manifest\ndata.manifest = {manifest}\n"))
         assert main(["train", str(cfg)]) == 0
         assert (tmp_path / "run" / "checkpoint_last.ckpt").exists()
         assert skip_warnings(capsys.readouterr().err) == [
@@ -499,8 +527,8 @@ class TestTrainCommand:
 
     def test_manifest_without_usable_pair_exits_2(self, tmp_path, capsys):
         manifest = write_rule_manifest(tmp_path, usable=False)
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n"
-                           f"data.kind = manifest\ndata.manifest = {manifest}\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n"
+                           f"data.kind = manifest\ndata.manifest = {manifest}\n"))
         assert main(["train", str(cfg)]) == 2
         assert "no usable pairs" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -577,7 +605,7 @@ class TestEnhanceCommand:
         assert not (tmp_path / "out.wav").exists()
 
     def test_trained_checkpoint_loads(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG + f"out.dir = {tmp_path}/run\n")
+        cfg = write_config(tmp_path, base_config(f"out.dir = {tmp_path}/run\n"))
         assert main(["train", str(cfg)]) == 0
         x = 0.1 * Rng(4).normal((1500,))
         wav_write(WavClip(x), tmp_path / "in.wav")
@@ -708,6 +736,25 @@ class TestEnhanceCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "in.wav"]
         assert list((tmp_path / "adir").iterdir()) == []
 
+    @pytest.mark.parametrize("mask", ["out.wav", "./out.wav", "link.wav"])
+    def test_mask_naming_the_output_exits_2_before_loading(self, tmp_path, capsys,
+                                                           monkeypatch, mask):
+        """--export-mask may not name the enhanced WAV, by the same path, another
+        spelling of it or a symbolic link to it: the mask would replace it."""
+        wav_write(WavClip(0.1 * Rng(3).normal((1500,))), tmp_path / "in.wav")
+        (tmp_path / "out.wav").write_bytes(b"previous enhancement")
+        (tmp_path / "link.wav").symlink_to(tmp_path / "out.wav")
+        monkeypatch.chdir(tmp_path)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline was loaded")
+        monkeypatch.setattr(cli, "_load_pipeline", no_work)
+        assert main(["enhance", "in.wav", "out.wav", "--export-mask", mask]) == 2
+        assert capsys.readouterr().err == (
+            f"error: out.wav and {Path(mask)}: two outputs name the same file\n")
+        assert (tmp_path / "out.wav").read_bytes() == b"previous enhancement"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "link.wav", "out.wav"]
+
     def test_failed_wav_write_keeps_previous_output(self, tmp_path, monkeypatch):
         """A write that raises midway (a full disk) leaves an earlier output
         byte-identical and no temporary file behind."""
@@ -802,6 +849,14 @@ class TestCheckCommand:
     def test_gradcheck_suite(self):
         assert main(["check", "gradcheck"]) == 0
         assert main(["check", "gradcheck", "--corrupt"]) == 1
+
+    def test_gradient_suite_checks_the_input_gradient(self, monkeypatch):
+        """A 1 % error in the gradient ``pipeline.backward`` returns, with every
+        parameter gradient left exact, fails the suite."""
+        forward_vjp = LiftingTransform.forward_vjp
+        monkeypatch.setattr(LiftingTransform, "forward_vjp",
+                            lambda self, *args: 1.01 * forward_vjp(self, *args))
+        assert verify.gradient_suite() > verify.GRAD_TOLERANCE
 
     def test_stft_pr_suite(self):
         assert main(["check", "stft-pr"]) == 0
@@ -945,6 +1000,22 @@ class TestEvalCommand:
         assert dumps == ["noisy0_enhanced_mag.csv", "noisy0_noisy_mag.csv"]
         mag = np.loadtxt(export / "noisy0_noisy_mag.csv", delimiter=",")
         assert mag.shape[0] == 257
+
+    def test_spectrogram_export_to_a_file_exits_2_before_any_pair(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        manifest = write_manifest(tmp_path, n_pairs=2)
+        out_csv = tmp_path / "metrics.csv"
+        export = tmp_path / "specs"
+        export.write_bytes(b"not a directory")
+
+        def no_pair(*args, **kwargs):
+            raise AssertionError("a pair was read")
+        monkeypatch.setattr(cli, "read_pair", no_pair)
+        assert main(["eval", "--manifest", str(manifest), "--out", str(out_csv),
+                     "--ones-mask", "--export-spectrogram", str(export)]) == 2
+        assert str(export) in capsys.readouterr().err
+        assert not out_csv.exists()
+        assert export.read_bytes() == b"not a directory"
 
     def test_shared_stems_get_distinct_ids_and_dumps(self, tmp_path):
         manifest = write_rule_manifest(tmp_path)

@@ -606,7 +606,7 @@ def _full_walk_step(pipe, clean, noise):
     phi, fwd_caches = tf.forward_with_cache(mix)
     mask = binary_mask_generate(pipe.binary_spec, phi.shape[-1])
     s_hat, inv_caches = tf.inverse_with_cache(phi * mask)
-    _, grad = sdr_loss_and_grad(s_hat, clean, mix, noise, LossConfig())
+    _, grad = sdr_loss_and_grad(s_hat, clean, mix, LossConfig())
     grad_x = tf.forward_vjp(fwd_caches, mask * tf.inverse_vjp(inv_caches, grad))
     return s_hat, grad_x, {name: p.grad.copy() for name, p in pipe.named_parameters()}
 
@@ -615,7 +615,7 @@ def _pipeline_step(pipe, clean, noise):
     mix = clean + noise
     pipe.zero_grad()
     s_hat, cache = pipe.enhance_training(mix)
-    _, grad = sdr_loss_and_grad(s_hat, clean, mix, noise, LossConfig())
+    _, grad = sdr_loss_and_grad(s_hat, clean, mix, LossConfig())
     grad_x = pipe.backward(cache, grad)
     return s_hat, grad_x, {name: p.grad.copy() for name, p in pipe.named_parameters()}
 
@@ -853,11 +853,11 @@ class TestPipelineTrainingGradients:
 
         def objective():
             s_hat, _ = pipe.enhance_training(mix)
-            return sdr_loss_and_grad(s_hat, clean, mix, noise, loss_cfg)[0]
+            return sdr_loss_and_grad(s_hat, clean, mix, loss_cfg)[0]
 
         pipe.zero_grad()
         s_hat, cache = pipe.enhance_training(mix)
-        _, grad = sdr_loss_and_grad(s_hat, clean, mix, noise, loss_cfg)
+        _, grad = sdr_loss_and_grad(s_hat, clean, mix, loss_cfg)
         pipe.backward(cache, grad)
         h = 1e-5
         worst = 0.0
@@ -890,11 +890,11 @@ class TestPipelineTrainingGradients:
 
         def objective():
             s_hat, _ = pipe.enhance_training(mix)
-            return sdr_loss_and_grad(s_hat, clean, mix, noise, loss_cfg)[0]
+            return sdr_loss_and_grad(s_hat, clean, mix, loss_cfg)[0]
 
         pipe.zero_grad()
         s_hat, cache = pipe.enhance_training(mix)
-        _, grad = sdr_loss_and_grad(s_hat, clean, mix, noise, loss_cfg)
+        _, grad = sdr_loss_and_grad(s_hat, clean, mix, loss_cfg)
         pipe.backward(cache, grad)
         h = 1e-5
         worst = 0.0

@@ -16,7 +16,7 @@ class TestSdrLoss:
         x = s + n
         # eps guards cap each SDR term near 100 dB, so the clipped value sits
         # at 20 * tanh(5), about 1.8e-3 shy of the exact -beta limit
-        loss = sdr_loss_and_grad(s, s, x, n, LossConfig(beta_clip=20.0))[0]
+        loss = sdr_loss_and_grad(s, s, x, LossConfig(beta_clip=20.0))[0]
         assert loss == pytest.approx(-20.0, abs=0.01)
 
     def test_both_terms_zero_db(self):
@@ -25,8 +25,7 @@ class TestSdrLoss:
         s_hat = np.array([1.0, 0.0])
         x = np.array([1.0, 1.0])
         s = np.zeros(2)
-        n = x.copy()
-        assert sdr_loss_and_grad(s_hat, s, x, n)[0] == pytest.approx(0.0, abs=1e-9)
+        assert sdr_loss_and_grad(s_hat, s, x)[0] == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("beta", [20.0, 3.0])
     def test_matches_docstring_formula(self, beta):
@@ -41,8 +40,8 @@ class TestSdrLoss:
             ratio = (np.sum(u * u, axis=-1) + eps) / (np.sum((u - v) ** 2, axis=-1) + eps)
             return beta * np.tanh(10.0 * np.log10(ratio) / beta)
 
-        want = -np.mean(0.5 * (clipped_sdr(s_hat, s) + clipped_sdr(x - s_hat, n)))
-        got = sdr_loss_and_grad(s_hat, s, x, n, LossConfig(beta_clip=beta, eps=eps))[0]
+        want = -np.mean(0.5 * (clipped_sdr(s_hat, s) + clipped_sdr(x - s_hat, x - s)))
+        got = sdr_loss_and_grad(s_hat, s, x, LossConfig(beta_clip=beta, eps=eps))[0]
         assert got == pytest.approx(float(want), rel=1e-12)
 
     @pytest.mark.parametrize("field, value", [
@@ -59,14 +58,14 @@ class TestSdrLoss:
         x = s + n
         s_hat = s + 0.3 * rng.normal((64,))
         cfg = LossConfig()
-        loss, grad = sdr_loss_and_grad(s_hat, s, x, n, cfg)
+        loss, grad = sdr_loss_and_grad(s_hat, s, x, cfg)
         h = 1e-5
         numeric = np.zeros_like(s_hat)
         for i in range(s_hat.size):
             delta = np.zeros_like(s_hat)
             delta[i] = h
-            fp = sdr_loss_and_grad(s_hat + delta, s, x, n, cfg)[0]
-            fm = sdr_loss_and_grad(s_hat - delta, s, x, n, cfg)[0]
+            fp = sdr_loss_and_grad(s_hat + delta, s, x, cfg)[0]
+            fm = sdr_loss_and_grad(s_hat - delta, s, x, cfg)[0]
             numeric[i] = (fp - fm) / (2 * h)
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
         assert float(np.max(np.abs(grad - numeric) / denom)) <= 1e-4
@@ -77,10 +76,10 @@ class TestSdrLoss:
         n = 0.5 * rng.normal((4, 32))
         x = s + n
         s_hat = s + 0.2 * rng.normal((4, 32))
-        loss, grad = sdr_loss_and_grad(s_hat, s, x, n)
-        singles = [sdr_loss_and_grad(s_hat[i], s[i], x[i], n[i])[0] for i in range(4)]
+        loss, grad = sdr_loss_and_grad(s_hat, s, x)
+        singles = [sdr_loss_and_grad(s_hat[i], s[i], x[i])[0] for i in range(4)]
         assert loss == pytest.approx(float(np.mean(singles)), rel=1e-12)
-        _, g0 = sdr_loss_and_grad(s_hat[0], s[0], x[0], n[0])
+        _, g0 = sdr_loss_and_grad(s_hat[0], s[0], x[0])
         np.testing.assert_allclose(grad[0], g0 / 4.0, atol=1e-15)
 
     def test_per_sample_losses(self):
@@ -90,17 +89,52 @@ class TestSdrLoss:
         s = rng.normal((2, 3, 32))
         n = 0.5 * rng.normal((2, 3, 32))
         s_hat = s + 0.2 * rng.normal((2, 3, 32))
-        losses, grad = sdr_loss_and_grad(s_hat, s, s + n, n, None, True)
-        loss, grad_mean = sdr_loss_and_grad(s_hat, s, s + n, n)
+        losses, grad = sdr_loss_and_grad(s_hat, s, s + n, None, True)
+        loss, grad_mean = sdr_loss_and_grad(s_hat, s, s + n)
         assert losses.shape == (2, 3)
         assert loss == float(losses.mean())
         np.testing.assert_array_equal(grad, grad_mean)
         for i in np.ndindex(2, 3):
-            assert losses[i] == sdr_loss_and_grad(s_hat[i], s[i], s[i] + n[i], n[i])[0]
+            assert losses[i] == sdr_loss_and_grad(s_hat[i], s[i], s[i] + n[i])[0]
+
+    @pytest.mark.parametrize("shape", [(300,), (5, 96)])
+    def test_bitwise_equal_to_four_signal_formula_with_n_from_mixture(self, shape):
+        """The loss forms n = x - s itself: per-sample and mean losses and the
+        gradient are bitwise those of the earlier formula that took n as an
+        argument, here written out inline and called with n = x - s. Batched
+        rows carry zero-padded tails, as ``batch_iter`` crops do."""
+        def four_signal_loss(s_hat, s, x, n, beta, eps):
+            def term(u, v):
+                num = np.sum(u * u, axis=-1) + eps
+                den = np.sum((u - v) ** 2, axis=-1) + eps
+                th = np.tanh((10.0 / np.log(10.0)) * (np.log(num) - np.log(den)) / beta)
+                grad = (1.0 - th * th)[..., None] * (
+                    (20.0 / np.log(10.0)) * (u / num[..., None] - (u - v) / den[..., None]))
+                return th, grad
+            th2, g2 = term(x - s_hat, n)
+            th1, g1 = term(s_hat, s)
+            losses = -0.5 * (beta * th1 + beta * th2)
+            return losses, -0.5 * (g1 - g2) / losses.size
+
+        rng = Rng(21)
+        s = rng.normal(shape)
+        x = s + 0.5 * rng.normal(shape)
+        s_hat = s + 0.3 * rng.normal(shape)
+        if len(shape) == 2:
+            for row, length in enumerate((96, 60, 33, 1, 95)):
+                s[row, length:] = x[row, length:] = 0.0
+        cfg = LossConfig(beta_clip=7.0, eps=1e-6)
+        want_losses, want_grad = four_signal_loss(s_hat, s, x, x - s, cfg.beta_clip, cfg.eps)
+        losses, grad = sdr_loss_and_grad(s_hat, s, x, cfg, per_sample=True)
+        loss, grad_mean = sdr_loss_and_grad(s_hat, s, x, cfg)
+        np.testing.assert_array_equal(losses, want_losses)
+        assert loss == float(want_losses.mean())
+        np.testing.assert_array_equal(grad, want_grad)
+        np.testing.assert_array_equal(grad_mean, want_grad)
 
     def test_all_zero_estimate_rejected(self):
         with pytest.raises(ValueError, match="undefined SDR"):
-            sdr_loss_and_grad(np.zeros(8), np.ones(8), np.ones(8), np.zeros(8))
+            sdr_loss_and_grad(np.zeros(8), np.ones(8), np.ones(8))
 
 
 class TestSiSdr:
