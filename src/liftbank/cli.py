@@ -344,6 +344,11 @@ def cmd_eval(args):
     stft_cfg = pipeline.stft_config or build_stft_config(cfg)
     export_dir = args.export_spectrogram and Path(args.export_spectrogram)
     if export_dir:
+        dumps = {(export_dir / f"{name}_{tag}_mag.csv").resolve()
+                 for *_, name in pairs for tag in ("noisy", "enhanced")}
+        if Path(args.out).resolve() in dumps:
+            raise ConfigError(f"{args.out}: --out names a spectrogram dump that "
+                              f"--export-spectrogram {export_dir} will write")
         export_dir.mkdir(parents=True, exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -21,9 +21,15 @@ while the block is in cache, and given a 1x1 head, Deconv2d runs it there
 too, with no cache. The leaky ReLU, the sigmoid and their gradients are one
 kernel each over cache-sized blocks (``_in_blocks``), writing a given output
 that may be the input; both networks reach them through ``Activation``.
+
+The training path passes a ``Workspace``: the arrays it would allocate come
+from it instead, the same ones every step while they are large enough.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -33,6 +39,8 @@ from .tapgemm import PhaseGrid, gemm, tap_gemms
 __all__ = [
     "Parameter",
     "Module",
+    "Workspace",
+    "new_array",
     "Activation",
     "Conv1d",
     "empty_grid",
@@ -94,6 +102,37 @@ class Module:
                 value.update_spectral_state(iters)
 
 
+class Workspace:
+    """Arrays that a training loop keeps from one step to the next.
+
+    ``take(key, shape)`` returns an array of ``shape`` over the buffer last
+    taken under ``key``, allocating a new buffer only when that one is too
+    small or of another dtype; the array holds what was last written there.
+    Two arrays alive at once need two keys, and arrays never alive at once
+    may share one whatever their shapes. Not thread-safe: one training loop
+    owns a Workspace, and inference passes none.
+    """
+
+    def __init__(self):
+        self._held = {}
+
+    def take(self, key, shape, dtype=np.float64):
+        n = math.prod(shape)
+        buf = self._held.get(key)
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            self._held[key] = None      # free the old one first
+            self._held[key] = buf = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+    def clear(self):
+        self._held.clear()
+
+
+def new_array(shape, ws=None, key=None, dtype=np.float64):
+    """np.empty(shape), or with a Workspace ``ws`` its array for ``key``."""
+    return np.empty(shape, dtype) if ws is None else ws.take(key, shape, dtype)
+
+
 def _flatten_batch(x, core_ndim):
     """View (..., core dims) as (B, core dims); returns (batched, lead shape)."""
     x = np.asarray(x, dtype=np.float64)
@@ -132,13 +171,19 @@ def _leaky_relu_grad(g, y, slope, out):
 
 
 _ACT_BLOCK = 1 << 13     # elements per activation block (64 KiB)
+# each thread's block of kernel scratch, kept between calls: no result
+# depends on what a call leaves in it, and one block per thread, not per
+# Activation, is all that any number of pipelines needs
+_scratch = threading.local()
 
 
 def _in_blocks(fn, out, *inputs):
     """fn(out_part, *input_parts, scratch) over matching cache-sized blocks of
     ``out`` and the ``inputs`` (out's shape or broadcast to it, any strides;
-    one may be ``out`` itself); the only scratch is one block."""
-    scratch = np.empty(_ACT_BLOCK)
+    one may be ``out`` itself); the only scratch is this thread's block."""
+    scratch = getattr(_scratch, "block", None)
+    if scratch is None:
+        scratch = _scratch.block = np.empty(_ACT_BLOCK)
     flags = [["readwrite"]] + [["readonly"]] * len(inputs)
     with np.nditer((out,) + inputs, ["external_loop", "zerosize_ok"], flags) as runs:
         for run in runs:
@@ -251,10 +296,11 @@ def spectral_sigma(w2d, u):
 # across batch rows, so afterwards the pad columns are zeroed again, and the
 # output is the next layer's padded input as it stands.
 
-def empty_grid(shape, pad):
-    """A new grid (C, ..., L + 2 pad) for signals of shape (C, ..., L): zero
-    pad columns, signal columns not initialised."""
-    grid = np.empty(tuple(shape[:-1]) + (shape[-1] + 2 * pad,))
+def empty_grid(shape, pad, ws=None, key=None):
+    """A new grid (C, ..., L + 2 pad) for signals of shape (C, ..., L), or
+    with a Workspace ``ws`` its grid for ``key``: zero pad columns, signal
+    columns not initialised."""
+    grid = new_array(tuple(shape[:-1]) + (shape[-1] + 2 * pad,), ws, key)
     _zero_pad_columns(grid, pad)
     return grid
 
@@ -282,25 +328,26 @@ def _zero_pad_columns(grid, pad):
     grid[..., grid.shape[-1] - pad:] = 0.0
 
 
-def _correlate_grid(taps, grid, pad, bias=None, onto=None, alpha=1.0):
+def _correlate_grid(taps, grid, pad, bias=None, onto=None, alpha=1.0, ws=None, key=None):
     """Stride-1 correlation of a padded (C_in, B, Lp) grid with taps (k, C_out, C_in).
 
     Adds alpha times ``out[:, P:N-P] = sum_t taps[t] @ flat[:, s_t : s_t + n]
     (+ bias)``, s_t = P - k // 2 + t, onto the (C_out, B, Lp) grid ``onto``
-    in place and returns it, or returns it in a new grid; the result's pad
-    columns are zero.
+    in place and returns it, or returns it in a new grid (a Workspace
+    ``ws``'s for ``key``); the result's pad columns are zero.
     """
     k, cout = taps.shape[:2]
     shape = (cout,) + grid.shape[1:]
     if onto is not None and onto.shape != shape:
         raise ValueError(f"cannot add a {shape} correlation onto shape {onto.shape}")
-    out = np.empty(shape) if onto is None else onto
+    out = new_array(shape, ws, key) if onto is None else onto
     acc = _grid_interior(out, pad)
     first = pad - k // 2
     tap_gemms(taps, grid.reshape(grid.shape[0], -1), range(first, first + k), acc,
               alpha, 0.0 if onto is None else 1.0)
-    if bias is not None:
-        acc += (alpha * bias)[:, None]
+    if bias is not None:      # row by row: a broadcast add allocates numpy's buffers
+        for row, value in zip(acc, alpha * bias):
+            row += value
     _zero_pad_columns(out, pad)
     return out
 
@@ -340,14 +387,17 @@ class _Conv(Module):
         self.bias = Parameter(_init_weight(rng, (self.out_channels,), fan_in)) if bias else None
         self.sn_u = _unit_vector(rng, self.out_channels) if spectral_norm else None
 
-    def _effective_weight(self):
+    def _sigma(self):
+        """The weight's divisor: sigma, or 1 without spectral normalization
+        or below the floor."""
         if self.sn_u is None:
-            return self.weight.data, 1.0
-        w2d = self.weight.data.reshape(self.out_channels, -1)
-        sigma = spectral_sigma(w2d, self.sn_u)
-        if sigma <= _SIGMA_FLOOR:
-            return self.weight.data, 1.0
-        return self.weight.data / sigma, sigma
+            return 1.0
+        sigma = spectral_sigma(self.weight.data.reshape(self.out_channels, -1), self.sn_u)
+        return 1.0 if sigma <= _SIGMA_FLOOR else sigma
+
+    def _effective_weight(self):
+        sigma = self._sigma()
+        return (self.weight.data if sigma == 1.0 else self.weight.data / sigma), sigma
 
     def _bias_grad(self, g, axis, alpha=1.0):
         if self.bias is not None:
@@ -380,35 +430,40 @@ class Conv1d(_Conv):
         super().__init__(in_channels, out_channels, (self.kernel_size,), bias,
                          spectral_norm, rng)
 
-    def forward_grid(self, grid, pad, onto=None, alpha=1.0):
+    def forward_grid(self, grid, pad, onto=None, alpha=1.0, ws=None, key=None):
         """Output grid for an input grid of pad ``pad`` >= kernel_size // 2, or
-        ``onto`` + alpha output written over the grid ``onto``."""
+        ``onto`` + alpha output written over the grid ``onto``. With a
+        Workspace, a new output grid is its array for ``key``, and the taps
+        its "taps" array, which every conv's passes share."""
         if grid.shape[0] != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {grid.shape[0]}")
-        w, _ = self._effective_weight()
-        taps = np.ascontiguousarray(np.moveaxis(w, 2, 0))          # (k, C_out, C_in)
+        layout = np.moveaxis(self.weight.data, 2, 0)        # (k, C_out, C_in)
+        taps = np.divide(layout, self._sigma(), out=new_array(layout.shape, ws, "taps"))
         bias = self.bias.data if self.bias is not None else None
-        return _correlate_grid(taps, grid, pad, bias, onto, alpha)
+        return _correlate_grid(taps, grid, pad, bias, onto, alpha, ws, key)
 
-    def backward_grid(self, grid, grad, pad, onto=None, alpha=1.0):
+    def backward_grid(self, grid, grad, pad, onto=None, alpha=1.0, ws=None, key=None):
         """alpha times the input gradient for the output-gradient grid ``grad``
         (zero pad columns) of ``forward_grid(grid, pad)``, returned or added
         like its output; accumulates alpha times the parameter gradients. The
         weight gradient is one GEMM per tap against the forward pass's
         windows, the input gradient the correlation with the flipped,
-        transposed kernel on the same grid."""
-        w, sigma = self._effective_weight()
+        transposed kernel on the same grid. A Workspace serves as in
+        ``forward_grid``; the weight gradient's taps go in "taps" first."""
         k = self.kernel_size
         g = _grid_interior(grad, pad)
         flat = grid.reshape(self.in_channels, -1)
         first = pad - k // 2
-        gw = np.empty((k, self.out_channels, self.in_channels))
+        sigma = self._sigma()
+        gw = new_array((k, self.out_channels, self.in_channels), ws, "taps")
         for t in range(k):
             gemm(g, flat[:, first + t:first + t + g.shape[1]].T, gw[t], alpha, 0.0)
-        self.weight.grad += np.moveaxis(gw, 0, 2) / sigma
+        gw /= sigma
+        self.weight.grad += np.moveaxis(gw, 0, 2)
         self._bias_grad(g, 1, alpha)
-        taps = np.ascontiguousarray(w[:, :, ::-1].transpose(2, 1, 0))  # (k, C_in, C_out)
-        return _correlate_grid(taps, grad, pad, None, onto, alpha)
+        layout = self.weight.data[:, :, ::-1].transpose(2, 1, 0)   # (k, C_in, C_out)
+        taps = np.divide(layout, sigma, out=new_array(layout.shape, ws, "taps"))
+        return _correlate_grid(taps, grad, pad, None, onto, alpha, ws, key)
 
     def forward(self, x):
         xb, lead = _flatten_batch(x, 2)

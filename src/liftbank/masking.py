@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Activation, Conv2d, Deconv2d, Module
+from .layers import Activation, Conv2d, Deconv2d, Module, Workspace, new_array
 from .numerics import Rng, pad_to_multiple
 from .stft import frame_count, istft, istft_vjp, log_magnitude_feature, stft_forward
 
@@ -65,11 +65,13 @@ class BinaryMaskSpec:
             object.__setattr__(self, "speech_channels", chans)
 
 
-def binary_mask_generate(spec, n_frames):
-    """(C, M) hard mask, constant along the time axis."""
+def binary_mask_generate(spec, n_frames, out=None):
+    """(C, M) hard mask, constant along the time axis; written into ``out``
+    when given."""
     if n_frames < 1:
         raise ValueError("need at least one frame")
-    mask = np.zeros((spec.n_channels, int(n_frames)))
+    mask = np.empty((spec.n_channels, int(n_frames))) if out is None else out
+    mask.fill(0.0)
     mask[list(spec.speech_channels), :] = 1.0
     return mask
 
@@ -259,8 +261,8 @@ PARAMETER_GROUPS = ("transform", "mask", "both")
 
 @dataclass
 class EnhanceCache:
-    """What EnhancementPipeline.backward needs from one enhance_training call;
-    a later call given it as ``spent`` empties it (every field None)."""
+    """What EnhancementPipeline.backward needs from the last enhance_training
+    call; the pipeline owns it and refills it on every call."""
 
     mask: np.ndarray          # the applied mask, feature-shaped
     feature: np.ndarray       # lifting phi (upper half zero if discard_top) or STFT spectrogram
@@ -301,6 +303,8 @@ class EnhancementPipeline(Module):
         # a mask blocking the lifting feature's upper half lets the analysis skip F_J
         self.discard_top = (transform is not None and spec is not None
                             and all(c < height // 2 for c in spec.speech_channels))
+        self._workspace = Workspace()      # the training path's arrays
+        self._cache = None                 # the last enhance_training call's
 
     # -- inference ----------------------------------------------------------
 
@@ -371,64 +375,82 @@ class EnhancementPipeline(Module):
             del y, mask     # neither is held while the next chunk runs
         return s_hat, out
 
-    def enhance_training(self, x, spent=None):
+    def enhance_training(self, x):
         """Estimated target plus the EnhanceCache that ``backward`` needs.
 
-        ``spent``, the EnhanceCache of an earlier call whose ``backward`` has
-        run, is emptied piece by piece, each piece just before the same-shaped
-        piece of the new cache is built: a training loop holds one step's
-        caches, not two, and the new cache reuses the freed memory."""
-        return self._run(x, keep=True, spent=spent)
+        The training path's arrays (the lifting walks' grids, caches and
+        results, the mask and ``feature * mask``) are the pipeline's, and
+        each call writes over the last call's arrays, allocating again only
+        when a larger batch outgrows them. So the estimate and the cache,
+        which is the same object every call, hold until the next call, and
+        ``backward``'s result until the next call of either. The estimator's
+        and the STFT's arrays are made per call; the last call's go before
+        the new ones are built. Concurrent training calls on one pipeline are
+        not supported; ``enhance`` (inference) keeps nothing between calls
+        and may run in many threads. ``release_training_buffers`` frees it all."""
+        return self._run(x, keep=True)
 
-    def _run(self, x, keep, spent=None):
+    def release_training_buffers(self):
+        """Free the training path's arrays and the last EnhanceCache."""
+        self._workspace.clear()
+        self._cache = None
+
+    def _run(self, x, keep):
         """Estimate over all of x, plus its EnhanceCache (keep) or its mask: the
         transform's analysis, the mask, ``feature * mask``, synthesis, crop."""
         x = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite input signal")
         tf, net, t0 = self.transform, self.estimator, x.shape[-1]
-        fwd_cache = inv_cache = est_cache = None
-        spent = EnhanceCache(None, None) if spent is None else spent
+        ws = cache = fwd_cache = inv_cache = est_cache = None
+        if keep:
+            ws = self._workspace
+            cache = self._cache = self._cache or EnhanceCache(None, None)
+            cache.mask = cache.feature = cache.estimator = None     # the last call's go first
         if tf is not None:
             x, _ = pad_to_multiple(x, tf.config.time_divisor)
-            feature, fwd_cache = (tf.forward_with_cache(x, self.discard_top, spent.forward)
+            feature, fwd_cache = (tf.forward_with_cache(x, self.discard_top, ws)
                                   if keep else (tf.forward(x, self.discard_top), None))
         else:
             feature = stft_forward(x, self.stft_config)
-        spent.mask = spent.feature = spent.forward = spent.estimator = None
         if self.mask_source == "estimator":
             img = feature if tf is not None else log_magnitude_feature(feature)
             mask, est_cache = net.forward_with_cache(img) if keep else (net.forward(img), None)
         elif self.mask_source == "ones":
-            mask = np.ones(feature.shape[-2:])
+            mask = new_array(feature.shape[-2:], ws, "mask")
+            mask.fill(1.0)
         else:
-            mask = binary_mask_generate(self.binary_spec, feature.shape[-1])
-        masked = feature * mask
+            mask = binary_mask_generate(self.binary_spec, feature.shape[-1],
+                                        new_array(feature.shape[-2:], ws, "mask"))
+        # "spare": a Workspace's feature-sized array that the lifting VJPs
+        # write later in the step (see LiftingTransform's stage walks)
+        masked = np.multiply(feature, mask, out=new_array(
+            np.broadcast_shapes(feature.shape, mask.shape), ws, "spare", feature.dtype))
         if tf is not None:
-            y, inv_cache = (tf.inverse_with_cache(masked, spent.inverse) if keep
+            y, inv_cache = (tf.inverse_with_cache(masked, ws) if keep
                             else (tf.inverse(masked), None))
         else:
             y = istft(masked, self.stft_config, t0)
-        spent.inverse = None
         if not keep:
             return y[..., :t0], mask
-        return y[..., :t0], EnhanceCache(mask, feature, est_cache, fwd_cache, inv_cache)
+        cache.mask, cache.feature, cache.estimator = mask, feature, est_cache
+        cache.forward, cache.inverse = fwd_cache, inv_cache
+        return y[..., :t0], cache
 
     # -- training backward ----------------------------------------------------
 
     def backward(self, cache, grad_s_hat):
         """Accumulate parameter gradients for d(loss)/d(s_hat) and return
         d(loss)/d(x); the STFT path has no input VJP and returns None."""
-        if cache.feature is None:
-            raise ValueError("this EnhanceCache was spent by a later enhance_training call")
         if self.transform is not None:
+            ws = self._workspace
             grad_y, length = pad_to_multiple(grad_s_hat, self.transform.config.time_divisor)
-            grad_masked = self.transform.inverse_vjp(cache.inverse, grad_y)
+            grad_masked = self.transform.inverse_vjp(cache.inverse, grad_y, ws)
             grad_mask = None if cache.estimator is None else cache.feature * grad_masked
             grad_phi = np.multiply(grad_masked, cache.mask, out=grad_masked)    # one copy held
             if grad_mask is not None:
                 grad_phi += self.estimator.backward(cache.estimator, grad_mask)
-            grad_x = self.transform.forward_vjp(cache.forward, grad_phi)
+            grad_x = self.transform.forward_vjp(cache.forward, grad_phi, ws)
             return grad_x[..., :length]
         spec = cache.feature
         gspec = istft_vjp(grad_s_hat, self.stft_config, spec.shape[-1])

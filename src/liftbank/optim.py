@@ -40,20 +40,29 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for _, p in self.params]
         self._v = [np.zeros_like(p.data) for _, p in self.params]
+        # the update's temporaries, sized for the largest parameter
+        largest = max(p.data.size for _, p in self.params)
+        self._scratch = np.empty((2, largest))
+        self._finite = np.empty(largest, dtype=bool)
 
     def step(self):
+        """One update, in the order lr (m / bc1) / (sqrt(v / bc2) + eps),
+        with no array allocated."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for (name, p), m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            if not np.all(np.isfinite(g)):
+            a, b = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+            if not np.isfinite(g, out=self._finite[:g.size].reshape(g.shape)).all():
                 raise ValueError(f"non-finite gradient for parameter {name}")
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=a), out=a)
+            np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+            p.data -= np.divide(a, b, out=a)
 
 
 @dataclass(frozen=True)
@@ -144,10 +153,12 @@ def train(pipeline, dataset, cfg):
     one spectral-norm power iteration. The best-validation parameter
     snapshot is kept alongside the final parameters.
 
-    A step holds one step's caches, not two: it hands the previous step's
-    EnhanceCache, spent once its backward has run, to ``enhance_training``,
-    which empties it as the new cache fills. An epoch's last cache goes
-    before validation.
+    A step writes into the previous step's arrays, which the pipeline keeps
+    (``enhance_training``): after an epoch's first step, a step allocates
+    only the batch, the loss's arrays and, with an estimated mask, the
+    estimator's caches. The arrays are freed at each epoch's end, before
+    validation, which runs ``enhance`` and allocates per call as before.
+    One pipeline runs one training loop at a time.
     """
     params, train_set, val_set = prepare(pipeline, dataset, cfg)
     optimizer = Adam(params, lr=cfg.lr)
@@ -156,11 +167,10 @@ def train(pipeline, dataset, cfg):
     stop = False
     for epoch in range(cfg.epochs):
         losses = []
-        cache = None
         for clean, mixture in batch_iter(train_set, cfg.batch_size, seed=cfg.seed + epoch,
                                          crop_len=cfg.crop_len):
             pipeline.zero_grad()
-            s_hat, cache = pipeline.enhance_training(mixture, cache)
+            s_hat, cache = pipeline.enhance_training(mixture)
             loss, grad = sdr_loss_and_grad(s_hat, clean, mixture, cfg.loss, True)
             del s_hat       # neither it nor the gradient is held past its last use
             if not np.all(np.isfinite(loss)):
@@ -178,6 +188,7 @@ def train(pipeline, dataset, cfg):
                 stop = True
                 break
         del cache
+        pipeline.release_training_buffers()
         val_loss, val_imp = _evaluate(pipeline, val_set, cfg.loss)
         # the exactly rounded mean over samples: the same for every shuffle
         history.train_loss.append(math.fsum(losses) / len(losses))

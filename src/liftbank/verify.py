@@ -83,7 +83,7 @@ def gradient_suite(seed=0, corrupt=False):
     pipeline.zero_grad()
     s_hat, cache = pipeline.enhance_training(mixture)
     _, grad_out = sdr_loss_and_grad(s_hat, clean, mixture, loss_cfg)
-    grad_input = pipeline.backward(cache, grad_out)
+    grad_input = pipeline.backward(cache, grad_out).copy()     # the next call reuses its array
 
     worst = 0.0
     for _, p in pipeline.named_parameters("both"):

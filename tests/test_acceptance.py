@@ -135,9 +135,10 @@ class TestAcceptance:
 
     @pytest.mark.slow
     def test_criterion_7_desk_scale_training(self):
-        """Loss must strictly decrease and held-out SI-SDR improvement exceed
-        0 dB; the measured improvement is reported, not compared to any
-        published figure."""
+        """Loss must strictly decrease, held-out SI-SDR improvement exceed
+        0 dB and the trained transform still reconstruct each held-out
+        mixture within PR_TOLERANCE; the measured improvement is reported,
+        not compared to any published figure."""
         train_set = lb.synth_dataset(101, 200, 1.0, 0.0, 10.0)
         held_out = lb.synth_dataset(202, 40, 1.0, 0.0, 10.0)
         transform = LiftingTransform(LiftingConfig(), Rng(7))
@@ -157,16 +158,20 @@ class TestAcceptance:
                           crop_len=4096, max_steps=600, loss=loss_cfg)
         history = train(pipe, train_set, cfg)
         final_loss = mean_loss(train_set)
-        improvements = []
+        improvements, round_trip = [], 0.0
         for tr in held_out:
             s_hat, _ = pipe.enhance(tr.mixture)
             improvements.append(si_sdr_improvement(tr.clean, s_hat, tr.mixture))
+            back = transform.inverse(transform.forward(tr.mixture))
+            round_trip = max(round_trip, float(np.max(np.abs(back - tr.mixture))))
         mean_imp = float(np.mean(improvements))
-        ok = final_loss < init_loss and mean_imp > 0.0
+        ok = final_loss < init_loss and mean_imp > 0.0 and round_trip <= PR_TOLERANCE
         report(7, "desk-scale training", ok,
                f"{history.steps} steps; train loss {init_loss:.4f} -> "
                f"{final_loss:.4f}; held-out SI-SDR improvement {mean_imp:.2f} dB "
-               f"(measured value reported, required > 0)")
+               f"(measured value reported, required > 0); trained transform's "
+               f"max abs round-trip error {round_trip:.3e} on the held-out "
+               f"mixtures (tolerance {PR_TOLERANCE:g})")
 
     @pytest.mark.slow
     def test_criterion_8_training_determinism(self, tmp_path):

@@ -1017,6 +1017,29 @@ class TestEvalCommand:
         assert not out_csv.exists()
         assert export.read_bytes() == b"not a directory"
 
+    @pytest.mark.parametrize("tag", ["noisy", "enhanced"])
+    def test_out_naming_a_spectrogram_dump_exits_2_before_any_pair(self, tmp_path, capsys,
+                                                                   monkeypatch, tag):
+        """``--out specs/n_noisy_mag.csv --export-spectrogram specs`` would let
+        the metrics CSV replace pair n's dump: it exits 2 naming --out, and
+        no pair is read and no file written."""
+        manifest = write_manifest(tmp_path, n_pairs=1)
+        os.rename(tmp_path / "noisy0.wav", tmp_path / "n.wav")
+        manifest.write_text(manifest.read_text().replace("noisy0.wav", "n.wav"))
+        export = tmp_path / "specs"
+        export.mkdir()
+        out_csv = export / f"n_{tag}_mag.csv"
+
+        def no_pair(*args, **kwargs):
+            raise AssertionError("a pair was read")
+        monkeypatch.setattr(cli, "read_pair", no_pair)
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--manifest", str(manifest), "--out", f"specs/n_{tag}_mag.csv",
+                     "--ones-mask", "--export-spectrogram", "specs"]) == 2
+        assert f"specs/n_{tag}_mag.csv" in capsys.readouterr().err
+        assert list(export.iterdir()) == []
+        assert not out_csv.exists()
+
     def test_shared_stems_get_distinct_ids_and_dumps(self, tmp_path):
         manifest = write_rule_manifest(tmp_path)
         out_csv = tmp_path / "metrics.csv"

@@ -608,7 +608,7 @@ class TestSpectralNorm:
     def test_sn_conv_grad_scales_by_sigma(self, make, x_shape):
         """Backward treats the spectral scale as constant for the step: the
         output and both gradients are the plain layer's divided by sigma.
-        The backward pass derives sigma with the weight, in one call."""
+        The backward pass derives sigma once."""
         rng = Rng(3)
         plain = make(bias=False, rng=Rng(30))
         normed = make(bias=False, spectral_norm=True, rng=Rng(30))
@@ -623,8 +623,8 @@ class TestSpectralNorm:
         g = rng.normal(yp.shape)
         gxp = plain.backward(cp, g)
         calls = []
-        effective = normed._effective_weight
-        normed._effective_weight = lambda: calls.append(1) or effective()
+        sigma_of = normed._sigma
+        normed._sigma = lambda: calls.append(1) or sigma_of()
         gxn = normed.backward(cn, g)
         assert len(calls) == 1
         np.testing.assert_allclose(normed.weight.grad, plain.weight.grad / sigma,

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liftbank.layers import grid_valid, to_grid
+from liftbank.layers import Workspace, grid_valid, to_grid
 from liftbank.lifting import (CouplingBlock, LiftingConfig, LiftingTransform,
                               coupling_forward, coupling_inverse,
                               invertible_downsample, invertible_upsample,
@@ -439,38 +439,38 @@ class TestGridWalks:
             np.testing.assert_array_equal(now, before, err_msg=f"array {i}")
 
     @pytest.mark.parametrize("discard_top", [False, True])
-    def test_spent_caches_go_stage_by_stage(self, discard_top, monkeypatch):
-        """Given an earlier call's caches as ``spent``, each predictor
-        evaluation drops the same stage's spent cache just before it runs,
-        and the result and the new caches are those of a call without it."""
+    def test_workspace_walks_reuse_their_arrays(self, discard_top):
+        """Given a Workspace, the four walks return bitwise what they return
+        without one, and a second step at the same shape gets every result
+        and cached grid in the first step's arrays. The two VJPs return
+        their results in one array, so each is read before the next call."""
         rng = Rng(32)
-        tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2), rng.fork())
-        x, y = rng.normal((2, 64)), rng.normal((2, 64))
-        phi, want_fwd = tf.forward_with_cache(y, discard_top)
-        back, want_inv = tf.inverse_with_cache(phi)
-        spent_fwd = tf.forward_with_cache(x, discard_top)[1]
-        spent_inv = tf.inverse_with_cache(tf.forward(x))[1]
-        seen = []
-        for j, block in enumerate(tf.blocks):
-            def spy(*args, j=j, run=block.forward):
-                seen.append((j, [c is None for c in spent_fwd + spent_inv]))
-                return run(*args)
-            monkeypatch.setattr(block, "forward", spy)
-        got_phi, got_fwd = tf.forward_with_cache(y, discard_top, spent_fwd)
-        got_back, got_inv = tf.inverse_with_cache(got_phi, spent_inv)
-        # stage j's spent entry is gone when stage j runs, later ones are not
-        top = len(tf.blocks) - discard_top
-        assert seen == (
-            [(j, [i <= j or (discard_top and i == 2) for i in range(3)] + [False] * 3)
-             for j in range(top)]
-            + [(j, [True] * 3 + [i >= j for i in range(3)]) for j in (2, 1, 0)])
-        assert spent_fwd == spent_inv == [None] * 3
-        np.testing.assert_array_equal(got_phi, phi)
-        np.testing.assert_array_equal(got_back, back)
-        for got, want in zip(got_fwd + got_inv, want_fwd + want_inv):
-            assert (got is None) == (want is None)
-            for a, b in zip(got or [], want or []):
-                np.testing.assert_array_equal(a, b)
+        tf = LiftingTransform(LiftingConfig(num_stages=3, base_channels=2,
+                                            kernel_sizes=(5, 3, 1)), rng.fork())
+        x, g, r = rng.normal((2, 64)), rng.normal((2, 64)), rng.normal((2, 16, 8))
+
+        def step(ws):
+            tf.zero_grad()
+            phi, fwd = tf.forward_with_cache(x, discard_top, ws)
+            back, inv = tf.inverse_with_cache(phi, ws)
+            grad_phi = tf.inverse_vjp(inv, g, ws)
+            values = [grad_phi.copy()]
+            grad_x = tf.forward_vjp(fwd, r, ws)
+            arrays = [phi, back, grad_phi, grad_x] + [
+                grid for cache in fwd + inv if cache is not None for grid in cache]
+            values += [grad_x] + arrays[:2] + arrays[4:]
+            values += [p.grad.copy() for _, p in tf.named_parameters()]
+            return [a.ctypes.data for a in arrays], values
+
+        _, want = step(None)
+        ws = Workspace()
+        first, _ = step(ws)
+        again, got = step(ws)
+        assert again == first
+        assert len(first) == 4 + 3 * (6 - discard_top)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -474,38 +474,79 @@ def _cache_arrays(obj):
     return [a for item in obj for a in _cache_arrays(item)]
 
 
-class TestSpentCache:
-    """``enhance_training(x, spent)`` empties an earlier call's cache as it
-    builds its own, and changes nothing else."""
+def held_bytes(pipe):
+    """Bytes of the arrays that a pipeline keeps for its training steps."""
+    return sum(buf.nbytes for buf in pipe._workspace._held.values())
+
+
+def _training_step(pipe, x, g):
+    """enhance_training and backward on pipe, each result copied as soon as
+    it is returned: the estimate, the cache's arrays, the input gradient
+    (None on the STFT path) and the parameter gradients."""
+    pipe.zero_grad()
+    s_hat, cache = pipe.enhance_training(x)
+    out = [s_hat.copy()] + [None if a is None else a.copy() for a in _cache_arrays(cache)]
+    grad_x = pipe.backward(cache, g)
+    out.append(None if grad_x is None else grad_x.copy())
+    return out + [p.grad.copy() for _, p in pipe.named_parameters()]
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want) > 4
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_array_equal(a, b)
+
+
+class TestTrainingBuffers:
+    """``enhance_training`` and ``backward`` write into the arrays of the
+    pipeline's last training step; a step's results are those of a fresh
+    pipeline whatever ran before."""
 
     KINDS = ["lifting/binary", "lifting/estimator", "stft/estimator"]
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_spent_is_emptied_and_the_result_unchanged(self, kind):
-        pipe = small_pipeline(kind)
+    def test_steps_after_other_shapes_equal_fresh_steps(self, kind):
+        """Steps on (2, 1000), then the larger (3, 1600), which outgrows and
+        replaces the arrays, then (2, 1000) again, within them, each equal a
+        fresh pipeline's step."""
         rng = Rng(54)
-        x, y = rng.normal((2, 1000)), rng.normal((2, 1000))
-        s_hat, spent = pipe.enhance_training(x)
-        pipe.backward(spent, rng.normal(s_hat.shape))
-        want_s, want = pipe.enhance_training(y)
-        got_s, got = pipe.enhance_training(y, spent)
-        assert all(value is None for value in vars(spent).values())
-        np.testing.assert_array_equal(got_s, want_s)
-        got, want = _cache_arrays(got), _cache_arrays(want)
-        assert len(got) == len(want) > 4
-        for a, b in zip(got, want):
-            assert (a is None) == (b is None)
-            if a is not None:
-                np.testing.assert_array_equal(a, b)
+        shapes = [(2, 1000), (3, 1600), (2, 1000)]
+        inputs = [(rng.normal(shape), rng.normal(shape)) for shape in shapes]
+        pipe, held = small_pipeline(kind), []
+        for x, g in inputs:
+            _assert_same(_training_step(pipe, x, g), _training_step(small_pipeline(kind), x, g))
+            held.append(held_bytes(pipe))
+        assert 0 < held[0] < held[1] == held[2]
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_backward_refuses_a_spent_cache(self, kind):
+    def test_cache_is_refilled_and_last_estimator_caches_go_first(self, kind, monkeypatch):
+        """Every call returns the pipeline's one EnhanceCache; when the mask
+        is estimated, the last call's estimator caches are gone before the
+        estimator runs again."""
         pipe = small_pipeline(kind)
         x = Rng(55).normal((2, 1000))
-        s_hat, spent = pipe.enhance_training(x)
-        pipe.enhance_training(x, spent)
-        with pytest.raises(ValueError, match="spent"):
-            pipe.backward(spent, np.ones_like(s_hat))
+        _, first = pipe.enhance_training(x)
+        seen = []
+        if pipe.estimator is not None:
+            run = pipe.estimator.forward_with_cache
+            monkeypatch.setattr(pipe.estimator, "forward_with_cache",
+                                lambda img: seen.append(first.estimator) or run(img))
+        _, second = pipe.enhance_training(x)
+        assert second is first
+        assert seen == ([] if pipe.estimator is None else [None])
+
+    def test_release_frees_every_array(self):
+        pipe = small_pipeline("lifting/binary")
+        x = Rng(56).normal((2, 1000))
+        _, cache = pipe.enhance_training(x)
+        pipe.backward(cache, x)
+        assert held_bytes(pipe) > 0
+        pipe.release_training_buffers()
+        assert held_bytes(pipe) == 0
+        _, again = pipe.enhance_training(x)
+        assert again is not cache
 
 
 class TestChunkedEnhance:

@@ -165,6 +165,11 @@ def memory_pipeline(kind):
                                mask_source="estimator", estimator=net)
 
 
+def held_bytes(pipe):
+    """Bytes of the arrays that a pipeline keeps for its training steps."""
+    return sum(buf.nbytes for buf in pipe._workspace._held.values())
+
+
 class TestTrainingMemory:
     @pytest.mark.parametrize("kind", ["lifting/binary", "lifting/estimator", "stft/estimator"])
     def test_peak_does_not_grow_with_steps(self, kind):
@@ -189,22 +194,102 @@ class TestTrainingMemory:
 
     def test_no_cache_outlives_its_epoch(self, monkeypatch):
         """Validation, and whatever follows ``train`` (the CLI's checkpoint
-        writes), runs with no training cache alive."""
+        writes), runs with no training cache alive and no training array
+        held by the pipeline."""
         pipe, made, alive = tiny_pipeline(), [], []
         enhance_training, evaluate = pipe.enhance_training, optim._evaluate
 
-        def recording(x, spent=None):
-            s_hat, cache = enhance_training(x, spent)
+        def recording(x):
+            s_hat, cache = enhance_training(x)
             made.append(weakref.ref(cache))
             return s_hat, cache
 
         def counting(*args):
-            alive.append(sum(ref() is not None for ref in made))
+            alive.append((sum(ref() is not None for ref in made), held_bytes(pipe)))
             return evaluate(*args)
         pipe.enhance_training = recording
         monkeypatch.setattr(optim, "_evaluate", counting)
         cfg = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=4, crop_len=256)
         history = train(pipe, tiny_dataset(), cfg)
         assert len(made) == history.steps > 2
-        assert alive == [0, 0]
+        assert alive == [(0, 0), (0, 0)]
         assert all(ref() is None for ref in made)
+        assert held_bytes(pipe) == 0
+
+
+class TestStepBuffers:
+    """From its second step on, a lifting/binary training step writes into
+    the arrays of the step before."""
+
+    def test_steps_reuse_arrays_and_allocate_no_large_block(self, monkeypatch):
+        """Steps 2 and 3 get the estimate, every cache array and the input
+        gradient in the same arrays, and in step 3 none of enhance_training,
+        backward and the Adam update raises the traced memory by 64 KiB or
+        more: none allocates a block that large (a stage-1 grid is 131 KiB)."""
+        pipe = memory_pipeline("lifting/binary")
+        steps, rises = [], []
+
+        def measured(fn):
+            def call(*args):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = fn(*args)
+                if len(steps) == 3:
+                    rises.append(tracemalloc.get_traced_memory()[1] - base)
+                return out
+            return call
+
+        enhance_training, backward = measured(pipe.enhance_training), measured(pipe.backward)
+
+        def recording_enhance(x):
+            steps.append([])
+            s_hat, cache = enhance_training(x)
+            arrays = [s_hat, cache.mask, cache.feature] + [
+                grid for caches in (cache.forward, cache.inverse)
+                for stage in caches if stage is not None for grid in stage]
+            steps[-1] += [a.ctypes.data for a in arrays]
+            return s_hat, cache
+
+        def recording_backward(cache, grad):
+            grad_x = backward(cache, grad)
+            steps[-1].append(grad_x.ctypes.data)
+            return grad_x
+        pipe.enhance_training, pipe.backward = recording_enhance, recording_backward
+        monkeypatch.setattr(optim.Adam, "step", measured(optim.Adam.step))
+        dataset = synth_dataset(63, 12, 0.25, 0.0, 10.0)
+        cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=64, val_fraction=0.0,
+                          crop_len=2048)
+        tracemalloc.start()
+        try:
+            assert train(pipe, dataset, cfg).steps == 3
+        finally:
+            tracemalloc.stop()
+        assert steps[1] == steps[2]
+        assert len(steps[2]) == len(set(steps[2])) == 3 + 2 * 3 + 2 * 4 + 1
+        assert len(rises) == 3
+        assert max(rises) < 64 * 1024, rises
+
+
+class TestAdamArithmetic:
+    def test_update_is_bitwise_the_reference_expression(self):
+        """The in-place update gives bit for bit the values of the textbook
+        expressions it replaces, for parameters of several sizes."""
+        rng = Rng(70)
+        shapes = [(3,), (4, 5), (2, 3, 7)]
+        params = [Parameter(rng.normal(s)) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        opt = Adam([(str(i), p) for i, p in enumerate(params)], lr=1e-2)
+        for t in range(1, 6):
+            grads = [rng.normal(s) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            opt.step()
+            bc1, bc2 = 1.0 - opt.beta1 ** t, 1.0 - opt.beta2 ** t
+            for i, g in enumerate(grads):
+                m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * g
+                v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * (g * g)
+                ref[i] = ref[i] - opt.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + opt.eps)
+            for p, want in zip(params, ref):
+                np.testing.assert_array_equal(p.data, want)
